@@ -1,25 +1,24 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled twin of ``_kernels_py``.
+"""Compiled twin of ``_kernels_py``: Airy functions and complex gamma.
 
 Same algorithms, same frozen tables, scalar C arithmetic.  See the pure
 module for the algorithm notes; any change here must be mirrored there
-(tests/test_special.py cross-checks the two lanes).
+(tests/test_special.py cross-checks the two lanes).  Gamma(s, z) has no
+twin: it is the one numpy lane in ``special``.
 """
 
-from libc.math cimport sqrt, exp, log, cos, sin, pi, isnan, fabs, INFINITY
+from libc.math cimport sqrt, exp, log, cos, sin, pi, isnan, INFINITY
 
 cdef extern from "complex.h":
     double complex cexp(double complex) nogil
-    double complex clog(double complex) nogil
     double complex csin(double complex) nogil
     double complex cpow(double complex, double complex) nogil
-    double cabs(double complex) nogil
     double creal(double complex) nogil
     double cimag(double complex) nogil
 
 __all__ = [
     "airy_ai", "airy_ai_prime", "airy_bi", "airy_bi_prime",
-    "gamma_cx", "upper_gamma_cx",
+    "gamma_cx",
 ]
 
 cdef double _SQRT_PI = 1.7724538509055160273
@@ -400,125 +399,3 @@ cdef double complex _gamma_cx(double complex z) except *:
 def gamma_cx(z):
     """Gamma(z) for complex z off the non-positive integers."""
     return complex(_gamma_cx(complex(z)))
-
-
-cdef inline double complex _plog(double complex z) nogil:
-    if cimag(z) == 0.0 and creal(z) < 0.0:
-        return clog(-z) + 1j * pi
-    return clog(z)
-
-
-cdef double complex _upper_cf(double complex s, double complex z) except *:
-    cdef double tiny = 1e-300
-    cdef double complex b = z + 1.0 - s
-    cdef double complex c = 1.0 / tiny
-    cdef double complex d
-    cdef double complex h, an, delta
-    cdef int i
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, 700):
-        an = -i * (i - s)
-        b = b + 2.0
-        d = an * d + b
-        if cabs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if cabs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        if cabs(delta - 1.0) < 1e-16:
-            return cexp(-z + s * _plog(z)) * h
-    raise ArithmeticError(f"upper_gamma_cx: continued fraction stalled at s={complex(creal(s), cimag(s))}, z={complex(creal(z), cimag(z))}")
-
-
-cdef double complex _lower_series(double complex s, double complex z) except *:
-    cdef double complex term = 1.0 / s
-    cdef double complex total = term
-    cdef int n
-    for n in range(1, 700):
-        term = term * z / (s + n)
-        total = total + term
-        if cabs(term) < 1e-17 * cabs(total):
-            return cexp(-z + s * _plog(z)) * total
-    raise ArithmeticError(f"upper_gamma_cx: series stalled at s={complex(creal(s), cimag(s))}, z={complex(creal(z), cimag(z))}")
-
-
-cdef double _EULER_GAMMA = 0.57721566490153286061
-
-
-cdef double complex _e1_ladder(int n, double complex z) except *:
-    # Gamma(-n, z) via Gamma(0, z) = E1(z) plus the downward recurrence.
-    cdef double complex term = -z
-    cdef double complex acc = 0
-    cdef double complex nxt, val, ez
-    cdef int k, j
-    for k in range(1, 400):
-        acc = acc - term / k
-        nxt = term * (-z) / (k + 1)
-        if cabs(term) < 1e-18 * max(cabs(acc), 1.0) and cabs(nxt) < cabs(term):
-            break
-        term = nxt
-    val = -_EULER_GAMMA - _plog(z) + acc
-    ez = cexp(-z)
-    for j in range(1, n + 1):
-        val = (val - ez * cexp(-j * _plog(z))) / (-j)
-    return val
-
-
-cdef double complex _asymptotic_series(double complex s, double complex z) except *:
-    # large-|z| expansion, valid through the wedge around the negative axis
-    cdef double complex acc = 1.0
-    cdef double complex term = 1.0
-    cdef double prev = INFINITY
-    cdef int k
-    for k in range(1, 200):
-        term = term * (s - k) / z
-        if cabs(term) > prev:
-            break
-        prev = cabs(term)
-        acc = acc + term
-        if cabs(term) < 1e-17 * cabs(acc):
-            break
-    return cexp((s - 1.0) * _plog(z) - z) * acc
-
-
-def upper_gamma_cx(s, z):
-    """Upper incomplete gamma Gamma(s, z), principal branch.
-
-    Same route map as the pure module: continued fraction off the negative
-    real axis, Kummer series + order recurrence near the origin (E1 ladder
-    on non-positive integer orders), asymptotic series in the negative-axis
-    wedge at large |z|.
-    """
-    cdef double complex sc = complex(s)
-    cdef double complex zc = complex(z)
-    cdef double complex val
-    cdef double complex s0
-    cdef long n_int
-    cdef bint near_cut
-    cdef int k = 0, j
-    if zc == 0:
-        if creal(sc) <= 0:
-            raise ValueError("upper_gamma_cx: z=0 requires Re s > 0")
-        return complex(_gamma_cx(sc))
-    near_cut = creal(zc) < 0.0 and fabs(cimag(zc)) <= 0.25 * (-creal(zc))
-    if near_cut and cabs(zc) >= 30.0:
-        return complex(_asymptotic_series(sc, zc))
-    if (not near_cut) and cabs(zc) >= max(1.5, creal(sc) + 1.0):
-        return complex(_upper_cf(sc, zc))
-    if cimag(sc) == 0.0 and creal(sc) < 0.5:
-        n_int = <long>(-creal(sc) + 0.5)
-        if n_int >= 0 and creal(sc) + n_int <= 1e-8 and creal(sc) + n_int >= -1e-8:
-            return complex(_e1_ladder(<int>n_int, zc))
-    s0 = sc
-    while creal(s0) < 1.0:
-        s0 = s0 + 1.0
-        k += 1
-    val = _gamma_cx(s0) - _lower_series(s0, zc)
-    for j in range(k):
-        s0 = s0 - 1.0
-        val = (val - cexp(-zc + s0 * _plog(zc))) / s0
-    return complex(val)

@@ -1,10 +1,10 @@
-"""Pure-Python scalar kernels: real Airy functions, complex gamma, complex
-upper incomplete gamma.
+"""Pure-Python scalar kernels: real Airy functions and complex gamma.
 
-These are the hot inner loops of the package (they sit inside 1D/2D
-quadratures and phase-space grid evaluation), so the same algorithms also
-exist as a compiled twin in ``_kernels_cy.pyx``.  Keep the two files in sync;
-``backend.py`` picks whichever is importable.
+These sit inside the 1D quadratures, so the same algorithms also exist as a
+compiled twin in ``_kernels_cy.pyx``.  Keep the two files in sync;
+``backend.py`` picks whichever is importable.  The complex upper incomplete
+gamma Gamma(s, z) is not here: it is the one numpy lane, evaluated over whole
+arrays in ``special.upper_incomplete_gamma``.
 
 Algorithm notes
 ---------------
@@ -18,13 +18,6 @@ Airy Ai/Bi and derivatives, real argument:
   * Bi grows on the positive axis (no cancellation): series up to 9.
 
 gamma_cx: Lanczos (g=7, 9 terms) with reflection for Re z < 0.5.
-
-upper_gamma_cx: Legendre continued fraction (modified Lentz) away from the
-origin, Kummer series for the lower function near it; orders with
-Re s < 1 are reached by the downward recurrence
-Gamma(s, z) = (Gamma(s+1, z) - z^s e^{-z}) / s so that the series route never
-divides by a near-zero Pochhammer factor.  Principal branch throughout; a
-negative real z with zero imaginary part is treated as approached from above.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ __all__ = [
     "airy_bi",
     "airy_bi_prime",
     "gamma_cx",
-    "upper_gamma_cx",
 ]
 
 _SQRT_PI = 1.7724538509055160273
@@ -434,128 +426,3 @@ def gamma_cx(z: complex) -> complex:
         acc += _LANCZOS_P[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * acc
-
-
-def _plog(z: complex) -> complex:
-    # principal log; the cut itself is approached from above
-    if z.imag == 0.0 and z.real < 0.0:
-        return complex(math.log(-z.real), math.pi)
-    return cmath.log(z)
-
-
-def _upper_cf(s: complex, z: complex) -> complex:
-    # Legendre continued fraction, modified Lentz.
-    tiny = 1e-300
-    b = z + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, 700):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return cmath.exp(-z + s * _plog(z)) * h
-    raise ArithmeticError(f"upper_gamma_cx: continued fraction stalled at s={s}, z={z}")
-
-
-def _lower_series(s: complex, z: complex) -> complex:
-    # Kummer series for the lower function, Re s >= 1 assumed.
-    term = 1.0 / s
-    total = term
-    for n in range(1, 700):
-        term *= z / (s + n)
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            return cmath.exp(-z + s * _plog(z)) * total
-    raise ArithmeticError(f"upper_gamma_cx: series stalled at s={s}, z={z}")
-
-
-_EULER_GAMMA = 0.57721566490153286061
-
-
-def _e1_ladder(n: int, z: complex) -> complex:
-    # Gamma(-n, z) for integer n >= 0 via Gamma(0, z) = E1(z) and the
-    # downward order recurrence (integer divisors, no cancellation blowup).
-    term = -z
-    acc = 0j
-    for k in range(1, 400):
-        acc += -term / k
-        nxt = term * (-z) / (k + 1)
-        if abs(term) < 1e-18 * max(abs(acc), 1.0) and abs(nxt) < abs(term):
-            break
-        term = nxt
-    val = -_EULER_GAMMA - _plog(z) + acc  # E1(z)
-    ez = cmath.exp(-z)
-    for j in range(1, n + 1):
-        val = (val - ez * cmath.exp(-j * _plog(z))) / (-j)
-    return val
-
-
-def _asymptotic_series(s: complex, z: complex) -> complex:
-    # Gamma(s, z) ~ z^(s-1) e^-z sum_k (s-1)(s-2)...(s-k) / z^k; valid for
-    # |arg z| < 3pi/2, used for large |z| near the negative real axis where
-    # the continued fraction stalls.
-    acc = 1.0 + 0j
-    term = 1.0 + 0j
-    prev = math.inf
-    for k in range(1, 200):
-        term *= (s - k) / z
-        if abs(term) > prev:
-            break
-        prev = abs(term)
-        acc += term
-        if abs(term) < 1e-17 * abs(acc):
-            break
-    return cmath.exp((s - 1.0) * _plog(z) - z) * acc
-
-
-def upper_gamma_cx(s: complex, z: complex) -> complex:
-    """Upper incomplete gamma Gamma(s, z), principal branch.
-
-    Route map: Legendre continued fraction off the negative real axis once
-    |z| clears the order; Kummer series plus the downward order recurrence
-    near the origin (with an exponential-integral ladder when s sits on a
-    non-positive integer, where the recurrence divisor vanishes); the
-    large-|z| asymptotic series inside the wedge around the negative real
-    axis, where the continued fraction stalls.  Accuracy dips to ~1e-7 only
-    for orders within ~1e-7 of a non-positive integer at small |z|.
-    """
-    s = complex(s)
-    z = complex(z)
-    if z == 0:
-        if s.real <= 0:
-            raise ValueError("upper_gamma_cx: z=0 requires Re s > 0")
-        return gamma_cx(s)
-    near_cut = z.real < 0.0 and abs(z.imag) <= 0.25 * abs(z.real)
-    if near_cut and abs(z) >= 30.0:
-        return _asymptotic_series(s, z)
-    # Continued fraction once |z| clears both a fixed floor and the order;
-    # below that the Kummer series is short and the downward order-recurrence
-    # is benign (the subtracted term then dominates, so no cancellation).
-    if not near_cut and abs(z) >= max(1.5, s.real + 1.0):
-        return _upper_cf(s, z)
-    # nonpositive-integer order: the recurrence below would divide by ~0
-    if s.imag == 0.0 and s.real < 0.5:
-        n_int = -round(s.real)
-        if abs(s.real + n_int) <= 1e-8:
-            return _e1_ladder(n_int, z)
-    # series route: lift the order until the Kummer series is pole-free
-    k = 0
-    s0 = s
-    while s0.real < 1.0:
-        s0 += 1.0
-        k += 1
-    val = gamma_cx(s0) - _lower_series(s0, z)
-    for _ in range(k):
-        s0 -= 1.0
-        val = (val - cmath.exp(-z + s0 * _plog(z))) / s0
-    return val

@@ -1,4 +1,4 @@
-"""Kernel backend selection.
+"""Kernel backend selection for the scalar Airy and complex gamma kernels.
 
 The compiled extension (``_kernels_cy``) is preferred when it imports; the
 pure-Python module is the fallback.  ``HTA_BACKEND=python`` or
@@ -35,7 +35,6 @@ airy_ai_prime = _impl.airy_ai_prime
 airy_bi = _impl.airy_bi
 airy_bi_prime = _impl.airy_bi_prime
 gamma_cx = _impl.gamma_cx
-upper_gamma_cx = _impl.upper_gamma_cx
 
 
 def kernel_lanes():

@@ -8,8 +8,7 @@
 
 Exit codes: 0 ok, 2 input error, 3 non-physical parameters, 4 fit failure,
 5 internal numeric failure.  Outputs are CSV with fixed float formatting and
-fixed ordering, so identical inputs give byte-identical files.  HTA_THREADS
-caps internal parallelism (grid evaluation).
+fixed ordering, so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -49,11 +48,12 @@ def _fmt(value: float, digits: int) -> str:
     return f"%.{digits}g" % value
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]):
+def _write_csv(path: str, header: list[str], lines):
+    """Write the header and each CSV line (given without its newline)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _select_mesons(args) -> list[dataio.MesonRecord]:
@@ -84,7 +84,7 @@ def cmd_spectrum(args) -> int:
         _write_csv(
             os.path.join(args.out, f"{label}_comparison.csv"),
             list(columns),
-            [[cell if isinstance(cell, str) else ("" if cell is None else _fmt(cell, d)) for cell in row] for row in rows],
+            [",".join(cell if isinstance(cell, str) else ("" if cell is None else _fmt(cell, d)) for cell in row) for row in rows],
         )
     for rec in records:
         sys_v = rec.system(variant)
@@ -107,18 +107,18 @@ def cmd_spectrum(args) -> int:
         _write_csv(
             os.path.join(args.out, f"{rec.label}_spectrum.csv"),
             ["label", "n", "l", "model_mass", "exp_mass", "branch"],
-            rows,
+            map(",".join, rows),
         )
         fig1 = []
         for n, l in _FIG1_STATES:
             mass, _ = core.mass_spectrum_detailed(sys_v, QuantumState(n, l), variant)
             fig1.append([str(l), str(n), _fmt(mass, d)])
-        _write_csv(os.path.join(args.out, f"fig1_{rec.label}.csv"), ["l", "n", "mass"], fig1)
+        _write_csv(os.path.join(args.out, f"fig1_{rec.label}.csv"), ["l", "n", "mass"], map(",".join, fig1))
         fig2 = []
         for n, l in _FIG2_STATES:
             mass, _ = core.mass_spectrum_detailed(sys_v, QuantumState(n, l), variant)
             fig2.append([str(n), str(l), _fmt(mass, d)])
-        _write_csv(os.path.join(args.out, f"fig2_{rec.label}.csv"), ["n", "l", "mass"], fig2)
+        _write_csv(os.path.join(args.out, f"fig2_{rec.label}.csv"), ["n", "l", "mass"], map(",".join, fig2))
     return EXIT_OK
 
 
@@ -150,7 +150,7 @@ def cmd_fit(args) -> int:
     _write_csv(
         os.path.join(args.out, "fitted_params.csv"),
         ["meson", "a", "b", "delta", "residual_rms", "converged"],
-        rows,
+        map(",".join, rows),
     )
     for msg in failures:
         print(f"fit failed: {msg}", file=sys.stderr)
@@ -189,28 +189,24 @@ def cmd_grid(args) -> int:
         (args.rmin, args.rmax, args.rsteps),
         (args.pmin, args.pmax, args.psteps),
     )
-    rows = []
-    for i, r in enumerate(grid.r_values):
-        for j, p in enumerate(grid.p_values):
-            amp = grid.amplitudes[i, j]
-            rows.append(
-                [
-                    _fmt(r, d),
-                    _fmt(p, d),
-                    _fmt(amp.real, d),
-                    _fmt(amp.imag, d),
-                    _fmt(grid.densities[i, j], d),
-                ]
-            )
     _write_csv(
         os.path.join(args.out, f"{rec.label}_{args.state}_grid.csv"),
         ["r", "p_r", "re", "im", "density"],
-        rows,
+        _grid_lines(grid, d),
     )
     if grid.cell_errors:
         for i, j, msg in grid.cell_errors:
             print(f"cell ({i},{j}): {msg}", file=sys.stderr)
     return EXIT_OK
+
+
+def _grid_lines(grid: waves.PhaseSpaceGrid, digits: int):
+    # one format per line, fed from Python-float columns one r row at a
+    # time; "%g" renders NaN as "nan", as _fmt does
+    line = ",".join([f"%.{digits}g"] * 5)
+    ps = list(grid.p_values)
+    for r, amp, dens in zip(grid.r_values, grid.amplitudes, grid.densities):
+        yield from map(line.__mod__, zip([r] * len(ps), ps, amp.real.tolist(), amp.imag.tolist(), dens.tolist()))
 
 
 def cmd_scan(args) -> int:
@@ -235,7 +231,7 @@ def cmd_scan(args) -> int:
     _write_csv(
         os.path.join(args.out, f"{rec.label}_scan_{args.param}.csv"),
         ["param", "value", "mass", "physical", "branch"],
-        rows,
+        map(",".join, rows),
     )
     return EXIT_OK
 

@@ -1,14 +1,20 @@
 """Special-function surface: real Airy functions and their zeros, complex
 gamma, complex upper incomplete gamma.
 
-Evaluation lives in the kernel backend (compiled extension when built, pure
-Python otherwise); this module adds argument validation, the no-NaN/overflow
-guarantee of the public API, and the Airy zero solver.
+Airy and complex gamma evaluate in the kernel backend (compiled extension
+when built, pure Python otherwise); this module adds argument validation,
+the no-NaN/overflow guarantee of the public API, and the Airy zero solver.
+The upper incomplete gamma Gamma(s, z) is the one numpy lane: it is
+implemented here, over broadcast arrays, and a scalar call is a one-element
+array.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
+
+import numpy as np
 
 from . import backend
 from .errors import DomainError, NumericError
@@ -124,20 +130,229 @@ def gamma_complex(z: complex) -> complex:
         raise DomainError(str(exc)) from None
 
 
-def upper_incomplete_gamma(s: complex, z: complex) -> complex:
+# Gamma(s, z), per element, by route:
+#   * the large-|z| asymptotic series inside the wedge around the negative
+#     real axis, where the continued fraction stalls;
+#   * Legendre's continued fraction, by the modified Lentz scheme (Thompson &
+#     Barnett, J. Comput. Phys. 64, 1986), once |z| clears 1.5 and Re s + 1;
+#   * below that, the Kummer series for the lower function at an order
+#     lifted to Re s >= 1, then the downward order recurrence
+#     Gamma(s, z) = (Gamma(s+1, z) - z^s e^-z) / s;
+#   * orders within _POLE_RADIUS of a non-positive integer -n, where that
+#     recurrence would divide by ~0: Gautschi's small-order form (ACM TOMS 5,
+#     1979) of Gamma(e, z), e = s + n, then n recurrence steps with divisors
+#     e - 1, ..., e - n (the exponential-integral ladder when e = 0).
+# Each iterative route runs only on its unconverged elements and stops each
+# element by the scalar rule.
+
+_TINY = 1e-300
+_POLE_RADIUS = 0.5
+_EULER_GAMMA = 0.57721566490153286061
+# (e^x - 1)/x = sum_k x^k / (k+1)!, highest power first; 18 terms hold
+# double precision for |x| < 0.5
+_EXPREL_TAYLOR = [1.0 / math.factorial(k + 1) for k in range(17, -1, -1)]
+
+
+def _plog(z):
+    # principal log; adding +0j turns a -0.0 imaginary part into +0.0, so the
+    # cut itself is approached from above
+    return np.log(z + 0j)
+
+
+def _exp(x):
+    e = np.exp(x)
+    if not np.isfinite(e).all():
+        raise NumericError("upper_incomplete_gamma: exponential overflowed")
+    return e
+
+
+def _gamma(s):
+    from scipy.special import gamma
+
+    g = gamma(s)
+    if not np.isfinite(g).all():
+        raise NumericError("upper_incomplete_gamma: Gamma(s) overflowed")
+    return g
+
+
+@cache
+def _lngamma1p_poly():
+    # ln Gamma(1 + e) = e P(e), P(e) = -gamma_E + sum_{k>=2} (-1)^k zeta(k)
+    # e^(k-1) / k; 60 terms hold double precision for |e| <= _POLE_RADIUS.
+    # Highest power first.
+    from scipy.special import zeta
+
+    k = np.arange(61, 1, -1)
+    return np.append((-1.0) ** k * zeta(k) / k, -_EULER_GAMMA)
+
+
+def _exprel(x):
+    return np.where(abs(x) < 0.5, np.polyval(_EXPREL_TAYLOR, x), (np.exp(x) - 1.0) / x)
+
+
+def _iterate(step, state, limit, what):
+    """Advance ``(done, value, state) = step(k, state)`` for k = 1, 2, ...
+    on the elements not yet done, dropping each from the state once done.
+
+    ``state[0]``, ``state[1]`` are the elements' s and z.  An element's result
+    is its value at the step that marks it done.  Elements still running
+    after ``limit - 1`` steps raise NumericError, or, when ``what`` is None,
+    return their last value.
+    """
+    out = np.empty(len(state[0]), complex)
+    live = np.arange(len(out))
+    for k in range(1, limit):
+        done, value, state = step(k, state)
+        if done.any():
+            out[live[done]] = value[done]
+            keep = ~done
+            live, value, state = live[keep], value[keep], tuple(a[keep] for a in state)
+            if not live.size:
+                return out
+    if what is None:
+        out[live] = value
+        return out
+    s, z = complex(state[0][0]), complex(state[1][0])
+    raise NumericError(f"upper_incomplete_gamma: {what} stalled at s={s}, z={z}")
+
+
+def _continued_fraction(s, z):
+    def step(i, st):
+        s, z, b, c, d, h = st
+        an = -i * (i - s)
+        b = b + 2.0
+        d = an * d + b
+        d[abs(d) < _TINY] = _TINY
+        c = b + an / c
+        c[abs(c) < _TINY] = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        return abs(delta - 1.0) < 1e-16, h, (s, z, b, c, d, h)
+
+    b = z + 1.0 - s
+    d = np.where(b != 0, 1.0 / b, 1.0 / _TINY)
+    h = _iterate(step, (s, z, b, np.full_like(b, 1.0 / _TINY), d, d), 700, "continued fraction")
+    return _exp(-z + s * _plog(z)) * h
+
+
+def _lower_series(s, z):
+    # Kummer series for the lower function, Re s >= 1
+    def step(n, st):
+        s, z, term, total = st
+        term = term * (z / (s + n))
+        total = total + term
+        return abs(term) < 1e-17 * abs(total), total, (s, z, term, total)
+
+    total = _iterate(step, (s, z, 1.0 / s, 1.0 / s), 700, "series")
+    return _exp(-z + s * _plog(z)) * total
+
+
+def _asymptotic(s, z):
+    # Gamma(s, z) ~ z^(s-1) e^-z sum_k (s-1)(s-2)...(s-k) / z^k, |arg z| < 3pi/2
+    def step(k, st):
+        s, z, term, acc, prev = st
+        term = term * ((s - k) / z)
+        size = abs(term)
+        grew = size > prev
+        acc = np.where(grew, acc, acc + term)
+        return grew | (size < 1e-17 * abs(acc)), acc, (s, z, term, acc, size)
+
+    one = np.ones_like(s)
+    acc = _iterate(step, (s, z, one, one, np.full(s.shape, np.inf)), 200, None)
+    return _exp((s - 1.0) * _plog(z) - z) * acc
+
+
+def _recur_down(a, z, val, steps):
+    # Gamma(a - 1, z) = (Gamma(a, z) - z^(a-1) e^-z) / (a - 1), `steps` times
+    lz = _plog(z)
+    for j in range(int(steps.max(initial=0))):
+        m = steps > j
+        a = np.where(m, a - 1.0, a)
+        val = np.where(m, (val - _exp(-z + a * lz)) / a, val)
+    return val
+
+
+def _series(s, z):
+    # lift the order until the Kummer series is pole-free
+    s0 = s
+    lifts = np.zeros(s.shape, int)
+    while (low := s0.real < 1.0).any():
+        s0 = np.where(low, s0 + 1.0, s0)
+        lifts += low
+    return _recur_down(s0, z, _gamma(s0) - _lower_series(s0, z), lifts)
+
+
+def _near_pole(s, z):
+    n = -np.round(s.real)
+    e = s + n
+    lz = _plog(z)
+
+    # Gamma(e, z) = [Gamma(1+e) - 1]/e - (z^e - 1)/e - z^e sum_{k>=1} (-z)^k / (k! (e+k)),
+    # each bracket free of cancellation as e -> 0
+    def step(k, st):
+        e, z, t, total = st
+        t = t * (-z / k)
+        term = t / (e + k)
+        total = total + term
+        return abs(term) < 1e-17 * abs(total), total, (e, z, t, total)
+
+    tail = _iterate(step, (e, z, np.ones_like(e), np.zeros_like(e)), 700, "exponential-integral series")
+    p = np.polyval(_lngamma1p_poly(), e)
+    val = p * _exprel(e * p) - lz * _exprel(e * lz) - _exp(e * lz) * tail
+    return _recur_down(e, z, val, n.astype(int))
+
+
+def _upper_gamma(s, z):
+    zero = z == 0
+    if (zero & (s.real <= 0)).any():
+        raise DomainError("upper_incomplete_gamma: z=0 requires Re s > 0")
+    near_cut = (z.real < 0.0) & (abs(z.imag) <= 0.25 * abs(z.real))
+    asymptotic = near_cut & (abs(z) >= 30.0)
+    fraction = ~near_cut & (abs(z) >= np.maximum(1.5, s.real + 1.0))
+    rest = ~(zero | asymptotic | fraction)
+    pole = rest & (s.real <= 0.5) & (abs(s - np.round(s.real)) <= _POLE_RADIUS)
+    out = np.empty(s.shape, complex)
+    for mask, route in (
+        (zero, lambda s, z: _gamma(s)),
+        (asymptotic, _asymptotic),
+        (fraction, _continued_fraction),
+        (rest & ~pole, _series),
+        (pole, _near_pole),
+    ):
+        if mask.any():
+            out[mask] = route(s[mask], z[mask])
+    return out
+
+
+def upper_incomplete_gamma(s, z):
     """Upper incomplete gamma Gamma(s, z) on the principal branch.
 
-    z = 0 requires Re s > 0 (the limit Gamma(s, 0) = Gamma(s)); the negative
-    real z axis is treated as approached from above.
+    s and z broadcast against each other: scalars give a Python complex,
+    arrays a complex array of the broadcast shape.  z = 0 requires Re s > 0
+    (the limit Gamma(s, 0) = Gamma(s)); the negative real z axis is treated
+    as approached from above.  A non-finite argument or z = 0 with Re s <= 0
+    raises DomainError, a stalled iteration or an overflowing intermediate
+    NumericError, and a non-finite result OverflowError; an array call
+    raises if any element would.
+
+    Against mpmath the relative error is ~1e-14, including orders near the
+    poles: s = -n + eps e^(i theta) with n = 0..4, eps in [1e-300, 1e-3] and
+    |z| <= 1.4 stays within 6e-15.  The exception is Re s < 0 with z near
+    the negative real axis at 5 < |z| < 30, where the downward recurrence
+    amplifies rounding by about |z|/|s| per step (1e-4 at s = -11.6-6.9i,
+    z = -25.4-4.9i).
     """
-    s = complex(s)
-    z = complex(z)
+    scalar = np.ndim(s) == 0 and np.ndim(z) == 0
+    s, z = np.broadcast_arrays(np.asarray(s, complex), np.asarray(z, complex))
+    shape = s.shape
+    s, z = s.ravel(), z.ravel()
     for name, v in (("s", s), ("z", z)):
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise DomainError(f"upper_incomplete_gamma: {name} must be finite, got {v}")
-    try:
-        return _check_finite_result(backend.upper_gamma_cx(s, z), "upper_incomplete_gamma")
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
-    except ArithmeticError as exc:
-        raise NumericError(str(exc)) from None
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise DomainError(f"upper_incomplete_gamma: {name} must be finite, got {complex(v[bad][0])}")
+    with np.errstate(all="ignore"):
+        out = _upper_gamma(s, z)
+    if not np.isfinite(out).all():
+        raise OverflowError("upper_incomplete_gamma: result overflowed double range")
+    return complex(out[0]) if scalar else out.reshape(shape)

@@ -45,8 +45,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -74,6 +72,7 @@ __all__ = [
 ]
 
 _MAX_N = 6
+_BLOCK_CELLS = 1 << 12  # cells per psi_n call in grids and quadratures; bounds temporaries
 
 
 @dataclass(frozen=True)
@@ -154,26 +153,36 @@ def _rodrigues_coeffs(params: WaveParams, n: int) -> tuple[complex, ...]:
     return _rodrigues_coeffs_cached(params.alpha, params.beta, params.gamma, n)
 
 
-def psi_n(params: WaveParams, n: int, r: float, p_r: float) -> complex:
-    """Closed-form psi_n via the incomplete-gamma sum (real variant)."""
+def psi_n(params: WaveParams, n: int, r, p_r):
+    """Closed-form psi_n via the incomplete-gamma sum (real variant).
+
+    r and p_r broadcast against each other: scalars give a complex, arrays a
+    complex array, with one Gamma(s, z) call per Rodrigues term.
+    """
     n = int(n)
     if not 0 <= n <= _MAX_N:
         raise DomainError(f"psi_n: n must be in [0, {_MAX_N}], got {n}")
-    if r <= 0:
-        raise DomainError(f"psi_n: r must be > 0, got {r}")
+    r, p_r = np.asarray(r, float), np.asarray(p_r, float)
+    if (r <= 0).any():
+        raise DomainError(f"psi_n: r must be > 0, got {r[r <= 0][0]}")
     if params.variant is not Variant.REAL:
         if n != 0:
             raise DomainError("momentum-coupled variant is implemented for n = 0 only")
         return _psi0_momentum_coupled(params, r, p_r)
     _guard_order(params, n)
     u, c = params.u, params.c_order
-    w = complex(u, -2.0 * p_r)
+    w = u - 2j * p_r
     acc = 0j
     for j, coeff in enumerate(_rodrigues_coeffs(params, n)):
         if coeff == 0:
             continue
-        acc += coeff * w ** (2.0 + j - c) * upper_incomplete_gamma(c - 2.0 - j, r * w)
-    return params.B / math.pi * cmath.exp(-4j * p_r * r) * acc
+        acc = acc + coeff * w ** (2.0 + j - c) * upper_incomplete_gamma(c - 2.0 - j, r * w)
+    return _value(params.B / math.pi * np.exp(-4j * p_r * r) * acc)
+
+
+def _value(a):
+    # a scalar result as a Python complex, an array one as it is
+    return complex(a) if np.ndim(a) == 0 else a
 
 
 def psi0(params: WaveParams, r: float, p_r: float) -> complex:
@@ -225,18 +234,20 @@ def csch_reflection_gamma(g: complex) -> complex:
     return -1j * math.pi / (cmath.sinh(1j * math.pi * g) * gamma_complex(g - 1.0))
 
 
-def _psi0_momentum_coupled(params: WaveParams, r: float, p_r: float) -> complex:
+def _psi0_momentum_coupled(params: WaveParams, r, p_r):
     # A-kernel exp((2 i p_r - u) A) A^(1 - g), g = (4 i p_r + beta_c)/(2u);
     # beta_c = -beta - 8 i p_r in terms of the stored real-variant beta.
+    # r and p_r broadcast as in psi_n.
     u = params.u
+    p_r = np.asarray(p_r, float)
     beta_c = -params.beta - 8j * p_r
     g = (4j * p_r + beta_c) / (2.0 * u)
-    if abs(p_r) == 0.0:
-        gr = round(g.real)
-        if abs(g - gr) < 1e-9 and gr >= 2:
-            raise DegenerateOrderError(f"momentum-coupled order 2-g = {2 - g!r} is a gamma pole")
-    big_w = complex(u, -4.0 * p_r)
-    return params.B / math.pi * cmath.exp(-2j * p_r * r) * big_w ** (g - 2.0) * upper_incomplete_gamma(2.0 - g, r * big_w)
+    gr = np.round(g.real)
+    pole = (p_r == 0.0) & (abs(g - gr) < 1e-9) & (gr >= 2)
+    if pole.any():
+        raise DegenerateOrderError(f"momentum-coupled order 2-g = {complex(2 - g[pole][0])!r} is a gamma pole")
+    big_w = u - 4j * p_r
+    return _value(params.B / math.pi * np.exp(-2j * p_r * r) * big_w ** (g - 2.0) * upper_incomplete_gamma(2.0 - g, r * big_w))
 
 
 def half_transformed_kernel(params: WaveParams, n: int):
@@ -323,45 +334,35 @@ def psi_n_numeric(params: WaveParams, n: int, r: float, p_r: float, rel_tol: flo
     return params.B * phase * acc / (2.0 * math.pi)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HTA_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _density_integrand(params: WaveParams, n: int):
-    def f(r: float, p: float) -> float:
+    def f(r, p):
         val = psi_n(params, n, r, p)
-        return (val.real ** 2 + val.imag ** 2) * r * r
+        with np.errstate(over="ignore"):  # inf reaches normalize_B's NumericError
+            return (val.real ** 2 + val.imag ** 2) * r * r
 
     return f
 
 
-def _p_integral(f, r: float, n_nodes: int = 96) -> float:
+def _p_integral(f, r, n_nodes: int = 96):
     # map p = tan(theta): the |psi|^2 ~ 1/p^2 tail becomes a bounded
-    # integrand on (-pi/2, pi/2); no momentum truncation at all
+    # integrand on (-pi/2, pi/2); no momentum truncation at all.  One
+    # integral per radius in the array r, a block of radii per call of f.
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     half = math.pi / 2.0 * 0.999999
-    acc = 0.0
-    for x, wt in zip(nodes, weights):
-        th = half * x
-        p = math.tan(th)
-        acc += wt * f(r, p) / math.cos(th) ** 2
-    return acc * half
+    th = half * nodes
+    p, wp = np.tan(th), weights / np.cos(th) ** 2
+    rows = max(1, _BLOCK_CELLS // n_nodes)
+    return np.concatenate([f(r[i : i + rows, None], p) @ wp for i in range(0, len(r), rows)]) * half
 
 
 def _r_norm_integral(params: WaveParams, n: int, r_max: float, n_r: int = 160, n_p: int = 96) -> float:
-    f = _density_integrand(params, n)
     nodes, weights = np.polynomial.legendre.leggauss(n_r)
-    acc = 0.0
     # two panels biased toward the origin where the density peaks
     split = min(4.0 / params.u, 0.5 * r_max)
-    for lo, hi in ((1e-9, split), (split, r_max)):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        for x, wt in zip(nodes, weights):
-            acc += wt * half * _p_integral(f, mid + half * x, n_p)
-    return acc
+    panels = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in ((1e-9, split), (split, r_max))]
+    r = np.concatenate([mid + half * nodes for mid, half in panels])
+    wr = np.concatenate([half * weights for _, half in panels])
+    return float(wr @ _p_integral(_density_integrand(params, n), r, n_p))
 
 
 def _default_r_max(params: WaveParams) -> float:
@@ -427,42 +428,46 @@ def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
 
     Axes are (lo, hi, count) tuples or explicit ascending sequences.  Cell
     evaluation failures are recorded per cell (amplitude NaN), not raised.
-    Rows are evaluated in parallel when HTA_THREADS > 1; assembly order is
-    deterministic either way.
+    Rows are evaluated a block at a time, whole blocks per psi_n call.
     """
     rs = _axis_values(r_axis, "r")
     ps = _axis_values(p_axis, "p")
-    amp = np.zeros((len(rs), len(ps)), dtype=complex)
+    amp = np.empty((len(rs), len(ps)), dtype=complex)
     errors: list[tuple[int, int, str]] = []
-
-    def eval_row(i: int):
-        row = np.zeros(len(ps), dtype=complex)
-        errs = []
-        for j, p in enumerate(ps):
-            try:
-                row[j] = psi_n(params, n, rs[i], p)
-            except Exception as exc:  # per-cell record, never abort the grid
-                row[j] = complex(math.nan, math.nan)
-                errs.append((i, j, f"{type(exc).__name__}: {exc}"))
-        return i, row, errs
-
-    n_threads = _threads()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(eval_row, range(len(rs))))
-    else:
-        results = [eval_row(i) for i in range(len(rs))]
-    for i, row, errs in sorted(results, key=lambda t: t[0]):
-        amp[i] = row
-        errors.extend(errs)
-    dens = np.abs(amp) ** 2
+    r_col, p_row = np.array(rs)[:, None], np.array(ps)
+    rows = max(1, _BLOCK_CELLS // len(ps))
+    for lo in range(0, len(rs), rows):
+        _fill_rows(params, n, r_col, p_row, lo, min(lo + rows, len(rs)), amp, errors)
     return PhaseSpaceGrid(
         r_values=tuple(rs),
         p_values=tuple(ps),
         amplitudes=amp,
-        densities=dens,
+        densities=np.abs(amp) ** 2,
         cell_errors=tuple(errors),
     )
+
+
+def _fill_rows(params, n, r_col, p_row, lo, hi, amp, errors):
+    # Rows lo:hi in one call; if it raises, halve the block down to single
+    # rows, then evaluate that row cell by cell so each failing cell records
+    # its own error, in row-major order.
+    try:
+        amp[lo:hi] = psi_n(params, n, r_col[lo:hi], p_row)
+        return
+    except Exception:  # recorded per cell below, never abort the grid
+        pass
+    if hi - lo > 1:
+        mid = (lo + hi) // 2
+        _fill_rows(params, n, r_col, p_row, lo, mid, amp, errors)
+        _fill_rows(params, n, r_col, p_row, mid, hi, amp, errors)
+        return
+    r = float(r_col[lo, 0])
+    for j, p in enumerate(p_row.tolist()):
+        try:
+            amp[lo, j] = psi_n(params, n, r, p)
+        except Exception as exc:
+            amp[lo, j] = complex(math.nan, math.nan)
+            errors.append((lo, j, f"{type(exc).__name__}: {exc}"))
 
 
 def _axis_values(axis, name: str) -> list[float]:

@@ -109,6 +109,18 @@ class TestGridScan:
         amp2 = float(rows[0]["re"]) ** 2 + float(rows[0]["im"]) ** 2
         assert float(rows[0]["density"]) == pytest.approx(amp2, rel=1e-12)
 
+    def test_grid_rmin_zero_writes_nan_row(self, tmp_path, capsys):
+        code = run(
+            ["grid", "--meson", "ccbar", "--rmin", "0", "--rmax", "1.0", "--rsteps", "3",
+             "--pmin", "-1", "--pmax", "1", "--psteps", "3", "--no-normalize", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        lines = (tmp_path / "ccbar_1S_grid.csv").read_bytes().split(b"\n")
+        assert lines[:4] == [b"r,p_r,re,im,density", b"0,-1,nan,nan,nan", b"0,0,nan,nan,nan", b"0,1,nan,nan,nan"]
+        assert lines[-1] == b"" and len(lines) == 11
+        assert all(b"nan" not in line for line in lines[4:])
+        assert capsys.readouterr().err.count("DomainError") == 3
+
     def test_grid_requires_single_meson(self, tmp_path):
         assert run(["grid", "--out", str(tmp_path)]) == 2
     def test_grid_momentum_coupled_variant(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from htaspec import special
@@ -172,6 +172,7 @@ class TestUpperIncompleteGamma:
             assert special.upper_incomplete_gamma(s, z) == pytest.approx(ref, rel=1e-8)
 
     @settings(max_examples=80, deadline=None)
+    @example(sr=1.1754943508222875e-38, si=3.3675292237127714e-199, zr=1.0, zi=0.0)
     @given(
         sr=st.floats(-6, 8),
         si=st.floats(-5, 5),
@@ -191,6 +192,57 @@ class TestUpperIncompleteGamma:
         above = special.upper_incomplete_gamma(s, complex(-4.0, 1e-9))
         assert on_cut == pytest.approx(above, rel=1e-6)
 
+    def test_near_pole_orders_vs_mpmath(self):
+        # s = -n + eps e^(i theta): the order recurrence alone would divide
+        # by ~eps here
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mp.workdps(30):
+            for n in range(5):
+                for eps in (1e-300, 1e-120, 1e-40, 1e-12, 1e-6, 1e-3):
+                    for theta, z in ((1.1, 0.05), (3.9, complex(0.4, -0.9)), (math.pi, 1.3)):
+                        s = -n + eps * cmath.exp(1j * theta)
+                        ref = complex(mp.gammainc(mp.mpc(s), mp.mpc(z), mp.inf))
+                        got = special.upper_incomplete_gamma(s, z)
+                        worst = max(worst, abs(got - ref) / abs(ref))
+        assert worst <= 1e-12
+
+    def test_mixed_route_array(self):
+        # one call whose elements take every route, against mpmath
+        mp = pytest.importorskip("mpmath")
+        cases = [
+            (complex(2.5, 1.0), complex(5.0, 3.0)),  # continued fraction
+            (complex(4.2, 0.0), complex(1.0, 0.5)),  # Kummer series
+            (complex(-2.3, 1.4), complex(0.8, 0.2)),  # series + recurrence
+            (complex(-2.0, 0.0), complex(0.7, 0.0)),  # exponential-integral ladder
+            (complex(1.5, -0.5), complex(-40.0, 3.0)),  # near-cut asymptotic
+            (complex(2.5, 0.5), 0j),  # z = 0, Re s > 0
+            (complex(-1.0, 1e-9), complex(0.3, -0.2)),  # near-pole orders
+            (complex(1.1754943508222875e-38, 3.3675292237127714e-199), complex(1.0, 0.0)),
+            (complex(-3.0, -0.3), complex(-1.0, 0.1)),
+        ]
+        s = np.array([c[0] for c in cases])
+        z = np.array([c[1] for c in cases])
+        got = special.upper_incomplete_gamma(s, z)
+        assert got.shape == s.shape
+        for i, (si, zi) in enumerate(cases):
+            with mp.workdps(30):
+                ref = complex(mp.gammainc(mp.mpc(si), mp.mpc(zi), mp.inf))
+            assert got[i] == pytest.approx(ref, rel=1e-12)
+            one = special.upper_incomplete_gamma(si, zi)
+            assert type(one) is complex
+            assert one == pytest.approx(got[i], rel=1e-15, abs=0)
+
+    def test_array_broadcast_and_errors(self):
+        z = np.array([[0.5, 2.0, 7.0], [1.0, 3.0, 40.0]])
+        got = special.upper_incomplete_gamma(1.0, z)
+        assert got.shape == z.shape
+        assert np.allclose(got, np.exp(-z), rtol=1e-13, atol=0)
+        with pytest.raises(DomainError):
+            special.upper_incomplete_gamma(np.array([1.0, -0.5]), np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            special.upper_incomplete_gamma(1.0, np.array([1.0, math.nan]))
+
 
 class TestKernelLanes:
     def test_lanes_agree(self):
@@ -204,7 +256,3 @@ class TestKernelLanes:
             for f in ("airy_ai", "airy_ai_prime", "airy_bi", "airy_bi_prime"):
                 a, b = getattr(py, f)(x), getattr(cy, f)(x)
                 assert abs(a - b) <= 1e-10 * max(abs(a), (abs(x) + 1.0) ** 0.25)
-            s = complex(rng.uniform(-8, 10), rng.uniform(-6, 6))
-            z = complex(rng.uniform(0.05, 120), rng.uniform(-120, 120))
-            a, b = py.upper_gamma_cx(s, z), cy.upper_gamma_cx(s, z)
-            assert abs(a - b) <= 1e-12 * max(abs(a), 1e-300)

@@ -174,11 +174,17 @@ class TestDensityGrid:
         assert math.isnan(grid.amplitudes[0, 0].real)
         assert math.isfinite(grid.amplitudes[1, 0].real)
 
-    def test_thread_env_gives_identical_grid(self, params_1s, monkeypatch):
-        base = waves.density_grid(params_1s, 0, (0.3, 2.5, 9), (-0.8, 0.8, 5))
-        monkeypatch.setenv("HTA_THREADS", "4")
-        threaded = waves.density_grid(params_1s, 0, (0.3, 2.5, 9), (-0.8, 0.8, 5))
-        assert np.array_equal(base.amplitudes, threaded.amplitudes)
+    def test_failing_row_inside_a_block(self, params_1s):
+        # the block holding the bad rows falls back to single cells; the
+        # good rows of the same block keep their array values
+        grid = waves.density_grid(params_1s, 0, [-0.5, 0.0, 0.7, 1.9], [-0.3, 0.0, 0.6])
+        assert [(i, j) for i, j, _ in grid.cell_errors] == [(i, j) for i in (0, 1) for j in range(3)]
+        assert all(msg.startswith("DomainError: psi_n: r must be > 0") for _, _, msg in grid.cell_errors)
+        assert np.isnan(grid.amplitudes[:2]).all()
+        for i in (2, 3):
+            for j, p in enumerate(grid.p_values):
+                want = waves.psi_n(params_1s, 0, grid.r_values[i], p)
+                assert grid.amplitudes[i, j] == pytest.approx(want, rel=1e-13)
 
     def test_peak_radius_trend(self, params_1s):
         grid = waves.density_grid(params_1s, 0, (0.02, 6.0, 500), (0.0, 1.0, 5))
