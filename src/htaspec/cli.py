@@ -6,9 +6,14 @@
     htaspec scan     --param a --lo -10 --hi 10 --steps 201 ...
     htaspec check    [--suite nu|quadrature|moment|all]
 
+--precision D (significant digits of CSV floats, default 17) needs D >= 1.
+
 Exit codes: 0 ok, 2 input error, 3 non-physical parameters, 4 fit failure,
 5 internal numeric failure.  Outputs are CSV with fixed float formatting and
 fixed ordering, so identical inputs give byte-identical files.
+
+spectrum, scan and fit never import numpy or scipy; grid and check import
+them (through waves and confine1d) only when they run.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 import os
 import sys
 
-from . import confine1d, core, dataio, fitting, waves
+from . import core, dataio, fitting
 from .core import QuantumState, Variant
 from .errors import (
     DegenerateOrderError,
@@ -65,12 +70,19 @@ def _select_mesons(args) -> list[dataio.MesonRecord]:
     return records
 
 
+def _precision(text: str) -> int:
+    digits = int(text)
+    if digits < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {digits}")
+    return digits
+
+
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--input", default=None, help="meson data file (JSON); default: bundled dataset")
     p.add_argument("--variant", default="real7", choices=["real7", "complex5"], help="spectrum variant")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--meson", default=None, help="restrict to one meson label")
-    p.add_argument("--precision", type=int, default=17, help="significant digits in CSV output")
+    p.add_argument("--precision", type=_precision, default=17, help="significant digits in CSV output")
 
 
 def cmd_spectrum(args) -> int:
@@ -90,10 +102,7 @@ def cmd_spectrum(args) -> int:
         sys_v = rec.system(variant)
         rows = []
         for lv in rec.experimental_levels(variant):
-            if args.e_stub_zero:
-                model, branch = sys_v.mass_sum, ""
-            else:
-                model, branch = core.mass_spectrum_detailed(sys_v, lv.state, variant)
+            model, branch = core.mass_spectrum_detailed(sys_v, lv.state, variant)
             rows.append(
                 [
                     lv.label,
@@ -158,6 +167,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    from . import waves
+
     variant = Variant.parse(args.variant)
     for name, lo, hi, steps in (("r", args.rmin, args.rmax, args.rsteps), ("p", args.pmin, args.pmax, args.psteps)):
         if steps < 1:
@@ -195,12 +206,14 @@ def cmd_grid(args) -> int:
         _grid_lines(grid, d),
     )
     if grid.cell_errors:
-        for i, j, msg in grid.cell_errors:
+        shown = grid.cell_errors[:5]  # bounded: a grid can fail in thousands of cells
+        print(f"{len(grid.cell_errors)} of {grid.amplitudes.size} cells failed (nan in the CSV); first {len(shown)}:", file=sys.stderr)
+        for i, j, msg in shown:
             print(f"cell ({i},{j}): {msg}", file=sys.stderr)
     return EXIT_OK
 
 
-def _grid_lines(grid: waves.PhaseSpaceGrid, digits: int):
+def _grid_lines(grid, digits: int):
     # one format per line, fed from Python-float columns one r row at a
     # time; "%g" renders NaN as "nan", as _fmt does
     line = ",".join([f"%.{digits}g"] * 5)
@@ -257,6 +270,8 @@ def _check_nu(records, lines) -> bool:
 
 
 def _check_quadrature(records, lines) -> bool:
+    from . import confine1d, waves
+
     rec = next((r for r in records if Variant.REAL in r.params), records[0])
     sys_v = rec.system(Variant.REAL)
     st = QuantumState.from_label("1S")
@@ -278,6 +293,8 @@ def _check_quadrature(records, lines) -> bool:
 
 
 def _check_moment(records, lines) -> bool:
+    from . import confine1d
+
     ok = True
     for n in (1, 2):
         for x in (0.0, 1.0, 2.0):
@@ -318,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="mass spectrum tables and figure curves")
     _common_flags(p)
-    p.add_argument("--e-stub-zero", action="store_true", help="test hook: write constituent sums instead of model masses")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("fit", help="fit (a, b, delta) per meson")

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy import integrate
-
 from . import special
 from .errors import DomainError, NumericError
 
@@ -93,6 +91,8 @@ def _ground_c1(sys: Confinement1DSystem) -> float:
 
 def _norm_integral(sys: Confinement1DSystem, e0: float, arg_cut: float) -> float:
     """integral over r >= 0, p_r real of Ai(...)^2 r^2, truncated at arg_cut."""
+    from scipy import integrate
+
     m, b = sys.m, sys.b
     w = sys.omega ** (-1.0 / 3.0)
     # the Airy argument exceeds arg_cut outside these bounds
@@ -161,6 +161,8 @@ def closed_form_c1_reduced(sys: Confinement1DSystem) -> float:
 
 def _airy_moment(n: int, x: float) -> float:
     """J_n(x) = int_0^inf t^n Ai^2(t + x) dt by adaptive quadrature."""
+    from scipy import integrate
+
     hi = max(_ARG_CUT - x, 1.0) + 25.0
     val, _ = integrate.quad(
         lambda t: t ** n * special.airy_ai(t + x) ** 2,
@@ -183,6 +185,8 @@ def moment_identity_check(x: float, n: int) -> float:
     Airy equation), which keeps the residual at quadrature accuracy; the
     test suite cross-checks against plain finite differences in x.
     """
+    from scipy import integrate
+
     n = int(n)
     if n < 1:
         raise DomainError(f"moment_identity_check: n must be >= 1, got {n}")

@@ -38,10 +38,30 @@ class TestSpectrum:
     def test_unknown_meson_exits_2(self, tmp_path):
         assert run(["spectrum", "--meson", "zzbar", "--out", str(tmp_path)]) == 2
 
-    def test_energy_stub_gives_constituent_sums(self, tmp_path):
-        run(["spectrum", "--meson", "ccbar", "--out", str(tmp_path), "--e-stub-zero"])
+    def test_model_masses_are_core_masses(self, tmp_path, ccbar_real):
+        from htaspec import core
+
+        run(["spectrum", "--meson", "ccbar", "--out", str(tmp_path)])
         rows = read_csv(tmp_path / "ccbar_spectrum.csv")
-        assert all(float(r["model_mass"]) == pytest.approx(2.46, abs=1e-12) for r in rows)
+        assert len(rows) >= 3
+        for r in rows:
+            state = core.QuantumState(int(r["n"]), int(r["l"]))
+            mass, branch = core.mass_spectrum_detailed(ccbar_real, state, "real7")
+            assert (r["model_mass"], r["branch"]) == (f"{mass:.17g}", branch)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--meson", "ccbar", "--precision", "-1"],
+            ["grid", "--meson", "ccbar", "--precision", "-2"],
+            ["scan", "--meson", "ccbar", "--param", "a", "--lo", "1", "--hi", "2", "--precision", "0"],
+        ],
+    )
+    def test_precision_below_one_exits_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not os.listdir(tmp_path)
 
     def test_byte_identical_reruns(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -120,6 +140,18 @@ class TestGridScan:
         assert lines[-1] == b"" and len(lines) == 11
         assert all(b"nan" not in line for line in lines[4:])
         assert capsys.readouterr().err.count("DomainError") == 3
+
+    def test_grid_many_failed_cells_bounded_stderr(self, tmp_path, capsys):
+        code = run(
+            ["grid", "--meson", "ccbar", "--rmin", "0", "--rmax", "1.0", "--rsteps", "3",
+             "--psteps", "41", "--no-normalize", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        lines = (tmp_path / "ccbar_1S_grid.csv").read_text().splitlines()
+        assert sum(line.endswith("nan,nan,nan") for line in lines) == 41
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("41 of 123 cells failed")
+        assert len(err) == 6 and all("DomainError" in line for line in err[1:])
 
     def test_grid_requires_single_meson(self, tmp_path):
         assert run(["grid", "--out", str(tmp_path)]) == 2

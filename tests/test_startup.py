@@ -1,0 +1,61 @@
+"""Start-up contract: a command imports numpy and scipy only when it runs
+code that needs them.
+
+Each case runs in a fresh interpreter, since this test process has long
+since imported both.  The checks are on module names, not timings.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def loaded_after(code, cwd):
+    """numpy/scipy module names in sys.modules after running code in a fresh interpreter."""
+    probe = "import sys\nprint('MODULES', *sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{probe}"], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = next(ln for ln in proc.stdout.splitlines() if ln.startswith("MODULES"))
+    return set(line.split()[1:])
+
+
+def run_main(argv, rc):
+    return f"from htaspec.cli import main\nassert main({argv!r}) == {rc}"
+
+
+def test_cli_import_loads_neither(tmp_path):
+    assert loaded_after("import htaspec.cli", tmp_path) == set()
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        (["spectrum", "--out", "out"], 0),
+        (["scan", "--meson", "ccbar", "--param", "b", "--lo", "0.3", "--hi", "0.5", "--steps", "11", "--out", "out"], 0),
+        # bcbar has two measured levels for three parameters
+        (["fit", "--out", "out"], 4),
+    ],
+    ids=["spectrum", "scan", "fit"],
+)
+def test_light_commands_load_neither(tmp_path, argv, rc):
+    assert loaded_after(run_main(argv, rc), tmp_path) == set()
+    assert os.listdir(tmp_path / "out")
+
+
+def test_unnormalized_grid_skips_scipy_integrate(tmp_path):
+    argv = ["grid", "--meson", "ccbar", "--rsteps", "4", "--psteps", "3", "--no-normalize", "--out", "out"]
+    mods = loaded_after(run_main(argv, 0), tmp_path)
+    assert "numpy" in mods
+    assert "scipy.integrate" not in mods
+
+
+def test_confine1d_import_skips_scipy_integrate(tmp_path):
+    assert "scipy.integrate" not in loaded_after("import htaspec.confine1d", tmp_path)
