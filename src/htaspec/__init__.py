@@ -2,9 +2,8 @@
 
 Subpackages by role:
 
-* ``special``    -- real Airy functions and zeros, complex gamma and upper
-                    incomplete gamma (compiled kernels when built;
-                    ``backend.BACKEND`` names the active lane)
+* ``special``    -- real Airy functions and zeros, complex gamma (over
+                    ``scipy.special``) and upper incomplete gamma (numpy)
 * ``nu``         -- generic Nikiforov-Uvarov eigenvalue machinery
 * ``core``       -- Cornell-system types, closed-form level energies, mass
                     spectra, parameter scans
@@ -15,7 +14,6 @@ Subpackages by role:
 * ``cli``        -- the ``htaspec`` command-line tool
 """
 
-from .backend import BACKEND
 from .core import (
     CornellParams,
     MesonSystem,
@@ -29,7 +27,6 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CornellParams",
     "MesonSystem",
     "QuantumState",

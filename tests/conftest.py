@@ -2,13 +2,6 @@ import cmath
 
 import pytest
 
-
-def pytest_report_header(config):
-    from htaspec.backend import BACKEND
-
-    return f"htaspec kernel backend: {BACKEND}"
-
-
 from htaspec import dataio
 from htaspec.core import Variant
 
