@@ -22,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import core, dataio, fitting
 from .core import QuantumState, Variant
@@ -190,10 +191,7 @@ def cmd_grid(args) -> int:
         energy = core.energy_complex(sys_v, state, 0.0).real
     params = waves.wave_params(sys_v, state, energy, variant=variant)
     if args.normalize:
-        b_norm = waves.normalize_B(params, n)
-        params = waves.WaveParams(
-            params.alpha, params.beta, params.gamma, b_norm, params.variant, params.p_r_ref
-        )
+        params = replace(params, B=waves.normalize_B(params, n))
     grid = waves.density_grid(
         params,
         n,
@@ -249,7 +247,7 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _check_nu(records, lines) -> bool:
+def _check_nu() -> list[tuple[str, bool, float, float]]:
     import random
 
     rng = random.Random(20240817)
@@ -264,12 +262,10 @@ def _check_nu(records, lines) -> bool:
         e_closed = core.energy_real(sys_v, st)
         e_nu = core.energy_real_via_nu(sys_v, st)
         worst = max(worst, abs(e_closed - e_nu) / max(abs(e_closed), 1e-12))
-    ok = worst < 1e-9
-    lines.append(("nu-vs-closed-form", ok, worst, 1e-9))
-    return ok
+    return [("nu-vs-closed-form", worst < 1e-9, worst, 1e-9)]
 
 
-def _check_quadrature(records, lines) -> bool:
+def _check_quadrature(records) -> list[tuple[str, bool, float, float]]:
     from . import confine1d, waves
 
     rec = next((r for r in records if Variant.REAL in r.params), records[0])
@@ -277,53 +273,47 @@ def _check_quadrature(records, lines) -> bool:
     st = QuantumState.from_label("1S")
     params = waves.wave_params(sys_v, st, core.energy_real(sys_v, st))
     b_norm = waves.normalize_B(params, 0)
-    normed = waves.WaveParams(params.alpha, params.beta, params.gamma, b_norm)
-    prob = waves.total_probability(normed, 0)
-    ok1 = abs(prob - 1.0) < 1e-3
-    lines.append(("wave-normalization-probability", ok1, abs(prob - 1.0), 1e-3))
-    b_wide = waves.normalize_B(params, 0, r_pad=2.0)
-    shift = abs(b_wide - b_norm) / b_norm
-    ok2 = shift < 1e-4
-    lines.append(("wave-normalization-truncation", ok2, shift, 1e-4))
+    prob = waves.total_probability(replace(params, B=b_norm), 0)
+    shift = abs(waves.normalize_B(params, 0, r_pad=2.0) - b_norm) / b_norm
     one = confine1d.Confinement1DSystem(sys_v.reduced_mass, sys_v.params.b)
     c1 = confine1d.normalize_1d(one, confine1d.energy_1d(one, 0, 0.0))
     ratio = c1 / confine1d.closed_form_c1(one)
-    lines.append((f"1d-closed-form-ratio (diagnostic, quadrature/closed = {ratio:.6f})", True, 0.0, 0.0))
-    return ok1 and ok2
+    return [
+        ("wave-normalization-probability", abs(prob - 1.0) < 1e-3, abs(prob - 1.0), 1e-3),
+        ("wave-normalization-truncation", shift < 1e-4, shift, 1e-4),
+        (f"1d-closed-form-ratio (diagnostic, quadrature/closed = {ratio:.6f})", True, 0.0, 0.0),
+    ]
 
 
-def _check_moment(records, lines) -> bool:
+def _check_moment() -> list[tuple[str, bool, float, float]]:
     from . import confine1d
 
-    ok = True
+    lines = []
     for n in (1, 2):
         for x in (0.0, 1.0, 2.0):
             resid = confine1d.moment_identity_check(x, n)
-            good = resid < 1e-6
-            ok = ok and good
-            lines.append((f"moment-identity n={n} x={x}", good, resid, 1e-6))
-    return ok
+            lines.append((f"moment-identity n={n} x={x}", resid < 1e-6, resid, 1e-6))
+    return lines
 
 
 def cmd_check(args) -> int:
     records = dataio.load_dataset(args.input)
+    # each suite returns its (name, ok, measured, tol) lines; tol 0 marks a
+    # diagnostic line, printed without a residual
     suites = {
         "nu": _check_nu,
-        "quadrature": _check_quadrature,
+        "quadrature": lambda: _check_quadrature(records),
         "moment": _check_moment,
     }
     chosen = list(suites) if args.suite == "all" else [args.suite]
-    all_ok = True
-    lines: list[tuple[str, bool, float, float]] = []
-    for name in chosen:
-        all_ok = suites[name](records, lines) and all_ok
+    lines = [line for name in chosen for line in suites[name]()]
     for name, ok, measured, tol in lines:
         status = "PASS" if ok else "FAIL"
         if tol:
             print(f"{status} {name}: residual={measured:.3e} (tol {tol:.0e})")
         else:
             print(f"{status} {name}")
-    return EXIT_OK if all_ok else EXIT_NUMERIC
+    return EXIT_OK if all(ok for _, ok, _, _ in lines) else EXIT_NUMERIC
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -283,19 +283,10 @@ def energy_real_candidates(sys: MesonSystem, state: QuantumState) -> list[tuple[
     return out
 
 
-def energy_real(sys: MesonSystem, state: QuantumState, branch: str = "auto") -> float:
-    """Real-variant level energy E_nl (GeV).
-
-    branch: 'auto' (the convention behind the published spectra: the
-    higher-energy physical root), '+' or '-' explicitly.
-    """
-    cands = energy_real_candidates(sys, state)
-    if branch == "auto":
-        return cands[0][0]
-    for e, tag in cands:
-        if tag == branch:
-            return e
-    raise NonPhysicalParameters(f"branch {branch!r} has no physical root for {state.label}", value=None)
+def energy_real(sys: MesonSystem, state: QuantumState) -> float:
+    """Real-variant level energy E_nl (GeV): the higher-energy physical root,
+    the convention behind the published spectra."""
+    return energy_real_candidates(sys, state)[0][0]
 
 
 def energy_complex_candidates(sys: MesonSystem, state: QuantumState, p_r: float = 0.0) -> list[tuple[complex, str]]:
@@ -325,18 +316,13 @@ def energy_complex_candidates(sys: MesonSystem, state: QuantumState, p_r: float 
     return [(e, tag) for _, e, tag in out]
 
 
-def energy_complex(sys: MesonSystem, state: QuantumState, p_r: float = 0.0, branch: str = "auto") -> complex:
-    """Complex-variant level energy; imaginary part vanishes at p_r = 0."""
-    cands = energy_complex_candidates(sys, state, p_r)
-    if branch == "auto":
-        return cands[0][0]
-    for e, tag in cands:
-        if tag == branch:
-            return e
-    raise NonPhysicalParameters(f"branch {branch!r} not available for {state.label}", value=None)
+def energy_complex(sys: MesonSystem, state: QuantumState, p_r: float = 0.0) -> complex:
+    """Complex-variant level energy on the preferred root; imaginary part
+    vanishes at p_r = 0."""
+    return energy_complex_candidates(sys, state, p_r)[0][0]
 
 
-def rest_energy_bracket(sys: MesonSystem, state: QuantumState, branch: str = "auto") -> float:
+def rest_energy_bracket(sys: MesonSystem, state: QuantumState) -> float:
     """Complex-variant energy at p_r = 0 in pure real arithmetic.
 
     This is the energy bracket of the mass-spectrum formula; it must agree
@@ -359,19 +345,13 @@ def rest_energy_bracket(sys: MesonSystem, state: QuantumState, branch: str = "au
         raise NonPhysicalParameters(f"negative radicand {radic:.6g} at {state.label}", value=radic)
     root = math.sqrt(radic)
     cands = []
-    for sgn, tag in ((+1.0, "+"), (-1.0, "-")):
+    for sgn in (+1.0, -1.0):
         v = beta * (-(2 * nu_idx + 1) + sgn * root) / (4 * cden)
-        e = 3 * b / d - v * v / (8 * m)
-        cands.append((v, e, tag))
-    if branch == "auto":
-        # same policy as energy_complex at rest: bound-state root (v > 0)
-        # first, then the higher energy
-        cands.sort(key=lambda t: (-(t[0] > 0), -t[1]))
-        return cands[0][1]
-    for _, e, tag in cands:
-        if tag == branch:
-            return e
-    raise NonPhysicalParameters(f"branch {branch!r} not available for {state.label}", value=None)
+        cands.append((v, 3 * b / d - v * v / (8 * m)))
+    # same policy as energy_complex at rest: bound-state root (v > 0) first,
+    # then the higher energy
+    cands.sort(key=lambda t: (-(t[0] > 0), -t[1]))
+    return cands[0][1]
 
 
 def _real_nu_problem(c: HTAConstants, energy: float) -> nu.NUProblem:

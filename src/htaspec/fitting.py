@@ -6,8 +6,7 @@ contribute a flat 10 GeV penalty instead of aborting the optimizer.  The
 minimizer is a hand-rolled Nelder-Mead simplex (derivative-free; the
 landscape is cheap, smooth away from the physicality boundary, and bimodal
 in a, hence multi-start seeding with both a-sign basins).  Convergence means
-the simplex diameter fell below 1e-8 in scaled coordinates ((a, b, delta)
-over (1 GeV^2, 1 GeV^2, 1 GeV)).
+the simplex diameter in (a, b, delta) fell below 1e-8 (GeV^2, GeV^2, GeV).
 """
 
 from __future__ import annotations
@@ -122,24 +121,23 @@ def per_level_results(sys: MesonSystem, levels, variant: Variant | str = Variant
     return tuple(out)
 
 
-def nelder_mead(func, seed, scale, x_tol=1e-8, f_tol=0.0, max_iter=4000):
-    """Minimize func over R^k: plain Nelder-Mead in scaled coordinates.
+def nelder_mead(func, seed, max_iter=6000):
+    """Minimize func over R^k: plain Nelder-Mead in unscaled coordinates.
 
     Returns (x_best, f_best, converged, n_eval).  Convergence requires the
-    simplex diameter (scaled coordinates, max pairwise distance) < x_tol;
-    f_tol adds an optional early stop on the function spread (off by
-    default, and never reported as convergence).
+    simplex diameter (max pairwise distance) < 1e-8 within max_iter
+    iterations; hitting the cap returns the best vertex, unconverged.  Kept
+    hand-rolled: scipy.optimize would make fit import scipy, against the
+    numpy/scipy-free start-up of the fit command.
     """
     k = len(seed)
-    scale = [float(s) for s in scale]
-
     calls = [0]
 
     def f(xs):
         calls[0] += 1
-        return func([v * s for v, s in zip(xs, scale)])
+        return func(xs)
 
-    x0 = [v / s for v, s in zip(seed, scale)]
+    x0 = [float(v) for v in seed]
     simplex = [list(x0)]
     for i in range(k):
         p = list(x0)
@@ -160,10 +158,8 @@ def nelder_mead(func, seed, scale, x_tol=1e-8, f_tol=0.0, max_iter=4000):
         order = sorted(range(k + 1), key=lambda i: fvals[i])
         simplex = [simplex[i] for i in order]
         fvals = [fvals[i] for i in order]
-        if diameter() < x_tol:
+        if diameter() < 1e-8:
             converged = True
-            break
-        if f_tol > 0 and abs(fvals[-1] - fvals[0]) < f_tol:
             break
         centroid = [sum(p[i] for p in simplex[:-1]) / k for i in range(k)]
         worst = simplex[-1]
@@ -189,8 +185,7 @@ def nelder_mead(func, seed, scale, x_tol=1e-8, f_tol=0.0, max_iter=4000):
                     simplex[i] = [b + sigma * (p - b) for b, p in zip(best, simplex[i])]
                     fvals[i] = f(simplex[i])
     order = sorted(range(k + 1), key=lambda i: fvals[i])
-    best = simplex[order[0]]
-    return [v * s for v, s in zip(best, scale)], fvals[order[0]], converged, calls[0]
+    return simplex[order[0]], fvals[order[0]], converged, calls[0]
 
 
 def default_seeds(params: CornellParams) -> list[CornellParams]:
@@ -213,8 +208,6 @@ def fit(
     levels,
     variant: Variant | str = Variant.REAL,
     seeds: list[CornellParams] | None = None,
-    x_tol: float = 1e-8,
-    max_iter: int = 6000,
 ) -> FitResult:
     """Best-of-multi-start Nelder-Mead fit of (a, b, delta).
 
@@ -250,13 +243,7 @@ def fit(
     best = None
     total_eval = 0
     for idx, seed in enumerate(seeds):
-        x, fval, converged, n_eval = nelder_mead(
-            objective,
-            [seed.a, seed.b, seed.delta],
-            scale=(1.0, 1.0, 1.0),
-            x_tol=x_tol,
-            max_iter=max_iter,
-        )
+        x, fval, converged, n_eval = nelder_mead(objective, [seed.a, seed.b, seed.delta])
         total_eval += n_eval
         if fval >= _PENALTY_GEV:
             continue
@@ -313,16 +300,13 @@ def _cell(v) -> str:
     return str(v)
 
 
-def regenerate_tables(records, variant: Variant | str = Variant.REAL, source: str = "stored") -> SpectrumReport:
+def regenerate_tables(records, variant: Variant | str = Variant.REAL) -> SpectrumReport:
     """Per-meson tables of model vs measured vs comparison-model masses.
 
-    source selects the parameter origin: "stored" evaluates the parameters
-    shipped with each record; "fit" refits them against the record's fit
-    levels first.  Records lacking parameters for the variant are skipped
-    with their label preserved and an empty block.
+    Each record is evaluated at the parameters shipped with it.  Records
+    lacking parameters for the variant are skipped with their label
+    preserved and an empty block.
     """
-    if source not in ("stored", "fit"):
-        raise DomainError(f"source must be 'stored' or 'fit', got {source!r}")
     variant = Variant.parse(variant)
     blocks = []
     for rec in records:
@@ -332,11 +316,8 @@ def regenerate_tables(records, variant: Variant | str = Variant.REAL, source: st
         if variant not in rec.params:
             blocks.append((rec.label, columns, ()))
             continue
-        sys_v = rec.system(variant)
-        if source == "fit":
-            sys_v = MesonSystem(sys_v.m_q, sys_v.m_qbar, fit(sys_v, levels, variant).params, sys_v.label)
         rows = []
-        for lr in per_level_results(sys_v, levels, variant):
+        for lr in per_level_results(rec.system(variant), levels, variant):
             refs = rec.reference_masses(lr.label)
             rows.append((lr.label, lr.model_mass, lr.exp_mass, *(refs.get(n) for n in ref_names)))
         blocks.append((rec.label, columns, tuple(rows)))

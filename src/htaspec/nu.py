@@ -122,7 +122,6 @@ class NUSolution:
     """Everything the pipeline derives for one (problem, K, branch)."""
 
     k: complex
-    pi_branch: int
     pi: tuple[complex, complex]
     tau: tuple[complex, complex]
     lam: complex
@@ -311,19 +310,16 @@ def rodrigues_y(problem: NUProblem, rho: ExpPowerForm, n: int) -> RodriguesPolyn
     return RodriguesPolynomial(coeffs=tuple(coeffs), n=n)
 
 
-def solve(problem: NUProblem, branch: int = +1, k_index: int = 0) -> NUSolution:
-    """Run the full pipeline for one K root and branch."""
+def solve(problem: NUProblem, branch: int = +1) -> NUSolution:
+    """Run the full pipeline for the first K root and one branch."""
     ks = solve_k(problem)
     if not ks:
         raise ConsistencyError("no K makes the radicand a perfect square (degenerate radicand)")
-    if not 0 <= k_index < len(ks):
-        raise DomainError(f"k_index {k_index} out of range for {len(ks)} K roots")
-    k = ks[k_index]
+    k = ks[0]
     pi = pi_poly(problem, k, branch)
     tau, lam = tau_lambda(problem, pi, k)
     return NUSolution(
         k=k,
-        pi_branch=branch,
         pi=pi,
         tau=tau,
         lam=lam,
@@ -332,7 +328,7 @@ def solve(problem: NUProblem, branch: int = +1, k_index: int = 0) -> NUSolution:
     )
 
 
-def eigencondition_residual(problem: NUProblem, n: int, embedded_param: complex, embedding, branch: int = +1, k_index: int = 0) -> complex:
+def eigencondition_residual(problem: NUProblem, n: int, embedded_param: complex, embedding, branch: int = +1) -> complex:
     """lambda(embedded) - lambda_n(embedded); its roots are NU eigenvalues.
 
     ``embedding`` maps the scalar parameter (typically an energy) to the
@@ -344,5 +340,5 @@ def eigencondition_residual(problem: NUProblem, n: int, embedded_param: complex,
     if all(v == 0 for v in st):
         raise DomainError("embedding produced a degenerate (zero) sigma_tilde")
     prob = replace(problem, sigma_tilde=st)
-    sol = solve(prob, branch=branch, k_index=k_index)
+    sol = solve(prob, branch=branch)
     return sol.lam - lambda_n(prob, sol.tau, n)

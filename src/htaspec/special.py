@@ -37,20 +37,14 @@ def _check_real(x, name):
     return x
 
 
-def _check_finite_result(v, name):
-    if isinstance(v, complex):
-        bad = not (math.isfinite(v.real) and math.isfinite(v.imag))
-    else:
-        bad = not math.isfinite(v)
-    if bad:
-        raise OverflowError(f"{name}: result overflowed double range")
-    return v
-
-
 def _airy(x, name, i):
     from scipy.special import airy
 
-    return _check_finite_result(float(airy(_check_real(x, name))[i]), name)
+    v = float(airy(_check_real(x, name))[i])
+    if not math.isfinite(v):
+        # scipy's nan stands for both causes; it cannot tell them apart
+        raise OverflowError(f"{name}: no finite result: overflow, or |x| beyond scipy's range (about 1.05e6), at x={x}")
+    return v
 
 
 def airy_ai(x: float) -> float:
@@ -106,7 +100,10 @@ def gamma_complex(z: complex) -> complex:
     # scipy returns nan at the poles, which would otherwise read as overflow
     if z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer():
         raise DomainError(f"gamma_complex: pole at z={z}")
-    return _check_finite_result(complex(gamma(z)), "gamma_complex")
+    v = complex(gamma(z))
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        raise OverflowError("gamma_complex: result overflowed double range")
+    return v
 
 
 # Gamma(s, z), per element, by route:

@@ -21,9 +21,9 @@ incomplete gamma function,
                     sum_j y_nj (u - 2 i p_r)^(2 + j - c)
                           Gamma(c - 2 - j, r (u - 2 i p_r)),
 
-which is the closed form used everywhere (psi0/psi1 are the explicit n=0,1
-cases).  psi_n_numeric evaluates the same transform by adaptive oscillatory
-quadrature and is the independent cross-check path.
+which is the closed form used everywhere, for every n.  psi_n_numeric
+evaluates the same transform by adaptive oscillatory quadrature and is the
+independent cross-check path.
 
 All branch powers are exp(power * principal log); correctness of the branch
 bookkeeping is adjudicated by the quadrature equivalence, not by matching
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -58,8 +58,6 @@ from .special import gamma_complex, upper_incomplete_gamma
 __all__ = [
     "WaveParams",
     "PhaseSpaceGrid",
-    "psi0",
-    "psi1",
     "psi_n",
     "psi_n_numeric",
     "normalize_B",
@@ -80,8 +78,8 @@ class WaveParams:
     """alpha/beta/gamma at a fixed level energy, plus the normalization B.
 
     alpha must be negative (bound state, E < 3b/delta); beta and gamma are
-    the real-variant constants.  p_r_ref is only meaningful for the
-    momentum-coupled variant, whose constants carry the momentum.
+    the real-variant constants (the momentum-coupled variant derives its
+    momentum-dependent constants from them at each p_r).
     """
 
     alpha: float
@@ -89,7 +87,6 @@ class WaveParams:
     gamma: float
     B: float = 1.0
     variant: Variant = Variant.REAL
-    p_r_ref: float = 0.0
 
     def __post_init__(self):
         if not (self.alpha < 0):
@@ -107,8 +104,8 @@ class WaveParams:
         return self.beta / (2.0 * self.u)
 
 
-def wave_params(sys: MesonSystem, state: QuantumState, level_energy: float, variant: Variant | str = Variant.REAL, B: float = 1.0, p_r: float = 0.0) -> WaveParams:
-    """Build WaveParams from a system and a level energy."""
+def wave_params(sys: MesonSystem, state: QuantumState, level_energy: float, variant: Variant | str = Variant.REAL) -> WaveParams:
+    """Build WaveParams (B = 1) from a system and a level energy."""
     variant = Variant.parse(variant)
     c = constants_real(sys, state)
     alpha = c.alpha(level_energy).real
@@ -116,9 +113,7 @@ def wave_params(sys: MesonSystem, state: QuantumState, level_energy: float, vari
         alpha=alpha,
         beta=c.beta.real,
         gamma=c.gamma.real,
-        B=B,
         variant=variant,
-        p_r_ref=p_r,
     )
 
 
@@ -185,43 +180,6 @@ def _value(a):
     return complex(a) if np.ndim(a) == 0 else a
 
 
-def psi0(params: WaveParams, r: float, p_r: float) -> complex:
-    """Ground-state closed form.
-
-    Real variant: (B/pi) e^{-4 i p_r r} w^(2-c) Gamma(c-2, r w) with
-    w = u - 2 i p_r.  Momentum-coupled variant: see the module docstring.
-    """
-    if r <= 0:
-        raise DomainError(f"psi0: r must be > 0, got {r}")
-    if params.variant is not Variant.REAL:
-        return _psi0_momentum_coupled(params, r, p_r)
-    _guard_order(params, 0)
-    u, c = params.u, params.c_order
-    w = complex(u, -2.0 * p_r)
-    return params.B / math.pi * cmath.exp(-4j * p_r * r) * w ** (2.0 - c) * upper_incomplete_gamma(c - 2.0, r * w)
-
-
-def psi1(params: WaveParams, r: float, p_r: float) -> complex:
-    """First excited closed form (real variant).
-
-    The Rodrigues bracket for n = 1 is tau(x) = 2u + (2 - beta/u) x, giving
-    (B/pi) e^{-4 i p_r r} [ 2u w^(2-c) Gamma(c-2, r w)
-                            + (2 - beta/u) w^(3-c) Gamma(c-3, r w) ].
-    """
-    if params.variant is not Variant.REAL:
-        raise DomainError("psi1 is implemented for the real variant only")
-    if r <= 0:
-        raise DomainError(f"psi1: r must be > 0, got {r}")
-    _guard_order(params, 1)
-    u, c = params.u, params.c_order
-    beta = params.beta
-    w = complex(u, -2.0 * p_r)
-    bracket = 2.0 * u * w ** (2.0 - c) * upper_incomplete_gamma(c - 2.0, r * w) + (
-        2.0 - beta / u
-    ) * w ** (3.0 - c) * upper_incomplete_gamma(c - 3.0, r * w)
-    return params.B / math.pi * cmath.exp(-4j * p_r * r) * bracket
-
-
 def csch_reflection_gamma(g: complex) -> complex:
     """Gamma(2 - g) evaluated through the reflection formula with a csch:
 
@@ -274,13 +232,14 @@ def half_transformed_kernel(params: WaveParams, n: int):
     return kernel
 
 
-def psi_n_numeric(params: WaveParams, n: int, r: float, p_r: float, rel_tol: float = 1e-9) -> complex:
+def psi_n_numeric(params: WaveParams, n: int, r: float, p_r: float) -> complex:
     """psi_n by direct oscillatory quadrature of the half-line transform.
 
     Integrates (1/2 pi) Omega_n(r - w/2) e^{-i w p_r} over w in (-inf, 0]
     with Gauss-Legendre panels sized to the oscillation period, stopping
-    when the running tail is negligible; the exp(u w / 2) decay guarantees
-    convergence.  Cross-checks psi_n to ~1e-9.
+    when three panels in a row each add less than 1e-9 of the running sum;
+    the exp(u w / 2) decay guarantees convergence.  Cross-checks psi_n to
+    ~1e-9.
     """
     n = int(n)
     if not 0 <= n <= _MAX_N:
@@ -321,7 +280,7 @@ def psi_n_numeric(params: WaveParams, n: int, r: float, p_r: float, rel_tol: flo
         panel *= half
         acc += panel
         w_hi = w_lo
-        if abs(panel) < rel_tol * max(abs(acc), 1e-300):
+        if abs(panel) < 1e-9 * max(abs(acc), 1e-300):
             idle += 1
             if idle >= 3:
                 break
@@ -356,6 +315,10 @@ def _p_integral(f, r, n_nodes: int = 96):
 
 
 def _r_norm_integral(params: WaveParams, n: int, r_max: float, n_r: int = 160, n_p: int = 96) -> float:
+    # the momentum-coupled density needs W^(g-2) Gamma(2-g, rW) at the large
+    # |p_r| of the tangent map, where Gamma overflows though the product is small
+    if params.variant is not Variant.REAL:
+        raise DomainError("normalization integrals cover the real variant only")
     nodes, weights = np.polynomial.legendre.leggauss(n_r)
     # two panels biased toward the origin where the density peaks
     split = min(4.0 / params.u, 0.5 * r_max)
@@ -388,9 +351,10 @@ def normalize_B(params: WaveParams, n: int, r_pad: float = 1.0) -> float:
     The r integration stops where the integrand envelope falls below 1e-12
     of its peak, scaled by r_pad; momentum is integrated exactly through a
     tangent compactification (its 1/p^2 tail cannot be truncated at any
-    reasonable cutoff, so substitution replaces truncation there).
+    reasonable cutoff, so substitution replaces truncation there).  Real
+    variant only: the momentum-coupled one raises DomainError.
     """
-    base = WaveParams(params.alpha, params.beta, params.gamma, 1.0, params.variant, params.p_r_ref)
+    base = replace(params, B=1.0)
     r_max = _default_r_max(base) * r_pad
     total = 4.0 * math.pi * _r_norm_integral(base, n, r_max)
     if not (total > 0 and math.isfinite(total)):
@@ -398,12 +362,11 @@ def normalize_B(params: WaveParams, n: int, r_pad: float = 1.0) -> float:
     return 1.0 / math.sqrt(total)
 
 
-def total_probability(params: WaveParams, n: int, finer: bool = True) -> float:
+def total_probability(params: WaveParams, n: int) -> float:
     """4 pi int |psi_n|^2 r^2 dr dp_r with the stored B, on an independent
-    (finer) grid than normalize_B uses."""
-    r_max = _default_r_max(params) * (1.5 if finer else 1.0)
-    n_r, n_p = (220, 140) if finer else (160, 96)
-    return 4.0 * math.pi * _r_norm_integral(params, n, r_max, n_r, n_p)
+    (finer and 1.5x wider) grid than normalize_B uses."""
+    r_max = _default_r_max(params) * 1.5
+    return 4.0 * math.pi * _r_norm_integral(params, n, r_max, 220, 140)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,15 @@ class TestGridScan:
              "--n", "1", "--out", str(tmp_path)]
         ) == 3
 
+    @pytest.mark.parametrize("meson", ["ccbar", "bbbar", "bcbar"])
+    def test_grid_momentum_coupled_normalized_exits_3(self, tmp_path, capsys, meson):
+        assert run(
+            ["grid", "--meson", meson, "--variant", "complex5", "--state", "1S",
+             "--rsteps", "3", "--psteps", "3", "--out", str(tmp_path)]
+        ) == 3
+        assert "normalization integrals cover the real variant only" in capsys.readouterr().err
+        assert not (tmp_path / f"{meson}_1S_grid.csv").exists()
+
     def test_grid_bad_axis_exits_2(self, tmp_path):
         assert run(
             ["grid", "--meson", "ccbar", "--rmin", "2.0", "--rmax", "1.0",

@@ -67,7 +67,7 @@ class TestResidual:
 class TestNelderMead:
     def test_quadratic_bowl(self):
         f = lambda x: (x[0] - 1.5) ** 2 + 3 * (x[1] + 0.5) ** 2 + 1.0
-        x, fval, converged, n_eval = fitting.nelder_mead(f, [0.0, 0.0], scale=(1.0, 1.0))
+        x, fval, converged, n_eval = fitting.nelder_mead(f, [0.0, 0.0])
         assert converged
         assert x[0] == pytest.approx(1.5, abs=1e-6)
         assert x[1] == pytest.approx(-0.5, abs=1e-6)
@@ -76,7 +76,7 @@ class TestNelderMead:
 
     def test_iteration_cap_flags_unconverged(self):
         f = lambda x: abs(x[0]) + abs(x[1])
-        _, _, converged, _ = fitting.nelder_mead(f, [5.0, 5.0], scale=(1.0, 1.0), max_iter=3)
+        _, _, converged, _ = fitting.nelder_mead(f, [5.0, 5.0], max_iter=3)
         assert not converged
 
 

@@ -78,6 +78,11 @@ class TestAiry:
         with pytest.raises(OverflowError):
             special.airy_bi(4000.0)
 
+    def test_beyond_scipy_range_names_both_causes(self):
+        # scipy returns nan for |x| beyond about 1.05e6 although Ai is small there
+        with pytest.raises(OverflowError, match=r"overflow, or \|x\| beyond scipy's range"):
+            special.airy_ai(-1.06e6)
+
 
 class TestAiryZeros:
     def test_first_two_zeros(self):

@@ -48,13 +48,12 @@ class TestClosedVsNumeric:
             numeric = waves.psi_n_numeric(params_1s, n, r, p)
             assert abs(closed - numeric) <= 1e-5 * abs(closed)
 
-    def test_psi0_is_psi_n0(self, params_1s):
-        for r, p in ((0.7, 0.3), (1.5, -0.5)):
-            assert waves.psi0(params_1s, r, p) == pytest.approx(waves.psi_n(params_1s, 0, r, p), rel=1e-13)
-
-    def test_psi1_is_psi_n1(self, params_2s):
-        for r, p in ((0.7, 0.3), (1.5, -0.5)):
-            assert waves.psi1(params_2s, r, p) == pytest.approx(waves.psi_n(params_2s, 1, r, p), rel=1e-13)
+    def test_n1_rodrigues_bracket(self, params_2s):
+        # the n = 1 Rodrigues polynomial is tau(x) = 2u + (2 - beta/u) x
+        u, beta = params_2s.u, params_2s.beta
+        c0, c1 = waves._rodrigues_coeffs(params_2s, 1)
+        assert c0 == pytest.approx(2.0 * u, rel=1e-13)
+        assert c1 == pytest.approx(2.0 - beta / u, rel=1e-13)
 
     def test_independent_quadrature_oracle(self, params_1s):
         # fully external route: scipy adaptive quadrature of the defining
@@ -73,10 +72,10 @@ class TestClosedVsNumeric:
             re, _ = quad(lambda t: f(t, 0), r, r + 60 / u, limit=400, epsabs=1e-14)
             im, _ = quad(lambda t: f(t, 1), r, r + 60 / u, limit=400, epsabs=1e-14)
             want = params_1s.B / math.pi * cmath.exp(-4j * p * r) * complex(re, im)
-            assert waves.psi0(params_1s, r, p) == pytest.approx(want, rel=1e-8)
+            assert waves.psi_n(params_1s, 0, r, p) == pytest.approx(want, rel=1e-8)
 
     def test_large_r_decay(self, params_1s):
-        assert abs(waves.psi0(params_1s, 30.0 / params_1s.u, 0.3)) < 1e-9 * abs(waves.psi0(params_1s, 0.5, 0.3))
+        assert abs(waves.psi_n(params_1s, 0, 30.0 / params_1s.u, 0.3)) < 1e-9 * abs(waves.psi_n(params_1s, 0, 0.5, 0.3))
 
     def test_psi_n2_finite_and_decaying(self, ccbar_real):
         st = QuantumState.from_label("3S")
@@ -87,7 +86,7 @@ class TestClosedVsNumeric:
 
     def test_r_must_be_positive(self, params_1s):
         with pytest.raises(DomainError):
-            waves.psi0(params_1s, 0.0, 0.1)
+            waves.psi_n(params_1s, 0, 0.0, 0.1)
 
     def test_n_range_guard(self, params_1s):
         with pytest.raises(DomainError):
@@ -100,14 +99,14 @@ class TestDegenerateOrderGuard:
         for k in (0, 1, 2):
             params = waves.WaveParams(alpha=-1.0, beta=2.0 * k, gamma=-5.0)
             with pytest.raises(DegenerateOrderError):
-                waves.psi0(params, 1.0, 0.1)
+                waves.psi_n(params, 0, 1.0, 0.1)
         params = waves.WaveParams(alpha=-1.0, beta=6.0, gamma=-5.0)  # k = 3
         with pytest.raises(DegenerateOrderError):
-            waves.psi1(params, 1.0, 0.1)
+            waves.psi_n(params, 1, 1.0, 0.1)
 
     def test_non_integer_order_passes(self):
         params = waves.WaveParams(alpha=-1.0, beta=4.4, gamma=-5.0)
-        assert math.isfinite(abs(waves.psi0(params, 1.0, 0.1)))
+        assert math.isfinite(abs(waves.psi_n(params, 0, 1.0, 0.1)))
 
 
 class TestNormalization:
@@ -233,7 +232,7 @@ class TestMomentumCoupledVariant:
     def test_against_numeric_transform(self, ccbar_complex):
         params = self.make_params(ccbar_complex)
         for r, p in ((0.6, 0.0), (1.2, 0.4), (2.0, -0.7)):
-            closed = waves.psi0(params, r, p)
+            closed = waves.psi_n(params, 0, r, p)
             numeric = waves.psi_n_numeric(params, 0, r, p)
             assert abs(closed - numeric) <= 1e-5 * abs(closed)
 
@@ -242,6 +241,13 @@ class TestMomentumCoupledVariant:
         # its csch form equals the plain reflection value
         for g in (2.7 + 0.4j, 3.3 - 1.1j, 0.4 + 2.0j):
             assert waves.csch_reflection_gamma(g) == pytest.approx(gamma_complex(2.0 - g), rel=1e-11)
+
+    def test_normalization_rejected(self, ccbar_complex):
+        params = self.make_params(ccbar_complex)
+        with pytest.raises(DomainError, match="real variant only"):
+            waves.normalize_B(params, 0)
+        with pytest.raises(DomainError, match="real variant only"):
+            waves.total_probability(params, 0)
 
     def test_excited_momentum_coupled_rejected(self, ccbar_complex):
         params = self.make_params(ccbar_complex)
