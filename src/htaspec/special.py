@@ -6,8 +6,8 @@ Airy functions, complex gamma and the Airy zeros are thin wrappers over
 validation, the no-NaN/overflow guarantee of the public API (scipy's nan for
 an overflowing Bi, or for |x| beyond about 1.05e6, raises OverflowError), the
 explicit pole test of Gamma and a Newton polish of the Airy zeros.  The
-upper incomplete gamma Gamma(s, z) is implemented here, over broadcast
-arrays, and a scalar call is a one-element array.
+upper incomplete gamma Gamma(s, z) on Re z > 0 is implemented here, over
+broadcast arrays, and a scalar call is a one-element array.
 """
 
 from __future__ import annotations
@@ -106,9 +106,7 @@ def gamma_complex(z: complex) -> complex:
     return v
 
 
-# Gamma(s, z), per element, by route:
-#   * the large-|z| asymptotic series inside the wedge around the negative
-#     real axis, where the continued fraction stalls;
+# Gamma(s, z) on Re z > 0, per element, by route:
 #   * Legendre's continued fraction, by the modified Lentz scheme (Thompson &
 #     Barnett, J. Comput. Phys. 64, 1986), once |z| clears 1.5 and Re s + 1;
 #   * below that, the Kummer series for the lower function at an order
@@ -127,12 +125,6 @@ _EULER_GAMMA = 0.57721566490153286061
 # (e^x - 1)/x = sum_k x^k / (k+1)!, highest power first; 18 terms hold
 # double precision for |x| < 0.5
 _EXPREL_TAYLOR = [1.0 / math.factorial(k + 1) for k in range(17, -1, -1)]
-
-
-def _plog(z):
-    # principal log; adding +0j turns a -0.0 imaginary part into +0.0, so the
-    # cut itself is approached from above
-    return np.log(z + 0j)
 
 
 def _exp(x):
@@ -172,8 +164,7 @@ def _iterate(step, state, limit, what):
 
     ``state[0]``, ``state[1]`` are the elements' s and z.  An element's result
     is its value at the step that marks it done.  Elements still running
-    after ``limit - 1`` steps raise NumericError, or, when ``what`` is None,
-    return their last value.
+    after ``limit - 1`` steps raise NumericError.
     """
     out = np.empty(len(state[0]), complex)
     live = np.arange(len(out))
@@ -185,9 +176,6 @@ def _iterate(step, state, limit, what):
             live, value, state = live[keep], value[keep], tuple(a[keep] for a in state)
             if not live.size:
                 return out
-    if what is None:
-        out[live] = value
-        return out
     s, z = complex(state[0][0]), complex(state[1][0])
     raise NumericError(f"upper_incomplete_gamma: {what} stalled at s={s}, z={z}")
 
@@ -209,7 +197,7 @@ def _continued_fraction(s, z):
     b = z + 1.0 - s
     d = np.where(b != 0, 1.0 / b, 1.0 / _TINY)
     h = _iterate(step, (s, z, b, np.full_like(b, 1.0 / _TINY), d, d), 700, "continued fraction")
-    return _exp(-z + s * _plog(z)) * h
+    return _exp(-z + s * np.log(z)) * h
 
 
 def _lower_series(s, z):
@@ -221,27 +209,12 @@ def _lower_series(s, z):
         return abs(term) < 1e-17 * abs(total), total, (s, z, term, total)
 
     total = _iterate(step, (s, z, 1.0 / s, 1.0 / s), 700, "series")
-    return _exp(-z + s * _plog(z)) * total
-
-
-def _asymptotic(s, z):
-    # Gamma(s, z) ~ z^(s-1) e^-z sum_k (s-1)(s-2)...(s-k) / z^k, |arg z| < 3pi/2
-    def step(k, st):
-        s, z, term, acc, prev = st
-        term = term * ((s - k) / z)
-        size = abs(term)
-        grew = size > prev
-        acc = np.where(grew, acc, acc + term)
-        return grew | (size < 1e-17 * abs(acc)), acc, (s, z, term, acc, size)
-
-    one = np.ones_like(s)
-    acc = _iterate(step, (s, z, one, one, np.full(s.shape, np.inf)), 200, None)
-    return _exp((s - 1.0) * _plog(z) - z) * acc
+    return _exp(-z + s * np.log(z)) * total
 
 
 def _recur_down(a, z, val, steps):
     # Gamma(a - 1, z) = (Gamma(a, z) - z^(a-1) e^-z) / (a - 1), `steps` times
-    lz = _plog(z)
+    lz = np.log(z)
     for j in range(int(steps.max(initial=0))):
         m = steps > j
         a = np.where(m, a - 1.0, a)
@@ -262,7 +235,7 @@ def _series(s, z):
 def _near_pole(s, z):
     n = -np.round(s.real)
     e = s + n
-    lz = _plog(z)
+    lz = np.log(z)
 
     # Gamma(e, z) = [Gamma(1+e) - 1]/e - (z^e - 1)/e - z^e sum_{k>=1} (-z)^k / (k! (e+k)),
     # each bracket free of cancellation as e -> 0
@@ -280,20 +253,12 @@ def _near_pole(s, z):
 
 
 def _upper_gamma(s, z):
-    zero = z == 0
-    if (zero & (s.real <= 0)).any():
-        raise DomainError("upper_incomplete_gamma: z=0 requires Re s > 0")
-    near_cut = (z.real < 0.0) & (abs(z.imag) <= 0.25 * abs(z.real))
-    asymptotic = near_cut & (abs(z) >= 30.0)
-    fraction = ~near_cut & (abs(z) >= np.maximum(1.5, s.real + 1.0))
-    rest = ~(zero | asymptotic | fraction)
-    pole = rest & (s.real <= 0.5) & (abs(s - np.round(s.real)) <= _POLE_RADIUS)
+    fraction = abs(z) >= np.maximum(1.5, s.real + 1.0)
+    pole = ~fraction & (s.real <= 0.5) & (abs(s - np.round(s.real)) <= _POLE_RADIUS)
     out = np.empty(s.shape, complex)
     for mask, route in (
-        (zero, lambda s, z: _gamma(s)),
-        (asymptotic, _asymptotic),
         (fraction, _continued_fraction),
-        (rest & ~pole, _series),
+        (~(fraction | pole), _series),
         (pole, _near_pole),
     ):
         if mask.any():
@@ -302,22 +267,22 @@ def _upper_gamma(s, z):
 
 
 def upper_incomplete_gamma(s, z):
-    """Upper incomplete gamma Gamma(s, z) on the principal branch.
+    """Upper incomplete gamma Gamma(s, z) on the right half-plane Re z > 0.
 
-    s and z broadcast against each other: scalars give a Python complex,
-    arrays a complex array of the broadcast shape.  z = 0 requires Re s > 0
-    (the limit Gamma(s, 0) = Gamma(s)); the negative real z axis is treated
-    as approached from above.  A non-finite argument or z = 0 with Re s <= 0
-    raises DomainError, a stalled iteration or an overflowing intermediate
-    NumericError, and a non-finite result OverflowError; an array call
-    raises if any element would.
+    This is the domain the wave functions reach: their arguments are
+    r (u - 2i p_r) and r (u - 4i p_r) with r > 0 and u > 0.  s and z
+    broadcast against each other: scalars give a Python complex, arrays a
+    complex array of the broadcast shape.  A non-finite argument or
+    Re z <= 0 (z = 0 included) raises DomainError, a stalled iteration or an
+    overflowing intermediate NumericError, and a non-finite result
+    OverflowError; an array call raises if any element would.
 
-    Against mpmath the relative error is ~1e-14, including orders near the
-    poles: s = -n + eps e^(i theta) with n = 0..4, eps in [1e-300, 1e-3] and
-    |z| <= 1.4 stays within 6e-15.  The exception is Re s < 0 with z near
-    the negative real axis at 5 < |z| < 30, where the downward recurrence
-    amplifies rounding by about |z|/|s| per step (1e-4 at s = -11.6-6.9i,
-    z = -25.4-4.9i).
+    Against mpmath at 30 digits, over orders c - 2 - j and 2 - g of the
+    bundled mesons with r in [1e-9, 1.5 r_max] and |p_r| up to about 1e6,
+    the worst relative errors measured are 1.7e-13 on the continued
+    fraction, 1.4e-13 on the near-pole route and 6.4e-14 on the series.
+    Orders near the poles, s = -n + eps e^(i theta) with n = 0..4 and
+    eps in [1e-300, 1e-3] at |z| <= 1.4, stay within 6e-15.
     """
     scalar = np.ndim(s) == 0 and np.ndim(z) == 0
     s, z = np.broadcast_arrays(np.asarray(s, complex), np.asarray(z, complex))
@@ -327,6 +292,9 @@ def upper_incomplete_gamma(s, z):
         bad = ~np.isfinite(v)
         if bad.any():
             raise DomainError(f"upper_incomplete_gamma: {name} must be finite, got {complex(v[bad][0])}")
+    left = z.real <= 0
+    if left.any():
+        raise DomainError(f"upper_incomplete_gamma: Re z must be > 0, got z={complex(z[left][0])}")
     with np.errstate(all="ignore"):
         out = _upper_gamma(s, z)
     if not np.isfinite(out).all():

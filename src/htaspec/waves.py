@@ -36,9 +36,9 @@ half-line transform gives
     psi_0(r, p_r) = (B/pi) e^{-2 i p_r r} W^(g-2) Gamma(2 - g, r W),
 
 W = u - 4 i p_r.  Its complete-gamma part can equivalently be written with
-the reflection formula through a csch (see csch_reflection_gamma); the csch
-form appears in intermediate evaluations of this variant and is verified in
-the tests.  This variant is quarantined behind WaveParams.variant.
+the reflection formula through a csch (see csch_reflection_gamma, which the
+tests check against Gamma; psi_0 itself does not use it).  This variant is
+quarantined behind WaveParams.variant.
 """
 
 from __future__ import annotations
@@ -117,7 +117,14 @@ def wave_params(sys: MesonSystem, state: QuantumState, level_energy: float, vari
     )
 
 
-def _guard_order(params: WaveParams, n: int):
+def _check_index(params: WaveParams, n: int):
+    # the checks of psi_n that hold for every cell alike
+    if not 0 <= n <= _MAX_N:
+        raise DomainError(f"psi_n: n must be in [0, {_MAX_N}], got {n}")
+    if params.variant is not Variant.REAL:
+        if n != 0:
+            raise DomainError("momentum-coupled variant is implemented for n = 0 only")
+        return
     # Gamma orders are c - 2 - j, j = 0..n; integer c in [0, n + 2] makes a
     # printed-form prefactor degenerate.  Guarded for all n (the closed sum
     # itself is entire in the order, but the degeneracy is part of the
@@ -155,16 +162,12 @@ def psi_n(params: WaveParams, n: int, r, p_r):
     complex array, with one Gamma(s, z) call per Rodrigues term.
     """
     n = int(n)
-    if not 0 <= n <= _MAX_N:
-        raise DomainError(f"psi_n: n must be in [0, {_MAX_N}], got {n}")
+    _check_index(params, n)
     r, p_r = np.asarray(r, float), np.asarray(p_r, float)
     if (r <= 0).any():
         raise DomainError(f"psi_n: r must be > 0, got {r[r <= 0][0]}")
     if params.variant is not Variant.REAL:
-        if n != 0:
-            raise DomainError("momentum-coupled variant is implemented for n = 0 only")
         return _psi0_momentum_coupled(params, r, p_r)
-    _guard_order(params, n)
     u, c = params.u, params.c_order
     w = u - 2j * p_r
     acc = 0j
@@ -242,18 +245,14 @@ def psi_n_numeric(params: WaveParams, n: int, r: float, p_r: float) -> complex:
     ~1e-9.
     """
     n = int(n)
-    if not 0 <= n <= _MAX_N:
-        raise DomainError(f"psi_n_numeric: n must be in [0, {_MAX_N}], got {n}")
+    _check_index(params, n)
     if r <= 0:
         raise DomainError(f"psi_n_numeric: r must be > 0, got {r}")
     if params.variant is Variant.REAL:
-        _guard_order(params, n)
         kernel = half_transformed_kernel(params, n)
         u = params.u
         phase = cmath.exp(-2j * p_r * r)
     else:
-        if n != 0:
-            raise DomainError("momentum-coupled numeric path covers n = 0 only")
         u = params.u
         beta_c = -params.beta - 8j * p_r
         g = (4j * p_r + beta_c) / (2.0 * u)
@@ -389,10 +388,14 @@ class PhaseSpaceGrid:
 def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
     """Evaluate psi_n on the tensor grid r_axis x p_axis.
 
-    Axes are (lo, hi, count) tuples or explicit ascending sequences.  Cell
-    evaluation failures are recorded per cell (amplitude NaN), not raised.
-    Rows are evaluated a block at a time, whole blocks per psi_n call.
+    Axes are (lo, hi, count) tuples or explicit ascending sequences.  An n
+    that no cell can take (out of range, n > 0 on the momentum-coupled
+    variant, a degenerate gamma order) raises before any cell is evaluated;
+    other cell evaluation failures are recorded per cell (amplitude NaN),
+    not raised.  Rows are evaluated a block at a time, whole blocks per
+    psi_n call.
     """
+    _check_index(params, int(n))
     rs = _axis_values(r_axis, "r")
     ps = _axis_values(p_axis, "p")
     amp = np.empty((len(rs), len(ps)), dtype=complex)
@@ -458,7 +461,13 @@ def peak_radius(grid: PhaseSpaceGrid, p_index: int) -> float:
     The bare |psi|^2 is maximal at the r -> 0 edge (the incomplete gamma is
     largest there), so the physically meaningful peak location is that of
     the radial distribution r^2 |psi|^2, the same weight the normalization
-    integral carries.
+    integral carries.  A maximum on the first or last radius is no resolved
+    peak and raises DomainError.
     """
     col = grid.densities[:, p_index] * np.asarray(grid.r_values) ** 2
-    return grid.r_values[int(np.argmax(col))]
+    i = int(np.argmax(col))
+    if i in (0, len(col) - 1):
+        raise DomainError(
+            f"peak_radius: the maximum of r^2 |psi|^2 at p_r={grid.p_values[p_index]} lies on the r-axis edge r={grid.r_values[i]}"
+        )
+    return grid.r_values[i]

@@ -181,6 +181,20 @@ class TestGridScan:
         assert "normalization integrals cover the real variant only" in capsys.readouterr().err
         assert not (tmp_path / f"{meson}_1S_grid.csv").exists()
 
+    @pytest.mark.parametrize("normalize", ["--normalize", "--no-normalize"])
+    @pytest.mark.parametrize(
+        "extra",
+        [["--n", "9"], ["--n", "-1"], ["--variant", "complex5", "--n", "1"]],
+        ids=["n-above-range", "n-negative", "complex5-excited"],
+    )
+    def test_grid_invalid_n_exits_3(self, tmp_path, capsys, extra, normalize):
+        # no cell can take such an n: exit before writing a CSV of nan cells
+        assert run(
+            ["grid", "--meson", "ccbar", *extra, "--rsteps", "3", "--psteps", "3", normalize, "--out", str(tmp_path)]
+        ) == 3
+        assert capsys.readouterr().err.startswith("non-physical parameters: ")
+        assert not (tmp_path / "ccbar_1S_grid.csv").exists()
+
     def test_grid_bad_axis_exits_2(self, tmp_path):
         assert run(
             ["grid", "--meson", "ccbar", "--rmin", "2.0", "--rmax", "1.0",

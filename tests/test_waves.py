@@ -192,6 +192,16 @@ class TestDensityGrid:
         assert peaks[-1] > peaks[0]
 
 
+    def test_peak_radius_on_axis_edge_rejected(self, bcbar_real):
+        # bcbar's c = beta/(2u) is about -27: r^2 |psi|^2 grows toward r -> 0
+        # across the whole axis, so no peak is resolved
+        st = QuantumState.from_label("1S")
+        params = waves.wave_params(bcbar_real, st, core.energy_real(bcbar_real, st))
+        grid = waves.density_grid(params, 0, (0.02, 6.0, 500), (0.0, 1.0, 5))
+        for j in range(5):
+            with pytest.raises(DomainError, match="r-axis edge"):
+                waves.peak_radius(grid, j)
+
 class TestAnsatzConsistency:
     def test_kernel_satisfies_transformed_equation(self):
         # Omega'' + 6 Omega'/A + (alpha + beta/A + gamma/A^2) Omega = 0 at
