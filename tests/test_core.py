@@ -1,12 +1,13 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
-from htaspec import core, nu
+from htaspec import cli, core, nu
 from htaspec.core import CornellParams, MesonSystem, QuantumState, Variant
-from htaspec.errors import DomainError
+from htaspec.errors import DomainError, HtaspecError, NonPhysicalParameters
 
 STATES = ("1S", "2S", "1P", "2P", "3S", "4S", "1D")
 
@@ -227,6 +228,107 @@ class TestNuEquivalence:
             e_closed = core.energy_real(sys_v, st)
             e_nu = core.energy_real_via_nu(sys_v, st)
             assert abs(e_closed - e_nu) <= 1e-9 * max(abs(e_closed), 1e-12)
+
+
+def nu_residual(c, st, energy):
+    """energy_real_via_nu's residual: lambda on branch +1 minus the index rule."""
+    sol = nu.solve(core._real_nu_problem(c, energy), branch=+1)
+    return (sol.lam - (-st.nu * (st.nu - 1) + st.nu * sol.tau[1])).real
+
+
+def fine_grid_residuals(sys_v, st):
+    """(u, residual) at each of energy_real_via_nu's 401 u points, from small
+    u, evaluated lazily: a point that raises ends the walk there."""
+    c = core.constants_real(sys_v, st)
+    beta, gam, nu_idx = c.beta.real, c.gamma.real, st.nu
+    m = sys_v.reduced_mass
+    e_flat = 3 * sys_v.params.b / sys_v.params.delta
+    cden = abs(gam - 6 + nu_idx * (nu_idx - 3))
+    u_hi = 4.0 * (abs(beta) * (2 * nu_idx + 2) / max(4.0 * cden, 1e-9) + abs(beta) + 1.0)
+    for i in range(401):
+        u = u_hi * (1e-6) ** (1 - i / 400.0)
+        yield u, nu_residual(c, st, e_flat - u * u / (8 * m))
+
+
+def fine_scan_root(sys_v, st):
+    """energy_real_via_nu with the one-point-at-a-time bracket walk: the
+    first sign change on the full 401-point grid, then the same brentq call."""
+    from scipy.optimize import brentq
+
+    c = core.constants_real(sys_v, st)
+    m = sys_v.reduced_mass
+    e_flat = 3 * sys_v.params.b / sys_v.params.delta
+    if c.beta.real == 0.0:
+        return e_flat
+    prev_u, prev_r = None, None
+    for u, r in fine_grid_residuals(sys_v, st):
+        if prev_r is not None and (r < 0) != (prev_r < 0):
+            e_lo = e_flat - prev_u ** 2 / (8 * m)
+            e_hi = e_flat - u ** 2 / (8 * m)
+            return brentq(lambda e: nu_residual(c, st, e), min(e_lo, e_hi), max(e_lo, e_hi), xtol=1e-14, rtol=1e-15)
+        prev_u, prev_r = u, r
+    raise NonPhysicalParameters(f"no root of the NU quantization condition for {st.label}", value=None)
+
+
+def fine_sign_changes(sys_v, st):
+    """Sign changes of the residual over the full grid (up to a point that raises)."""
+    count, prev = 0, None
+    try:
+        for _, r in fine_grid_residuals(sys_v, st):
+            count += prev is not None and (r < 0) != (prev < 0)
+            prev = r
+    except HtaspecError:
+        pass
+    return count
+
+
+def outcome(fn, *args):
+    """The float a call returns, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestNuScanIdentity:
+    """energy_real_via_nu's coarse-then-fine bracket scan returns the fine
+    walk's root bit for bit, or raises the same exception type."""
+
+    @staticmethod
+    def assert_identical(sys_v, st):
+        want = outcome(fine_scan_root, sys_v, st)
+        got = outcome(core.energy_real_via_nu, sys_v, st)
+        assert got == want, (sys_v, st)
+
+    def test_check_suite_systems(self):
+        # drawn in the order of the check command's nu suite
+        rng = random.Random(20240817)
+        for _ in range(100):
+            a = rng.uniform(-3, 3)
+            b = rng.uniform(0.1, 1.5)
+            delta = rng.uniform(0.2, 1.5)
+            m = rng.uniform(0.5, 2.5)
+            st = QuantumState(rng.randint(0, 3), rng.randint(0, 2))
+            self.assert_identical(MesonSystem(2 * m, 2 * m, CornellParams(a, b, delta)), st)
+
+    def test_bundled_mesons_figure_states(self, dataset):
+        states = sorted(set(cli._FIG1_STATES + cli._FIG2_STATES))
+        for rec in dataset.values():
+            for n, l in states:
+                self.assert_identical(rec.system(Variant.REAL), QuantumState(n, l))
+
+    def test_wide_box_with_two_sign_changes(self):
+        # n <= 4, l <= 3 as in TestNuEquivalence; this seed's sample holds
+        # systems whose residual changes sign twice on the grid, the case a
+        # coarse scan could get wrong
+        rng = np.random.RandomState(24)
+        seen_two = False
+        for _ in range(100):
+            sys_v = random_system(rng)
+            st = QuantumState(rng.randint(0, 5), rng.randint(0, 4))
+            self.assert_identical(sys_v, st)
+            seen_two = seen_two or fine_sign_changes(sys_v, st) >= 2
+        assert seen_two
 
 
 class TestMonotonicity:
