@@ -19,7 +19,6 @@ them (through waves and confine1d) only when they run.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -48,10 +47,12 @@ _FIG1_STATES = [(n, l) for l in (0, 1, 2) for n in range(6)]
 _FIG2_STATES = [(n, l) for n in (0, 1, 2, 3) for l in range(4)]
 
 
-def _fmt(value: float, digits: int) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    return f"%.{digits}g" % value
+def _fmt(value, digits: int) -> str:
+    # "%g" writes NaN as "nan"; a data-file value may be missing (written
+    # empty) or text (written as it is)
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else f"%.{digits}g" % value
 
 
 def _write_csv(path: str, header: list[str], lines):
@@ -88,48 +89,60 @@ def _common_flags(p: argparse.ArgumentParser):
 
 def cmd_spectrum(args) -> int:
     variant = Variant.parse(args.variant)
-    records = _select_mesons(args)
-    os.makedirs(args.out, exist_ok=True)
     d = args.precision
-    report = fitting.regenerate_tables(records, variant)
-    print(report.pretty())
-    for (label, columns, rows) in report.blocks:
-        _write_csv(
-            os.path.join(args.out, f"{label}_comparison.csv"),
-            list(columns),
-            [",".join(cell if isinstance(cell, str) else ("" if cell is None else _fmt(cell, d)) for cell in row) for row in rows],
-        )
-    for rec in records:
+    # every mass before any output, each state once: a record without
+    # parameters or a non-physical state exits with nothing written
+    spectra = []
+    for rec in _select_mesons(args):
         sys_v = rec.system(variant)
-        rows = []
-        for lv in rec.experimental_levels(variant):
-            model, branch = core.mass_spectrum_detailed(sys_v, lv.state, variant)
-            rows.append(
-                [
-                    lv.label,
-                    str(lv.state.n),
-                    str(lv.state.l),
-                    _fmt(model, d),
-                    _fmt(lv.mass, d) if lv.mass is not None else "",
-                    branch,
-                ]
-            )
+        levels = rec.experimental_levels(variant)
+        masses = {}
+        for st in [lv.state for lv in levels] + [QuantumState(n, l) for n, l in _FIG1_STATES + _FIG2_STATES]:
+            if st not in masses:
+                masses[st] = core.mass_spectrum_detailed(sys_v, st, variant)
+        spectra.append((rec, levels, masses))
+    os.makedirs(args.out, exist_ok=True)
+    for rec, levels, masses in spectra:
+        refs = [rec.reference_masses(lv.label) for lv in levels]
+        ref_names = sorted({name for r in refs for name in r})
+        columns = ["label", "model", "measured", *ref_names]
+        rows = [(lv.label, masses[lv.state][0], lv.mass, *map(r.get, ref_names)) for lv, r in zip(levels, refs)]
+        _print_table(f"== {rec.label} ({variant.value}) ==", columns, rows)
+        _write_csv(
+            os.path.join(args.out, f"{rec.label}_comparison.csv"),
+            columns,
+            [",".join(_fmt(v, d) for v in row) for row in rows],
+        )
         _write_csv(
             os.path.join(args.out, f"{rec.label}_spectrum.csv"),
             ["label", "n", "l", "model_mass", "exp_mass", "branch"],
-            map(",".join, rows),
+            [
+                f"{lv.label},{lv.state.n},{lv.state.l},{_fmt(masses[lv.state][0], d)},{_fmt(lv.mass, d)},{masses[lv.state][1]}"
+                for lv in levels
+            ],
         )
-        fig1 = []
-        for n, l in _FIG1_STATES:
-            mass, _ = core.mass_spectrum_detailed(sys_v, QuantumState(n, l), variant)
-            fig1.append([str(l), str(n), _fmt(mass, d)])
-        _write_csv(os.path.join(args.out, f"fig1_{rec.label}.csv"), ["l", "n", "mass"], map(",".join, fig1))
-        fig2 = []
-        for n, l in _FIG2_STATES:
-            mass, _ = core.mass_spectrum_detailed(sys_v, QuantumState(n, l), variant)
-            fig2.append([str(n), str(l), _fmt(mass, d)])
-        _write_csv(os.path.join(args.out, f"fig2_{rec.label}.csv"), ["n", "l", "mass"], map(",".join, fig2))
+        _write_csv(
+            os.path.join(args.out, f"fig1_{rec.label}.csv"),
+            ["l", "n", "mass"],
+            [f"{l},{n},{_fmt(masses[QuantumState(n, l)][0], d)}" for n, l in _FIG1_STATES],
+        )
+        _write_csv(
+            os.path.join(args.out, f"fig2_{rec.label}.csv"),
+            ["n", "l", "mass"],
+            [f"{n},{l},{_fmt(masses[QuantumState(n, l)][0], d)}" for n, l in _FIG2_STATES],
+        )
     return EXIT_OK
+
+
+def _print_table(title: str, columns: list[str], rows):
+    """Print a title, a left-aligned table and a blank line; a missing value
+    reads "-" and a float keeps three decimals."""
+    cells = [columns] + [["-" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v) for v in row] for row in rows]
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    print(title)
+    for row in cells:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    print()
 
 
 def cmd_fit(args) -> int:

@@ -192,8 +192,6 @@ class HTAConstants:
     gamma: complex
     alpha_slope: float
     alpha_intercept: float
-    variant: Variant
-    p_r: float = 0.0
 
     def alpha(self, energy: float) -> complex:
         return self.alpha_slope * energy + self.alpha_intercept
@@ -217,7 +215,6 @@ def constants_real(sys: MesonSystem, state: QuantumState) -> HTAConstants:
         gamma=complex(-4 * l * (l + 1) - 8 * b * m / d ** 3),
         alpha_slope=8 * m,
         alpha_intercept=-24 * b * m / d,
-        variant=Variant.REAL,
     )
 
 
@@ -231,8 +228,6 @@ def constants_complex(sys: MesonSystem, state: QuantumState, p_r: float = 0.0) -
         gamma=complex(4 * l * (l + 1) + 8 * b * m / d ** 3),
         alpha_slope=-8 * m,
         alpha_intercept=4 * p_r ** 2 + 24 * b * m / d,
-        variant=Variant.COMPLEX,
-        p_r=p_r,
     )
 
 

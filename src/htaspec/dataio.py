@@ -103,14 +103,23 @@ def builtin_dataset_text() -> str:
     return resources.files("htaspec.data").joinpath("mesons.json").read_text()
 
 
-def _parse_params(raw: dict, label: str) -> dict[Variant, CornellParams]:
+def _variant(token, where: str) -> Variant:
+    try:
+        return Variant.parse(token)
+    except DomainError as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
+def _parse_params(raw, where: str) -> dict[Variant, CornellParams]:
+    if not isinstance(raw or {}, dict):
+        raise InputError(f"{where}: 'params' must be an object keyed by variant")
     out = {}
     for token, p in (raw or {}).items():
-        variant = Variant.parse(token)
+        variant = _variant(token, where)
         try:
             out[variant] = CornellParams(float(p["a"]), float(p["b"]), float(p["delta"]))
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"meson {label!r}: bad {token} parameter block: {exc}") from None
+            raise InputError(f"{where}: bad {token} parameter block: {exc}") from None
     return out
 
 
@@ -140,36 +149,42 @@ def load_dataset(source: str | None = None) -> list[MesonRecord]:
             m_qbar = float(raw["m_qbar"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{origin}: malformed meson entry: {exc}") from None
+        where = f"{origin}: meson {label!r}"
         if not (m_q > 0 and m_qbar > 0):
-            raise InputError(f"{origin}: meson {label!r}: quark masses must be positive")
+            raise InputError(f"{where}: quark masses must be positive")
         levels = raw.get("levels") or []
+        if not isinstance(levels, list):
+            raise InputError(f"{where}: 'levels' must be a list")
         for lv in levels:
-            if "label" not in lv:
-                raise InputError(f"{origin}: meson {label!r}: level without a label")
+            if not isinstance(lv, dict) or not isinstance(lv.get("label"), str):
+                raise InputError(f"{where}: each level must be an object with a text label")
             try:
                 QuantumState.from_label(lv["label"])
             except DomainError as exc:
-                raise InputError(f"{origin}: meson {label!r}: {exc}") from None
+                raise InputError(f"{where}: {exc}") from None
+            for key in ("this_work", "reference_masses"):
+                if not isinstance(lv.get(key) or {}, dict):
+                    raise InputError(f"{where} level {lv['label']}: {key!r} must be an object")
             mass = lv.get("exp_mass")
             if mass is not None:
                 if not (isinstance(mass, (int, float)) and math.isfinite(mass)):
-                    raise InputError(f"{origin}: meson {label!r} level {lv['label']}: bad mass {mass!r}")
+                    raise InputError(f"{where} level {lv['label']}: bad mass {mass!r}")
                 if mass <= m_q + m_qbar - 1.0:
                     raise InputError(
-                        f"{origin}: meson {label!r} level {lv['label']}: mass {mass} below the "
+                        f"{where} level {lv['label']}: mass {mass} below the "
                         f"constituent-sum sanity bound"
                     )
-        fit_levels = {}
-        for token, labels in (raw.get("fit_levels") or {}).items():
-            fit_levels[Variant.parse(token)] = tuple(labels)
+        fit_levels = raw.get("fit_levels") or {}
+        if not isinstance(fit_levels, dict) or not all(isinstance(v, list) for v in fit_levels.values()):
+            raise InputError(f"{where}: 'fit_levels' must map each variant to a list of labels")
         records.append(
             MesonRecord(
                 label=label,
                 m_q=m_q,
                 m_qbar=m_qbar,
-                params=_parse_params(raw.get("params"), label),
+                params=_parse_params(raw.get("params"), where),
                 levels=tuple(levels),
-                fit_levels=fit_levels,
+                fit_levels={_variant(token, where): tuple(labels) for token, labels in fit_levels.items()},
             )
         )
     return records

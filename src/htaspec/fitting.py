@@ -27,13 +27,11 @@ __all__ = [
     "ExperimentalLevel",
     "LevelResult",
     "FitResult",
-    "SpectrumReport",
     "residual",
     "per_level_results",
     "fit",
     "nelder_mead",
     "default_seeds",
-    "regenerate_tables",
 ]
 
 _PENALTY_GEV = 10.0
@@ -72,7 +70,6 @@ class FitResult:
     params: CornellParams
     residual_rms: float
     per_level: tuple[LevelResult, ...]
-    branch_choices: tuple[tuple[str, str], ...]
     converged: bool
     n_eval: int = 0
 
@@ -262,63 +259,6 @@ def fit(
         params=params,
         residual_rms=residual(sys_fit, used, variant),
         per_level=rows,
-        branch_choices=tuple((r.label, r.branch) for r in rows),
         converged=converged,
         n_eval=total_eval,
     )
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Model-vs-measured-vs-comparison tables for a set of mesons.
-
-    blocks maps a meson label to (column_names, rows); the first three
-    columns are always label/model/measured, followed by one column per
-    comparison model present in the data.
-    """
-
-    variant: Variant
-    blocks: tuple[tuple[str, tuple[str, ...], tuple[tuple, ...]], ...]
-
-    def pretty(self) -> str:
-        out = []
-        for label, columns, rows in self.blocks:
-            out.append(f"== {label} ({self.variant.value}) ==")
-            widths = [max(len(str(c)), *(len(_cell(r[i])) for r in rows)) if rows else len(str(c)) for i, c in enumerate(columns)]
-            out.append("  ".join(str(c).ljust(w) for c, w in zip(columns, widths)))
-            for r in rows:
-                out.append("  ".join(_cell(v).ljust(w) for v, w in zip(r, widths)))
-            out.append("")
-        return "\n".join(out)
-
-
-def _cell(v) -> str:
-    if v is None:
-        return "-"
-    if isinstance(v, float):
-        return f"{v:.3f}"
-    return str(v)
-
-
-def regenerate_tables(records, variant: Variant | str = Variant.REAL) -> SpectrumReport:
-    """Per-meson tables of model vs measured vs comparison-model masses.
-
-    Each record is evaluated at the parameters shipped with it.  Records
-    lacking parameters for the variant are skipped with their label
-    preserved and an empty block.
-    """
-    variant = Variant.parse(variant)
-    blocks = []
-    for rec in records:
-        levels = rec.experimental_levels(variant)
-        ref_names = sorted({name for lv in levels for name in rec.reference_masses(lv.label)})
-        columns = ("label", "model", "measured", *ref_names)
-        if variant not in rec.params:
-            blocks.append((rec.label, columns, ()))
-            continue
-        rows = []
-        for lr in per_level_results(rec.system(variant), levels, variant):
-            refs = rec.reference_masses(lr.label)
-            rows.append((lr.label, lr.model_mass, lr.exp_mass, *(refs.get(n) for n in ref_names)))
-        blocks.append((rec.label, columns, tuple(rows)))
-    return SpectrumReport(variant=variant, blocks=tuple(blocks))

@@ -153,8 +153,8 @@ def solve_k(problem: NUProblem) -> list[complex]:
 
     K is branch-independent (the branch only picks the sign of the square
     root).  A radicand that degenerates to a K-independent constant gives no
-    constraint; an empty list is returned and the caller sees the diagnostic
-    in the docstringed contract.
+    constraint.  When no K qualifies the list is empty, and solve raises
+    ConsistencyError.
     """
     h0, h1 = _half_diff(problem)
     st0, st1, st2 = problem.sigma_tilde

@@ -156,7 +156,9 @@ def _rodrigues_coeffs(params: WaveParams, n: int) -> tuple[complex, ...]:
 
 
 def psi_n(params: WaveParams, n: int, r, p_r):
-    """Closed-form psi_n via the incomplete-gamma sum (real variant).
+    """Closed-form psi_n: the incomplete-gamma sum for the real variant, and
+    the momentum-coupled ground state for complex5 (n = 0 only; another n
+    raises DomainError).
 
     r and p_r broadcast against each other: scalars give a complex, arrays a
     complex array, with one Gamma(s, z) call per Rodrigues term.

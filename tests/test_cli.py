@@ -70,7 +70,7 @@ class TestSpectrum:
         for name in os.listdir(d1):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
-    def test_nonphysical_params_exit_3(self, tmp_path):
+    def test_nonphysical_params_exit_3(self, tmp_path, capsys):
         doc = {
             "mesons": [
                 {
@@ -85,6 +85,36 @@ class TestSpectrum:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         assert run(["spectrum", "--input", str(p), "--out", str(tmp_path)]) == 3
+        assert os.listdir(tmp_path) == ["bad.json"]
+        assert capsys.readouterr().out == ""
+
+    def test_missing_variant_params_exit_2(self, tmp_path, capsys):
+        good = {"label": "good", "m_q": 1.23, "m_qbar": 1.23, "params": {"real7": {"a": -1.6808, "b": 0.4069, "delta": 0.5074}}}
+        doc = {"mesons": [good, {"label": "noparams", "m_q": 1.23, "m_qbar": 1.23}]}
+        p = tmp_path / "noparams.json"
+        p.write_text(json.dumps(doc))
+        assert run(["spectrum", "--input", str(p), "--out", str(tmp_path)]) == 2
+        assert os.listdir(tmp_path) == ["noparams.json"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'noparams' has no stored parameters for real7" in captured.err
+
+    def test_each_mass_computed_once(self, tmp_path, monkeypatch):
+        from htaspec import core, fitting
+
+        states = []
+        orig = core.mass_spectrum_detailed
+
+        def counting(sys_v, state, variant):
+            states.append(state)
+            return orig(sys_v, state, variant)
+
+        # counted under each name a caller can look it up by
+        monkeypatch.setattr(core, "mass_spectrum_detailed", counting)
+        monkeypatch.setattr(fitting, "mass_spectrum_detailed", counting)
+        assert run(["spectrum", "--meson", "ccbar", "--out", str(tmp_path)]) == 0
+        # 7 levels, all among the 22 distinct figure states (18 + 16 - 12 shared)
+        assert len(states) == len(set(states)) == 22
 
 
 class TestFit:
@@ -256,3 +286,23 @@ class TestComparisonReport:
         out = capsys.readouterr().out
         assert "== ccbar (real7) ==" in out
         assert "measured" in out
+
+    def test_model_column_matches_stored_model_values(self, tmp_path, dataset):
+        from htaspec.core import Variant
+
+        run(["spectrum", "--meson", "ccbar", "--out", str(tmp_path)])
+        rows = read_csv(tmp_path / "ccbar_comparison.csv")
+        assert len(rows) == 7
+        for row in rows:
+            assert float(row["model"]) == pytest.approx(dataset["ccbar"].this_work(row["label"], Variant.REAL), abs=15e-3)
+
+    def test_bbbar_1p_value(self, tmp_path):
+        run(["spectrum", "--meson", "bbbar", "--out", str(tmp_path)])
+        row = next(r for r in read_csv(tmp_path / "bbbar_comparison.csv") if r["label"] == "1P")
+        assert float(row["model"]) == pytest.approx(9.899, abs=15e-3)
+        assert float(row["measured"]) == pytest.approx(9.899)
+
+    def test_reference_columns_present(self, tmp_path):
+        run(["spectrum", "--meson", "ccbar", "--out", str(tmp_path)])
+        header = (tmp_path / "ccbar_comparison.csv").read_text().splitlines()[0].split(",")
+        assert "dirac_gcp" in header and "wkb_ikp" in header

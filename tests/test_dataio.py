@@ -92,6 +92,26 @@ class TestValidation:
         with pytest.raises(InputError):
             rec.system(Variant.REAL)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"params": {"real8": {"a": -1.0, "b": 0.5, "delta": 0.5}}},
+            {"fit_levels": {"real8": ["1S"]}},
+            {"levels": [5]},
+            {"params": [1, 2]},
+            {"fit_levels": {"real7": 5}},
+            {"levels": [{"label": "1S", "exp_mass": 3.0, "reference_masses": [1]}]},
+        ],
+        ids=["params-variant", "fit-levels-variant", "level-not-object", "params-not-object",
+             "fit-levels-not-list", "reference-masses-not-object"],
+    )
+    def test_malformed_shape_is_input_error(self, tmp_path, entry):
+        doc = {"mesons": [{"label": "x", "m_q": 1.0, "m_qbar": 1.0, "levels": [{"label": "1S", "exp_mass": 3.0}], **entry}]}
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InputError):
+            dataio.load_dataset(str(p))
+
     def test_include_override(self, tmp_path):
         doc = {
             "mesons": [

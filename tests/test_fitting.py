@@ -63,6 +63,16 @@ class TestResidual:
         assert math.isfinite(r)
         assert r == pytest.approx(10.0, rel=1e-6)
 
+    def test_synthetic_round_trip_residual(self, dataset):
+        # stored parameters against the stored model column: sub-MeV rms
+        rec = dataset["ccbar"]
+        sys_v = rec.system(Variant.REAL)
+        levels = [
+            fitting.ExperimentalLevel(lv.label, lv.state, rec.this_work(lv.label, Variant.REAL), True)
+            for lv in rec.experimental_levels(Variant.REAL)
+        ]
+        assert fitting.residual(sys_v, levels) < 1e-3
+
 
 class TestNelderMead:
     def test_quadratic_bowl(self):
@@ -167,8 +177,8 @@ class TestFit:
         sys_v = rec.system(Variant.REAL)
         levels = rec.experimental_levels(Variant.REAL)
         result = fitting.fit(sys_v, levels, seeds=[sys_v.params])
-        assert len(result.branch_choices) == len(levels)
-        assert all(branch in ("+", "-") for _, branch in result.branch_choices)
+        assert len(result.per_level) == len(levels)
+        assert all(lr.branch in ("+", "-") for lr in result.per_level)
 
     def test_seeded_at_stored_point_never_worse(self, dataset):
         for meson in ("ccbar", "bbbar"):
@@ -187,52 +197,3 @@ class TestDefaultSeeds:
         a_star = 3 * params.b / params.delta**2
         assert any(s.a > a_star for s in seeds)
         assert any(s.a < a_star for s in seeds)
-
-
-class TestRegenerateTables:
-    def test_real_column_matches_stored_model_values(self, dataset):
-        from htaspec import fitting as ft
-
-        report = ft.regenerate_tables([dataset["ccbar"]], Variant.REAL)
-        label, columns, rows = report.blocks[0]
-        assert label == "ccbar"
-        for row in rows:
-            stored = dataset["ccbar"].this_work(row[0], Variant.REAL)
-            assert row[1] == pytest.approx(stored, abs=15e-3)
-
-    def test_bbbar_1p_value(self, dataset):
-        from htaspec import fitting as ft
-
-        report = ft.regenerate_tables([dataset["bbbar"]], Variant.REAL)
-        _, columns, rows = report.blocks[0]
-        row = next(r for r in rows if r[0] == "1P")
-        assert row[1] == pytest.approx(9.899, abs=15e-3)
-        assert row[2] == pytest.approx(9.899)
-
-    def test_empty_meson_list(self):
-        from htaspec import fitting as ft
-
-        report = ft.regenerate_tables([], Variant.REAL)
-        assert report.blocks == ()
-        assert report.pretty() == ""
-
-    def test_reference_columns_present(self, dataset):
-        from htaspec import fitting as ft
-
-        report = ft.regenerate_tables([dataset["ccbar"]], Variant.REAL)
-        _, columns, _ = report.blocks[0]
-        assert "dirac_gcp" in columns and "wkb_ikp" in columns
-
-    def test_synthetic_round_trip_residual(self, dataset):
-        # stored parameters against the stored model column: sub-MeV rms
-        import math
-
-        from htaspec import core, fitting as ft
-
-        rec = dataset["ccbar"]
-        sys_v = rec.system(Variant.REAL)
-        levels = [
-            ft.ExperimentalLevel(lv.label, lv.state, rec.this_work(lv.label, Variant.REAL), True)
-            for lv in rec.experimental_levels(Variant.REAL)
-        ]
-        assert ft.residual(sys_v, levels) < 1e-3

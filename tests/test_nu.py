@@ -112,6 +112,16 @@ class TestPiPoly:
         with pytest.raises(ConsistencyError):
             nu.pi_poly(prob, k + 1.0, +1)
 
+    # a rotated-real problem with small |beta| (a 2P level's residual on the
+    # energy_real_via_nu grid, past its first sign change): solve_k's K
+    # leaves a constant-term residual of 1.1e-7 against _sqrt_radicand's
+    # bound of 1e-8
+    @pytest.mark.xfail(raises=ConsistencyError, strict=True, reason="false perfect-square rejection at small |beta|")
+    def test_small_beta_radicand_is_a_square(self):
+        prob = rotated_problem(-7.529761396044542, -0.00284706153079739, -11.280918571323735)
+        sol = nu.solve(prob)
+        assert sol.lam == sol.k + sol.pi[1]
+
 
 class TestTauLambda:
     def test_rotated_minus_branch_tau(self):
