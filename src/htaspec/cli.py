@@ -4,9 +4,11 @@
     htaspec fit      [--seed-from-paper] ...
     htaspec grid     --meson L --state 1S [--n N] [axis flags] ...
     htaspec scan     --param a --lo -10 --hi 10 --steps 201 ...
-    htaspec check    [--suite nu|quadrature|moment|all]
+    htaspec check    [--input F] [--suite nu|quadrature|moment|all]
 
---precision D (significant digits of CSV floats, default 17) needs D >= 1.
+spectrum, fit, grid and scan take --input F, --variant V, --out D, --meson L
+and --precision D (significant digits of CSV floats, default 17; D >= 1).
+check takes only --input, --suite and --out (it writes no file).
 
 Exit codes: 0 ok, 2 input error, 3 non-physical parameters, 4 fit failure,
 5 internal numeric failure.  Outputs are CSV with fixed float formatting and
@@ -49,7 +51,7 @@ _FIG2_STATES = [(n, l) for n in (0, 1, 2, 3) for l in range(4)]
 
 def _fmt(value, digits: int) -> str:
     # "%g" writes NaN as "nan"; a data-file value may be missing (written
-    # empty) or text (written as it is)
+    # empty); a level label is text (written as it is)
     if value is None:
         return ""
     return value if isinstance(value, str) else f"%.{digits}g" % value
@@ -368,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check", help="run the cross-validation oracles")
-    _common_flags(p)
+    p.add_argument("--input", default=None, help="meson data file (JSON); default: bundled dataset")
+    p.add_argument("--out", default=".", help="output directory (check writes no file)")
     p.add_argument("--suite", default="all", choices=["nu", "quadrature", "moment", "all"])
     p.set_defaults(func=cmd_check)
 

@@ -9,11 +9,11 @@ Input schema (JSON):
          "fit_levels": {"real7": ["1S", ...], ...},                   # optional; default =
                                                                       # every level with data
          "levels": [
-            {"label": "1S",
+            {"label": "1S",                                           # unique within the meson
              "exp_mass": GeV or null,
              "include_in_fit": bool,                                  # optional override
-             "this_work": {"real7": GeV, ...},                        # optional, reference output
-             "reference_masses": {model_name: GeV, ...}}              # optional comparison data
+             "this_work": {"real7": GeV or null, ...},                # optional, reference output
+             "reference_masses": {model_name: GeV or null, ...}}      # optional comparison data
          ]}
     ]}
 
@@ -123,6 +123,11 @@ def _parse_params(raw, where: str) -> dict[Variant, CornellParams]:
     return out
 
 
+def _number_or_null(value) -> bool:
+    # exact types: JSON true/false arrive as bools, a subclass of int
+    return value is None or (type(value) in (int, float) and math.isfinite(value))
+
+
 def load_dataset(source: str | None = None) -> list[MesonRecord]:
     """Parse a dataset path (or the bundled one when source is None)."""
     if source is None or source == DEFAULT_DATASET:
@@ -155,6 +160,7 @@ def load_dataset(source: str | None = None) -> list[MesonRecord]:
         levels = raw.get("levels") or []
         if not isinstance(levels, list):
             raise InputError(f"{where}: 'levels' must be a list")
+        seen = set()
         for lv in levels:
             if not isinstance(lv, dict) or not isinstance(lv.get("label"), str):
                 raise InputError(f"{where}: each level must be an object with a text label")
@@ -162,18 +168,24 @@ def load_dataset(source: str | None = None) -> list[MesonRecord]:
                 QuantumState.from_label(lv["label"])
             except DomainError as exc:
                 raise InputError(f"{where}: {exc}") from None
+            if lv["label"] in seen:
+                raise InputError(f"{where}: level {lv['label']} appears more than once")
+            seen.add(lv["label"])
             for key in ("this_work", "reference_masses"):
-                if not isinstance(lv.get(key) or {}, dict):
+                values = lv.get(key) or {}
+                if not isinstance(values, dict):
                     raise InputError(f"{where} level {lv['label']}: {key!r} must be an object")
+                for name, value in values.items():
+                    if not _number_or_null(value):
+                        raise InputError(f"{where} level {lv['label']}: {key} {name!r} is {value!r}, not a number or null")
             mass = lv.get("exp_mass")
-            if mass is not None:
-                if not (isinstance(mass, (int, float)) and math.isfinite(mass)):
-                    raise InputError(f"{where} level {lv['label']}: bad mass {mass!r}")
-                if mass <= m_q + m_qbar - 1.0:
-                    raise InputError(
-                        f"{where} level {lv['label']}: mass {mass} below the "
-                        f"constituent-sum sanity bound"
-                    )
+            if not _number_or_null(mass):
+                raise InputError(f"{where} level {lv['label']}: bad mass {mass!r}")
+            if mass is not None and mass <= m_q + m_qbar - 1.0:
+                raise InputError(
+                    f"{where} level {lv['label']}: mass {mass} below the "
+                    f"constituent-sum sanity bound"
+                )
         fit_levels = raw.get("fit_levels") or {}
         if not isinstance(fit_levels, dict) or not all(isinstance(v, list) for v in fit_levels.values()):
             raise InputError(f"{where}: 'fit_levels' must map each variant to a list of labels")

@@ -257,7 +257,7 @@ def fit(
     rows = per_level_results(sys_fit, levels, variant)
     return FitResult(
         params=params,
-        residual_rms=residual(sys_fit, used, variant),
+        residual_rms=fval,  # the objective at x is residual(sys_fit, used, variant)
         per_level=rows,
         converged=converged,
         n_eval=total_eval,

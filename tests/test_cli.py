@@ -268,6 +268,13 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
 
+    @pytest.mark.parametrize("flag", [["--meson", "ccbar"], ["--variant", "complex5"], ["--precision", "3"]])
+    def test_flags_it_never_reads_exit_2(self, flag):
+        # check writes no CSV and runs one variant on the first meson it can
+        with pytest.raises(SystemExit) as exc:
+            run(["check", "--suite", "moment", *flag])
+        assert exc.value.code == 2
+
 
 class TestHelp:
     @pytest.mark.parametrize("sub", ["spectrum", "fit", "grid", "scan", "check"])

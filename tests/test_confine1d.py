@@ -6,6 +6,7 @@ import pytest
 
 from htaspec import confine1d as c1
 from htaspec import special
+from htaspec.core import Variant
 from htaspec.errors import DomainError
 
 
@@ -137,6 +138,56 @@ class TestNormalization:
         # and the further-reduced printed constant is not even a rescaling
         # of the sqrt form (the square root was dropped in the reduction)
         assert c1.closed_form_c1_reduced(sys_cc) < 1e-3 * c1.closed_form_c1(sys_cc)
+
+
+def _nested_norm_integral(sys, e0, arg_cut):
+    """Reference for _norm_integral: adaptive quadrature over r inside one
+    over p_r, both truncated where the Airy argument reaches arg_cut."""
+    from scipy.integrate import quad
+
+    m, b = sys.m, sys.b
+    w = sys.omega ** (-1.0 / 3.0)
+    p_max = math.sqrt(max(2.0 * m * (arg_cut / w + e0), 0.0)) + 1e-12
+
+    def inner(p):
+        hi = (arg_cut / w + e0 - p * p / (2.0 * m)) / b
+        if hi <= 0:
+            return 0.0
+        f = lambda r: special.airy_ai((p * p / (2.0 * m) + b * r - e0) * w) ** 2 * r * r
+        return quad(f, 0.0, hi, limit=200, epsabs=1e-13, epsrel=1e-11)[0]
+
+    return 2.0 * quad(inner, 0.0, p_max, limit=200, epsabs=1e-12, epsrel=1e-9)[0]
+
+
+class TestClosedFormR:
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("meson", ["ccbar", "bbbar", "bcbar"])
+    def test_matches_nested_quadrature(self, dataset, meson, variant):
+        sys_v = dataset[meson].system(variant)
+        one = c1.Confinement1DSystem(sys_v.reduced_mass, sys_v.params.b)
+        e0 = c1.energy_1d(one, 0, 0.0)
+        ref = {cut: _nested_norm_integral(one, e0, cut) for cut in (15.0, 19.0)}
+        for cut, want in ref.items():
+            assert c1._norm_integral(one, e0, cut) == pytest.approx(want, rel=1e-12)
+        assert c1.normalize_1d(one, e0) == pytest.approx(1.0 / math.sqrt(4.0 * math.pi * ref[19.0]), rel=1e-12)
+
+    def test_r_moment_against_mpmath(self):
+        # oracle: the defining integral by mpmath quadrature (Ai(x + 25)^2 is
+        # below 1e-50 here, so the cut at s = 25 is invisible)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(20):
+            for x in np.linspace(-6.0, 5.0, 12):
+                want = mp.quad(lambda s: mp.airyai(x + s) ** 2 * s**2, [0, 6, 25])
+                assert c1._airy_r2_moment(float(x)) == pytest.approx(float(want), rel=1e-11)
+
+    def test_airy_calls_bounded(self, sys_cc, monkeypatch):
+        calls = []
+        for name in ("airy_ai", "airy_ai_prime"):
+            orig = getattr(special, name)
+            monkeypatch.setattr(special, name, lambda x, orig=orig: calls.append(x) or orig(x))
+        c1.normalize_1d(sys_cc, c1.energy_1d(sys_cc, 0, 0.0))
+        # 24,024 with the nested r quadrature; 420 with r in closed form
+        assert len(calls) <= 1000
 
 
 class TestMomentIdentity:

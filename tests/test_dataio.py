@@ -101,9 +101,18 @@ class TestValidation:
             {"params": [1, 2]},
             {"fit_levels": {"real7": 5}},
             {"levels": [{"label": "1S", "exp_mass": 3.0, "reference_masses": [1]}]},
+            {"levels": [{"label": "1S", "exp_mass": 3.0, "reference_masses": {"m": 3.1}}, {"label": "1S"}]},
+            {"levels": [{"label": "1S", "exp_mass": 3.0, "reference_masses": {"m": "a,b"}}]},
+            {"levels": [{"label": "1S", "exp_mass": 3.0, "reference_masses": {"m": True}}]},
+            {"levels": [{"label": "1S", "exp_mass": 3.0, "reference_masses": {"m": [3.1]}}]},
+            {"levels": [{"label": "1S", "exp_mass": 3.0, "this_work": {"real7": "3.1"}}]},
+            {"levels": [{"label": "1S", "exp_mass": 3.0, "this_work": {"real7": float("inf")}}]},
+            {"levels": [{"label": "1S", "exp_mass": True}]},
         ],
         ids=["params-variant", "fit-levels-variant", "level-not-object", "params-not-object",
-             "fit-levels-not-list", "reference-masses-not-object"],
+             "fit-levels-not-list", "reference-masses-not-object", "duplicate-level-label",
+             "reference-mass-text", "reference-mass-bool", "reference-mass-list", "this-work-text",
+             "this-work-infinite", "exp-mass-bool"],
     )
     def test_malformed_shape_is_input_error(self, tmp_path, entry):
         doc = {"mesons": [{"label": "x", "m_q": 1.0, "m_qbar": 1.0, "levels": [{"label": "1S", "exp_mass": 3.0}], **entry}]}

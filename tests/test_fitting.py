@@ -172,6 +172,19 @@ class TestFit:
         result = fitting.fit(sys_v, levels, seeds=[sys_v.params])
         assert result.recomputed_rms() == pytest.approx(result.residual_rms, abs=1e-12)
 
+    def test_optimum_scored_once(self, dataset, monkeypatch):
+        rec = dataset["ccbar"]
+        sys_v = rec.system(Variant.REAL)
+        levels = rec.experimental_levels(Variant.REAL)
+        calls = []
+        orig = fitting.residual
+        monkeypatch.setattr(fitting, "residual", lambda *a: calls.append(a) or orig(*a))
+        result = fitting.fit(sys_v, levels)
+        # every residual comes from a Nelder-Mead objective call, none after
+        assert 0 < len(calls) <= result.n_eval
+        sys_fit = MesonSystem(sys_v.m_q, sys_v.m_qbar, result.params, sys_v.label)
+        assert result.residual_rms == orig(sys_fit, levels)
+
     def test_branch_choices_recorded(self, dataset):
         rec = dataset["ccbar"]
         sys_v = rec.system(Variant.REAL)
