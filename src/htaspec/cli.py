@@ -138,8 +138,9 @@ def cmd_spectrum(args) -> int:
 
 def _print_table(title: str, columns: list[str], rows):
     """Print a title, a left-aligned table and a blank line; a missing value
-    reads "-" and a float keeps three decimals."""
-    cells = [columns] + [["-" if v is None else f"{v:.3f}" if isinstance(v, float) else str(v) for v in row] for row in rows]
+    reads "-", text is printed as it is and every number keeps three
+    decimals (a data-file 3 reads 3.000, as 3.0 does)."""
+    cells = [columns] + [["-" if v is None else v if isinstance(v, str) else f"{v:.3f}" for v in row] for row in rows]
     widths = [max(map(len, col)) for col in zip(*cells)]
     print(title)
     for row in cells:

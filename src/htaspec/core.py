@@ -3,9 +3,16 @@ closed-form energy levels, mass spectra, and parameter scans.
 
 Conventions (natural units, hbar = 1, energies in GeV):
 
-* The Cornell potential is V(r) = a/r + b r; the reciprocal term is expanded
-  to second order about the characteristic point delta = 1/A0, giving
-  1/x ~ 3/delta - 3 x/delta^2 + x^2/delta^3.
+* The Cornell potential V(r) = a/r + b r reads a x + b/x in x = 1/r.  Its
+  reciprocal term is expanded to second order about the characteristic
+  point x = delta = 1/A0, which must be positive (x = 1/r is), giving the
+  quadratic of cornell_quadratic:
+
+      V ~ C0 + C1 x + C2 x^2,  (C0, C1, C2) = (3b/delta, a - 3b/delta^2, b/delta^3).
+
+  Every constant below is read from this one map.  Its vertex C1 = 0
+  (a = 3b/delta^2) is the flat potential: every level of both variants
+  collapses onto E = C0.
 
 * Two variants of the spectrum exist.  The *real* variant ("real7") first
   strips the phase factor exp(-2 i p_r r) from the wave function, which
@@ -18,9 +25,12 @@ Conventions (natural units, hbar = 1, energies in GeV):
   formulas are written in the 1-based radial number nu = n + 1; that is the
   indexing under which they reproduce the published spectra.
 
-* Real-variant quantization: with beta = -8am + 24bm/delta^2,
-  gamma = -4l(l+1) - 8bm/delta^3, and u = sqrt(-alpha) (alpha = 8mE -
-  24bm/delta, negative for bound states), the level condition is
+* Real-variant constants at a level energy E (real_constants):
+
+      alpha = 8m(E - C0),  beta = -8m C1,  gamma = -4l(l+1) - 8m C2.
+
+  With u = sqrt(-alpha) (alpha < 0 for bound states), so E = C0 - u^2/(8m),
+  the level condition is
 
       beta^2 + 2 |beta| u (1 - 2 nu) + 4 u^2 (gamma - 6 + nu(nu - 3)) = 0.
 
@@ -29,20 +39,23 @@ Conventions (natural units, hbar = 1, energies in GeV):
   regardless of beta's sign, paired with the index rule
   -nu(nu - 1) + nu tau' (the tau' term enters with the opposite sign to the
   textbook rule of nu.lambda_n).  This makes the spectrum an even function
-  of beta, i.e. symmetric in a about the vertex a = 3b/delta^2 (each level
-  is reached from two a values).  The pairing is kept exactly because it is
-  the quantization convention behind the fitted spectra; energy_real_via_nu
-  reproduces it through the generic NU machinery.  The wave functions
-  (waves module) use the minus branch instead, whose phi decays at large
-  separation; only that branch is normalizable.
+  of beta, i.e. of C1: symmetric in a about the vertex (each level is
+  reached from a and from a - 2 C1).  The pairing is kept exactly because it
+  is the quantization convention behind the fitted spectra;
+  energy_real_via_nu reproduces it through the generic NU machinery.  The
+  wave functions (waves module) use the minus branch instead, whose phi
+  decays at large separation; only that branch is normalizable.
 
-* Complex-variant quantization is the textbook pairing: with
-  g = 4 i p_r + beta_c, v = sqrt(alpha_c - 4 p_r^2),
+* Complex-variant constants are the real ones mirrored, at momentum p_r:
+
+      alpha_c = 4 p_r^2 - alpha,  beta_c = -beta - 8 i p_r,  gamma_c = -gamma.
+
+  Its quantization is the textbook pairing: with g = 4 i p_r + beta_c and
+  v = sqrt(alpha_c - 4 p_r^2) = sqrt(-alpha),
 
       g^2 + 2 g v (2 nu + 1) + 4 v^2 (nu(nu + 1) - 2 - gamma_c) = 0,
 
-  where beta_c = 8am - 24bm/delta^2 - 8 i p_r and gamma_c = 4l(l+1)
-  + 8bm/delta^3.  E = 3b/delta - v^2/(8m) in both variants.
+  and again E = C0 - v^2/(8m).
 """
 
 from __future__ import annotations
@@ -64,10 +77,8 @@ __all__ = [
     "CornellParams",
     "MesonSystem",
     "QuantumState",
-    "HTAConstants",
-    "reciprocal_series",
-    "constants_real",
-    "constants_complex",
+    "cornell_quadratic",
+    "real_constants",
     "energy_real",
     "energy_real_candidates",
     "energy_real_via_nu",
@@ -179,56 +190,22 @@ class QuantumState:
         return self.n + 1
 
 
-@dataclass(frozen=True)
-class HTAConstants:
-    """The alpha/beta/gamma constants of one variant.
-
-    beta and gamma are fully determined by the system; alpha depends on the
-    (unknown) level energy, so it is kept as the linear map
-    alpha(E) = alpha_slope * E + alpha_intercept.
-    """
-
-    beta: complex
-    gamma: complex
-    alpha_slope: float
-    alpha_intercept: float
-
-    def alpha(self, energy: float) -> complex:
-        return self.alpha_slope * energy + self.alpha_intercept
+def cornell_quadratic(params: CornellParams) -> tuple[float, float, float]:
+    """(C0, C1, C2) of V ~ C0 + C1 x + C2 x^2: the Cornell potential a x + b/x
+    in x = 1/r, with b/x expanded to second order about x = delta > 0."""
+    a, b, d = params.a, params.b, params.delta
+    if d <= 0:
+        raise DomainError(f"the expansion point x = delta must be positive (x = 1/r), got {d}")
+    return 3 * b / d, a - 3 * b / d ** 2, b / d ** 3
 
 
-def reciprocal_series(delta: float) -> tuple[float, float, float]:
-    """Second-order expansion of 1/x about x = delta: (3/d, -3/d^2, 1/d^3)."""
-    delta = float(delta)
-    if delta == 0 or not math.isfinite(delta):
-        raise DomainError(f"reciprocal_series: delta must be finite and nonzero, got {delta}")
-    return (3.0 / delta, -3.0 / delta ** 2, 1.0 / delta ** 3)
-
-
-def constants_real(sys: MesonSystem, state: QuantumState) -> HTAConstants:
-    """Real-variant constants: beta = -8am + 24bm/d^2, gamma = -4l(l+1) - 8bm/d^3."""
-    a, b, d = sys.params.a, sys.params.b, sys.params.delta
+def real_constants(sys: MesonSystem, state: QuantumState, energy: float) -> tuple[float, float, float]:
+    """Real-variant (alpha, beta, gamma) at a level energy:
+    (8m(E - C0), -8m C1, -4l(l+1) - 8m C2)."""
+    c0, c1, c2 = cornell_quadratic(sys.params)
     m = sys.reduced_mass
     l = state.l
-    return HTAConstants(
-        beta=complex(-8 * a * m + 24 * b * m / d ** 2),
-        gamma=complex(-4 * l * (l + 1) - 8 * b * m / d ** 3),
-        alpha_slope=8 * m,
-        alpha_intercept=-24 * b * m / d,
-    )
-
-
-def constants_complex(sys: MesonSystem, state: QuantumState, p_r: float = 0.0) -> HTAConstants:
-    """Complex-variant constants; alpha(E) = -8mE + 4 p_r^2 + 24bm/d."""
-    a, b, d = sys.params.a, sys.params.b, sys.params.delta
-    m = sys.reduced_mass
-    l = state.l
-    return HTAConstants(
-        beta=8 * a * m - 24 * b * m / d ** 2 - 8j * p_r,
-        gamma=complex(4 * l * (l + 1) + 8 * b * m / d ** 3),
-        alpha_slope=-8 * m,
-        alpha_intercept=4 * p_r ** 2 + 24 * b * m / d,
-    )
+    return 8 * m * (energy - c0), -8 * m * c1, -4 * l * (l + 1) - 8 * m * c2
 
 
 def energy_real_candidates(sys: MesonSystem, state: QuantumState) -> list[tuple[float, str]]:
@@ -238,19 +215,14 @@ def energy_real_candidates(sys: MesonSystem, state: QuantumState) -> list[tuple[
     for the lower one.  In the fitted parameter domains exactly one root is
     physical; both are returned when they exist.
     """
-    a, b, d = sys.params.a, sys.params.b, sys.params.delta
-    if d <= 0:
-        raise DomainError(f"real-variant spectrum requires delta > 0, got {d}")
+    e_flat, c1, _ = cornell_quadratic(sys.params)
+    if c1 == 0:
+        # the vertex: every level collapses onto C0
+        return [(e_flat, "+")]
     m = sys.reduced_mass
     nu_idx = state.nu
-    c = constants_real(sys, state)
-    beta = c.beta.real
-    gam = c.gamma.real
+    _, beta, gam = real_constants(sys, state, e_flat)
     cden = gam - 6 + nu_idx * (nu_idx - 3)
-    e_flat = 3 * b / d
-    if beta == 0.0:
-        # a = 3b/delta^2 degeneracy: every level collapses onto 3b/delta
-        return [(e_flat, "+")]
     if cden == 0:
         raise DegenerateStateError(f"level condition degenerates at state {state.label}")
     disc = (2 * nu_idx - 1) ** 2 - 4 * cden
@@ -272,7 +244,7 @@ def energy_real_candidates(sys: MesonSystem, state: QuantumState) -> list[tuple[
     ]
     if not out:
         raise NonPhysicalParameters(
-            f"no bound-state root (u > 0) for {state.label} with a={a}, b={b}, delta={d}",
+            f"no bound-state root (u > 0) for {state.label} with a={sys.params.a}, b={sys.params.b}, delta={sys.params.delta}",
             value=None,
         )
     return out
@@ -290,22 +262,22 @@ def energy_complex_candidates(sys: MesonSystem, state: QuantumState, p_r: float 
     Root preference: Re v > 0 (the branch continuously connected to the
     p_r = 0 bound state), then larger real energy.
     """
-    b, d = sys.params.b, sys.params.delta
+    e_flat, c1, _ = cornell_quadratic(sys.params)
     m = sys.reduced_mass
     nu_idx = state.nu
-    c = constants_complex(sys, state, p_r)
-    g = 4j * p_r + c.beta
-    gam = c.gamma
+    _, beta, gamma = real_constants(sys, state, e_flat)
+    g = -beta - 4j * p_r  # 4 i p_r + beta_c
+    gam = -gamma
     cden = nu_idx * nu_idx + nu_idx - 2 - gam
     if cden == 0:
         raise DegenerateStateError(f"level condition degenerates at state {state.label}")
-    if g == 0:
-        return [(complex(3 * b / d), "+")]
+    if c1 == 0 and p_r == 0:  # g = 0
+        return [(complex(e_flat), "+")]
     root = cmath.sqrt(9 + 4 * gam)
     out = []
     for sgn, tag in ((+1.0, "+"), (-1.0, "-")):
         v = g * (-(2 * nu_idx + 1) + sgn * root) / (4 * cden)
-        e = 3 * b / d - v * v / (8 * m)
+        e = e_flat - v * v / (8 * m)
         out.append((v, e, tag))
     out.sort(key=lambda t: (-(t[0].real > 0), -t[1].real))
     return [(e, tag) for _, e, tag in out]
@@ -324,17 +296,16 @@ def rest_energy_bracket(sys: MesonSystem, state: QuantumState) -> float:
     with energy_complex(..., p_r=0) to roundoff (cross-checked in the test
     suite).  Written independently of energy_complex on purpose.
     """
-    b, d = sys.params.b, sys.params.delta
+    e_flat, c1, _ = cornell_quadratic(sys.params)
     m = sys.reduced_mass
     nu_idx = state.nu
-    c = constants_complex(sys, state, 0.0)
-    beta = c.beta.real
-    gam = c.gamma.real
+    _, beta_r, gamma_r = real_constants(sys, state, e_flat)
+    beta, gam = -beta_r, -gamma_r  # beta_c and gamma_c at p_r = 0
     cden = nu_idx * nu_idx + nu_idx - 2 - gam
     if cden == 0:
         raise DegenerateStateError(f"level condition degenerates at state {state.label}")
-    if beta == 0.0:
-        return 3 * b / d
+    if c1 == 0:
+        return e_flat
     radic = 9 + 4 * gam
     if radic < 0:
         raise NonPhysicalParameters(f"negative radicand {radic:.6g} at {state.label}", value=radic)
@@ -342,17 +313,17 @@ def rest_energy_bracket(sys: MesonSystem, state: QuantumState) -> float:
     cands = []
     for sgn in (+1.0, -1.0):
         v = beta * (-(2 * nu_idx + 1) + sgn * root) / (4 * cden)
-        cands.append((v, 3 * b / d - v * v / (8 * m)))
+        cands.append((v, e_flat - v * v / (8 * m)))
     # same policy as energy_complex at rest: bound-state root (v > 0) first,
     # then the higher energy
     cands.sort(key=lambda t: (-(t[0] > 0), -t[1]))
     return cands[0][1]
 
 
-def _real_nu_problem(c: HTAConstants, energy: float) -> nu.NUProblem:
+def _real_nu_problem(alpha, beta, gamma) -> nu.NUProblem:
     return nu.NUProblem(
         sigma=(0, 0, 1),
-        sigma_tilde=(c.alpha(energy), c.beta, c.gamma),
+        sigma_tilde=(alpha, beta, gamma),
         tau_tilde=(0, -4),
     )
 
@@ -373,7 +344,7 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     scanned bracket.
 
     The bracket is the first sign change of the residual along 401 geometric
-    u points, E = 3b/delta - u^2/(8m), found coarse then fine: the residual
+    u points, E = C0 - u^2/(8m), found coarse then fine: the residual
     is evaluated at every _SCAN_STRIDE-th point, and the fine points are
     walked only inside the first coarse cell whose ends differ in sign.  That
     gives the same bracket, hence the same root, as walking every point,
@@ -383,23 +354,19 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     """
     from scipy.optimize import brentq
 
-    b, d = sys.params.b, sys.params.delta
+    e_flat, c1, _ = cornell_quadratic(sys.params)
+    if c1 == 0:
+        return e_flat
     m = sys.reduced_mass
     nu_idx = state.nu
-    c = constants_real(sys, state)
-    beta = c.beta.real
-    e_flat = 3 * b / d
-    if beta == 0.0:
-        return e_flat
+    _, beta, gam = real_constants(sys, state, e_flat)
 
     def residual(energy: float) -> float:
-        prob = _real_nu_problem(c, energy)
-        sol = nu.solve(prob, branch=+1)
+        sol = nu.solve(_real_nu_problem(*real_constants(sys, state, energy)), branch=+1)
         lam_star = -nu_idx * (nu_idx - 1) + nu_idx * sol.tau[1]
         return (sol.lam - lam_star).real
 
     # bracket by geometric scan in u = sqrt(-alpha); E = e_flat - u^2/(8m)
-    gam = c.gamma.real
     cden = abs(gam - 6 + nu_idx * (nu_idx - 3))
     u_hi = 4.0 * (abs(beta) * (2 * nu_idx + 2) / max(4.0 * cden, 1e-9) + abs(beta) + 1.0)
     us = [u_hi * (1e-6) ** (1 - i / 400.0) for i in range(401)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CornellParams, MesonSystem, QuantumState, Variant, mass_spectrum_detailed
+from .core import CornellParams, MesonSystem, QuantumState, Variant, cornell_quadratic, mass_spectrum_detailed
 from .errors import (
     DegenerateStateError,
     DomainError,
@@ -187,17 +187,17 @@ def nelder_mead(func, seed, max_iter=6000):
 
 def default_seeds(params: CornellParams) -> list[CornellParams]:
     """Multi-start seeds about a parameter point, including the mirrored-a
-    basin (the mass curve is symmetric about a = 3b/delta^2, so each level
-    is reached from two a values)."""
+    basin: the mass curve is symmetric about the vertex C1 = 0 of
+    core.cornell_quadratic (a = 3b/delta^2), so each level is reached from
+    a and from its mirror a - 2 C1."""
     a, b, d = params.a, params.b, params.delta
-    mirror_a = 2.0 * (3.0 * b / d ** 2) - a
-    seeds = [
+    _, c1, _ = cornell_quadratic(params)
+    return [
         CornellParams(a, b, d),
         CornellParams(a * 1.1, b * 0.9, d * 1.1),
         CornellParams(a * 0.9, b * 1.1, d * 0.9),
-        CornellParams(mirror_a, b, d),
+        CornellParams(a - 2.0 * c1, b, d),
     ]
-    return seeds
 
 
 def fit(

@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import nu
-from .core import MesonSystem, QuantumState, Variant, constants_real
+from .core import MesonSystem, QuantumState, Variant, _real_nu_problem, real_constants
 from .errors import DegenerateOrderError, DomainError, NumericError
 from .special import gamma_complex, upper_incomplete_gamma
 
@@ -77,9 +77,10 @@ _BLOCK_CELLS = 1 << 12  # cells per psi_n call in grids and quadratures; bounds 
 class WaveParams:
     """alpha/beta/gamma at a fixed level energy, plus the normalization B.
 
-    alpha must be negative (bound state, E < 3b/delta); beta and gamma are
-    the real-variant constants (the momentum-coupled variant derives its
-    momentum-dependent constants from them at each p_r).
+    alpha must be negative (bound state, E < C0 of core.cornell_quadratic);
+    alpha, beta and gamma are the real-variant constants (the
+    momentum-coupled variant derives its momentum-dependent constants from
+    them at each p_r).
     """
 
     alpha: float
@@ -106,15 +107,8 @@ class WaveParams:
 
 def wave_params(sys: MesonSystem, state: QuantumState, level_energy: float, variant: Variant | str = Variant.REAL) -> WaveParams:
     """Build WaveParams (B = 1) from a system and a level energy."""
-    variant = Variant.parse(variant)
-    c = constants_real(sys, state)
-    alpha = c.alpha(level_energy).real
-    return WaveParams(
-        alpha=alpha,
-        beta=c.beta.real,
-        gamma=c.gamma.real,
-        variant=variant,
-    )
+    alpha, beta, gamma = real_constants(sys, state, level_energy)
+    return WaveParams(alpha, beta, gamma, variant=Variant.parse(variant))
 
 
 def _check_index(params: WaveParams, n: int):
@@ -141,11 +135,7 @@ def _check_index(params: WaveParams, n: int):
 def _rodrigues_coeffs_cached(alpha: float, beta: float, gamma: float, n: int) -> tuple[complex, ...]:
     u = math.sqrt(-alpha)
     c = beta / (2.0 * u)
-    problem = nu.NUProblem(
-        sigma=(0, 0, 1),
-        sigma_tilde=(alpha, beta, gamma),
-        tau_tilde=(0, -4),
-    )
+    problem = _real_nu_problem(alpha, beta, gamma)
     rho = nu.ExpPowerForm(rate=-2.0 * u, power=-2.0 * c)
     return nu.rodrigues_y(problem, rho, n).coeffs
 

@@ -88,6 +88,46 @@ class TestSpectrum:
         assert os.listdir(tmp_path) == ["bad.json"]
         assert capsys.readouterr().out == ""
 
+    def test_complex5_negative_delta_exit_3(self, tmp_path, capsys):
+        # x = delta must lie where x = 1/r lives, in the complex variant too
+        doc = {
+            "mesons": [
+                {
+                    "label": "bad",
+                    "m_q": 1.23,
+                    "m_qbar": 1.23,
+                    "params": {"complex5": {"a": -2.5423, "b": 0.4278, "delta": -1.0}},
+                    "levels": [{"label": "1S", "exp_mass": 3.097}],
+                }
+            ]
+        }
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert run(["spectrum", "--input", str(p), "--variant", "complex5", "--out", str(tmp_path)]) == 3
+        assert os.listdir(tmp_path) == ["bad.json"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delta must be positive" in captured.err
+
+    def test_integer_valued_numbers_print_three_decimals(self, tmp_path, capsys):
+        level = {"label": "1S", "exp_mass": 3, "reference_masses": {"other": 4, "text": 3.1}}
+        doc = {
+            "mesons": [
+                {
+                    "label": "intc",
+                    "m_q": 1.23,
+                    "m_qbar": 1.23,
+                    "params": {"real7": {"a": -1.6808, "b": 0.4069, "delta": 0.5074}},
+                    "levels": [level],
+                }
+            ]
+        }
+        p = tmp_path / "int.json"
+        p.write_text(json.dumps(doc))
+        assert run(["spectrum", "--input", str(p), "--out", str(tmp_path)]) == 0
+        row = capsys.readouterr().out.splitlines()[2].split()
+        assert row == ["1S", "3.097", "3.000", "4.000", "3.100"]
+
     def test_missing_variant_params_exit_2(self, tmp_path, capsys):
         good = {"label": "good", "m_q": 1.23, "m_qbar": 1.23, "params": {"real7": {"a": -1.6808, "b": 0.4069, "delta": 0.5074}}}
         doc = {"mesons": [good, {"label": "noparams", "m_q": 1.23, "m_qbar": 1.23}]}
@@ -252,6 +292,20 @@ class TestGridScan:
                 assert min(abs(m - mass) for m in close) < 0.05
                 hits += 1
         assert hits > 100
+
+    @pytest.mark.parametrize("variant", ["real7", "complex5"])
+    def test_scan_delta_flags_nonpositive_delta(self, tmp_path, variant):
+        code = run(
+            ["scan", "--meson", "ccbar", "--param", "delta", "--lo", "-1.0", "--hi", "0.5",
+             "--steps", "16", "--variant", variant, "--out", str(tmp_path)]
+        )
+        assert code == 0
+        rows = read_csv(tmp_path / "ccbar_scan_delta.csv")
+        assert len(rows) == 16
+        for r in rows:
+            if float(r["value"]) <= 0:
+                assert (r["mass"], r["physical"], r["branch"]) == ("nan", "false", "")
+        assert any(r["physical"] == "true" for r in rows)
 
     def test_scan_bad_interval_exits_2(self, tmp_path):
         assert run(["scan", "--meson", "ccbar", "--param", "a", "--lo", "2", "--hi", "1", "--out", str(tmp_path)]) == 2

@@ -74,50 +74,73 @@ class TestTypes:
 
 
 class TestReciprocalSeries:
+    """cornell_quadratic is a x + b/x (x = 1/r) with b/x expanded to second
+    order about x = delta: value, slope and curvature agree there."""
+
+    CASES = ((-1.7, 0.4, 0.5), (2.3, 1.1, 1.3), (0.8, 0.6, 2.0))
+
     def test_unit_point(self):
-        assert core.reciprocal_series(1.0) == (3.0, -3.0, 1.0)
+        assert core.cornell_quadratic(CornellParams(2.0, 1.0, 1.0)) == (3.0, -1.0, 1.0)
 
     def test_exact_at_expansion_point(self):
-        for d in (0.5, 1.3, 2.0):
-            c0, c1, c2 = core.reciprocal_series(d)
-            assert c0 + c1 * d + c2 * d * d == pytest.approx(1.0 / d, rel=1e-14)
+        for a, b, d in self.CASES:
+            c0, c1, c2 = core.cornell_quadratic(CornellParams(a, b, d))
+            assert c0 + c1 * d + c2 * d * d == pytest.approx(a * d + b / d, rel=1e-14)
 
     def test_tangency(self):
-        for d in (0.5, 1.3):
-            _, c1, c2 = core.reciprocal_series(d)
-            assert c1 + 2 * c2 * d == pytest.approx(-1.0 / d**2, rel=1e-14)
+        for a, b, d in self.CASES:
+            _, c1, c2 = core.cornell_quadratic(CornellParams(a, b, d))
+            assert c1 + 2 * c2 * d == pytest.approx(a - b / d**2, rel=1e-14)
+
+    def test_curvature(self):
+        for a, b, d in self.CASES:
+            _, _, c2 = core.cornell_quadratic(CornellParams(a, b, d))
+            assert 2 * c2 == pytest.approx(2 * b / d**3, rel=1e-14)
 
     def test_zero_rejected(self):
+        # x = delta must lie where x = 1/r lives: delta <= 0 is rejected
+        # (delta = 0 already by CornellParams)
         with pytest.raises(DomainError):
-            core.reciprocal_series(0.0)
+            CornellParams(1.0, 0.5, 0.0)
+        for d in (-0.4, -1.0):
+            with pytest.raises(DomainError, match="must be positive"):
+                core.cornell_quadratic(CornellParams(-1.0, 0.5, d))
 
 
 class TestConstants:
     def test_cancellation_at_flat_potential(self):
+        # C1 == 0 exactly when a = 3b/delta^2, and beta with it
         b, d = 0.7, 0.9
-        sys_v = MesonSystem(1.0, 1.0, CornellParams(3 * b / d**2, b, d))
-        c = core.constants_real(sys_v, QuantumState(0, 0))
-        assert abs(c.beta) < 1e-12 * abs(8 * 3 * b / d**2 * sys_v.reduced_mass)
+        params = CornellParams(3 * b / d**2, b, d)
+        assert core.cornell_quadratic(params)[1] == 0.0
+        assert core.real_constants(MesonSystem(1.0, 1.0, params), QuantumState(0, 0), 0.5)[1] == 0.0
+        for a in (params.a * (1 + 1e-15), params.a * (1 - 1e-15), 0.0, -1.0):
+            assert core.cornell_quadratic(CornellParams(a, b, d))[1] != 0.0
 
     def test_gamma_vanishes_without_confinement_or_l(self):
         sys_v = MesonSystem(1.0, 1.0, CornellParams(-1.0, 1e-300, 0.8))
-        c = core.constants_real(sys_v, QuantumState(0, 0))
-        assert abs(c.gamma) < 1e-290
+        _, _, gamma = core.real_constants(sys_v, QuantumState(0, 0), 0.5)
+        assert abs(gamma) < 1e-290
 
     def test_ccbar_values(self, ccbar_real):
-        c = core.constants_real(ccbar_real, QuantumState(0, 0))
+        alpha, beta, gamma = core.real_constants(ccbar_real, QuantumState(0, 0), 0.6369525)
         # beta = -8am + 24bm/d^2, gamma = -8bm/d^3 at l = 0
         m = ccbar_real.reduced_mass
-        assert c.beta.real == pytest.approx(31.5973, abs=2e-4)
-        assert c.gamma.real == pytest.approx(-8 * 0.4069 * m / 0.5074**3, rel=1e-12)
-        assert c.alpha(0.6369525).real == pytest.approx(8 * m * 0.6369525 - 24 * 0.4069 * m / 0.5074, rel=1e-12)
+        assert beta == pytest.approx(31.5973, abs=2e-4)
+        assert gamma == pytest.approx(-8 * 0.4069 * m / 0.5074**3, rel=1e-12)
+        assert alpha == pytest.approx(8 * m * 0.6369525 - 24 * 0.4069 * m / 0.5074, rel=1e-12)
 
     def test_complex_constants_mirror_real_at_rest(self, ccbar_real):
-        st = QuantumState(1, 1)
-        cr = core.constants_real(ccbar_real, st)
-        cc = core.constants_complex(ccbar_real, st, 0.0)
-        assert cc.beta == pytest.approx(-cr.beta, rel=1e-14)
-        assert cc.gamma == pytest.approx(-cr.gamma, rel=1e-14)
+        # the complex variant's constants at p_r = 0 are the real ones
+        # mirrored (alpha_c = -alpha, beta_c = -beta, gamma_c = -gamma): with
+        # them the complex level condition holds at the rest energy
+        for label in ("1S", "2P", "1D"):
+            st = QuantumState.from_label(label)
+            e = core.rest_energy_bracket(ccbar_real, st)
+            alpha, beta, gamma = core.real_constants(ccbar_real, st, e)
+            g, v, gam_c = -beta, math.sqrt(-alpha), -gamma
+            terms = (g * g, 2 * g * v * (2 * st.nu + 1), 4 * v * v * (st.nu * (st.nu + 1) - 2 - gam_c))
+            assert abs(sum(terms)) <= 1e-12 * max(map(abs, terms)), label
 
 
 class TestEnergyReal:
@@ -138,13 +161,16 @@ class TestEnergyReal:
         b, d = 0.6, 0.8
         sys_v = MesonSystem(1.5, 1.5, CornellParams(3 * b / d**2, b, d))
         for label in STATES:
-            e = core.energy_real(sys_v, QuantumState.from_label(label))
-            assert abs(e - 3 * b / d) <= 1e-15 * abs(3 * b / d)
+            st = QuantumState.from_label(label)
+            for e in (core.energy_real(sys_v, st), core.energy_real_via_nu(sys_v, st)):
+                assert abs(e - 3 * b / d) <= 1e-15 * abs(3 * b / d)
 
     def test_negative_delta_rejected(self):
         sys_v = MesonSystem(1.0, 1.0, CornellParams(-1.0, 0.5, -0.4))
         with pytest.raises(DomainError):
             core.energy_real(sys_v, QuantumState(0, 0))
+        with pytest.raises(DomainError):
+            core.energy_real_via_nu(sys_v, QuantumState(0, 0))
 
     def test_additive_mass_structure(self, ccbar_real):
         st = QuantumState(0, 0)
@@ -173,13 +199,14 @@ class TestEnergyComplex:
         st = QuantumState(0, 0)
         p = 0.5
         e0 = core.energy_complex(ccbar_complex, st, p)
-        cst = core.constants_complex(ccbar_complex, st, p)
 
         def residual(energy):
-            alpha = cst.alpha(energy)
-            prob = nu.NUProblem((0, 0, 1), (-alpha, -cst.beta, -cst.gamma), (4j * p, 4))
-            v = cmath.sqrt(alpha - 4 * p * p)
-            g = 4j * p + cst.beta
+            # complex-variant constants mirrored from the real ones
+            alpha, beta, gamma = core.real_constants(ccbar_complex, st, energy)
+            alpha_c, beta_c = 4 * p * p - alpha, -beta - 8j * p
+            prob = nu.NUProblem((0, 0, 1), (-alpha_c, -beta_c, gamma), (4j * p, 4))
+            v = cmath.sqrt(alpha_c - 4 * p * p)
+            g = 4j * p + beta_c
             sol = nu.solve(prob, branch=+1)
             if abs(sol.pi[1] - (-1 + g / (2 * v))) > 1e-8 * max(1.0, abs(g / (2 * v))):
                 sol = nu.solve(prob, branch=-1)
@@ -201,8 +228,19 @@ class TestEnergyComplex:
         b, d = 0.6, 0.8
         sys_v = MesonSystem(1.5, 1.5, CornellParams(3 * b / d**2, b, d))
         for label in STATES:
-            e = core.energy_complex(sys_v, QuantumState.from_label(label), 0.0)
-            assert abs(e - 3 * b / d) <= 1e-15 * abs(3 * b / d)
+            st = QuantumState.from_label(label)
+            for e in (core.energy_complex(sys_v, st, 0.0), core.rest_energy_bracket(sys_v, st)):
+                assert abs(e - 3 * b / d) <= 1e-15 * abs(3 * b / d)
+
+    def test_negative_delta_rejected(self):
+        # x = delta must lie where x = 1/r lives, in this variant too
+        sys_v = MesonSystem(1.0, 1.0, CornellParams(-1.0, 0.5, -1.0))
+        with pytest.raises(DomainError):
+            core.energy_complex(sys_v, QuantumState(0, 0), 0.0)
+        with pytest.raises(DomainError):
+            core.rest_energy_bracket(sys_v, QuantumState(0, 0))
+        with pytest.raises(DomainError):
+            core.mass_spectrum(sys_v, QuantumState(0, 0), Variant.COMPLEX)
 
 
 class TestRestBracketConsistency:
@@ -230,24 +268,23 @@ class TestNuEquivalence:
             assert abs(e_closed - e_nu) <= 1e-9 * max(abs(e_closed), 1e-12)
 
 
-def nu_residual(c, st, energy):
+def nu_residual(sys_v, st, energy):
     """energy_real_via_nu's residual: lambda on branch +1 minus the index rule."""
-    sol = nu.solve(core._real_nu_problem(c, energy), branch=+1)
+    sol = nu.solve(core._real_nu_problem(*core.real_constants(sys_v, st, energy)), branch=+1)
     return (sol.lam - (-st.nu * (st.nu - 1) + st.nu * sol.tau[1])).real
 
 
 def fine_grid_residuals(sys_v, st):
     """(u, residual) at each of energy_real_via_nu's 401 u points, from small
     u, evaluated lazily: a point that raises ends the walk there."""
-    c = core.constants_real(sys_v, st)
-    beta, gam, nu_idx = c.beta.real, c.gamma.real, st.nu
-    m = sys_v.reduced_mass
-    e_flat = 3 * sys_v.params.b / sys_v.params.delta
+    e_flat = core.cornell_quadratic(sys_v.params)[0]
+    _, beta, gam = core.real_constants(sys_v, st, e_flat)
+    nu_idx, m = st.nu, sys_v.reduced_mass
     cden = abs(gam - 6 + nu_idx * (nu_idx - 3))
     u_hi = 4.0 * (abs(beta) * (2 * nu_idx + 2) / max(4.0 * cden, 1e-9) + abs(beta) + 1.0)
     for i in range(401):
         u = u_hi * (1e-6) ** (1 - i / 400.0)
-        yield u, nu_residual(c, st, e_flat - u * u / (8 * m))
+        yield u, nu_residual(sys_v, st, e_flat - u * u / (8 * m))
 
 
 def fine_scan_root(sys_v, st):
@@ -255,17 +292,16 @@ def fine_scan_root(sys_v, st):
     first sign change on the full 401-point grid, then the same brentq call."""
     from scipy.optimize import brentq
 
-    c = core.constants_real(sys_v, st)
-    m = sys_v.reduced_mass
-    e_flat = 3 * sys_v.params.b / sys_v.params.delta
-    if c.beta.real == 0.0:
+    e_flat, c1, _ = core.cornell_quadratic(sys_v.params)
+    if c1 == 0:
         return e_flat
+    m = sys_v.reduced_mass
     prev_u, prev_r = None, None
     for u, r in fine_grid_residuals(sys_v, st):
         if prev_r is not None and (r < 0) != (prev_r < 0):
             e_lo = e_flat - prev_u ** 2 / (8 * m)
             e_hi = e_flat - u ** 2 / (8 * m)
-            return brentq(lambda e: nu_residual(c, st, e), min(e_lo, e_hi), max(e_lo, e_hi), xtol=1e-14, rtol=1e-15)
+            return brentq(lambda e: nu_residual(sys_v, st, e), min(e_lo, e_hi), max(e_lo, e_hi), xtol=1e-14, rtol=1e-15)
         prev_u, prev_r = u, r
     raise NonPhysicalParameters(f"no root of the NU quantization condition for {st.label}", value=None)
 

@@ -234,10 +234,8 @@ class TestMomentumCoupledVariant:
     def make_params(self, ccbar_complex):
         st = QuantumState.from_label("1S")
         e = core.energy_complex(ccbar_complex, st, 0.0).real
-        c = core.constants_real(ccbar_complex, st)
-        return waves.WaveParams(
-            alpha=c.alpha(e).real, beta=c.beta.real, gamma=c.gamma.real, variant=Variant.COMPLEX
-        )
+        alpha, beta, gamma = core.real_constants(ccbar_complex, st, e)
+        return waves.WaveParams(alpha, beta, gamma, variant=Variant.COMPLEX)
 
     def test_against_numeric_transform(self, ccbar_complex):
         params = self.make_params(ccbar_complex)
