@@ -198,13 +198,9 @@ def cmd_grid(args) -> int:
     rec = records[0]
     state = QuantumState.from_label(args.state)
     n = args.n if args.n is not None else state.n
-    os.makedirs(args.out, exist_ok=True)
     d = args.precision
     sys_v = rec.system(variant)
-    if variant is Variant.REAL:
-        energy = core.energy_real(sys_v, state)
-    else:
-        energy = core.energy_complex(sys_v, state, 0.0).real
+    energy, _ = core.level(sys_v, state, variant)
     params = waves.wave_params(sys_v, state, energy, variant=variant)
     if args.normalize:
         params = replace(params, B=waves.normalize_B(params, n))
@@ -214,6 +210,7 @@ def cmd_grid(args) -> int:
         (args.rmin, args.rmax, args.rsteps),
         (args.pmin, args.pmax, args.psteps),
     )
+    os.makedirs(args.out, exist_ok=True)
     _write_csv(
         os.path.join(args.out, f"{rec.label}_{args.state}_grid.csv"),
         ["r", "p_r", "re", "im", "density"],

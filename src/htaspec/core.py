@@ -56,6 +56,10 @@ Conventions (natural units, hbar = 1, energies in GeV):
       g^2 + 2 g v (2 nu + 1) + 4 v^2 (nu(nu + 1) - 2 - gamma_c) = 0,
 
   and again E = C0 - v^2/(8m).
+
+* level is the one place that picks which root of a level condition is a
+  state's level (at p_r = 0); every mass, scan, fit and grid energy reads it.
+  rest_energy_bracket and energy_real_via_nu re-derive it, as checks.
 """
 
 from __future__ import annotations
@@ -79,11 +83,10 @@ __all__ = [
     "QuantumState",
     "cornell_quadratic",
     "real_constants",
+    "level",
     "energy_real",
-    "energy_real_candidates",
     "energy_real_via_nu",
     "energy_complex",
-    "energy_complex_candidates",
     "rest_energy_bracket",
     "mass_spectrum",
     "mass_spectrum_detailed",
@@ -208,18 +211,25 @@ def real_constants(sys: MesonSystem, state: QuantumState, energy: float) -> tupl
     return 8 * m * (energy - c0), -8 * m * c1, -4 * l * (l + 1) - 8 * m * c2
 
 
-def energy_real_candidates(sys: MesonSystem, state: QuantumState) -> list[tuple[float, str]]:
-    """All physical (u > 0) real-variant levels as (energy, branch) pairs.
+def level(sys: MesonSystem, state: QuantumState, variant: Variant | str = Variant.REAL) -> tuple[float, str]:
+    """The level rule: (energy, branch) of a state at p_r = 0, the only place
+    that picks which root of the level condition is "the level".
 
-    branch is '+' for the higher-energy root of the level condition and '-'
-    for the lower one.  In the fitted parameter domains exactly one root is
-    physical; both are returned when they exist.
+    real7: the physical (u > 0) root of smaller |u|, i.e. the higher energy,
+    tagged '+'; when that root is not physical, the other one, tagged '-'.
+    complex5: the preferred root of energy_complex at p_r = 0; its energy
+    must be real, else NonPhysicalParameters.  At p_r = 0 the two complex5
+    roots share Re E and |Im E|, so no other root can be real instead.
     """
+    if Variant.parse(variant) is Variant.COMPLEX:
+        e, branch = _complex_root(sys, state, 0.0)
+        if not abs(e.imag) <= 1e-12 * max(abs(e), 1.0):
+            raise NonPhysicalParameters(f"no real-valued branch at {state.label}", value=e)
+        return e.real, branch
     e_flat, c1, _ = cornell_quadratic(sys.params)
     if c1 == 0:
         # the vertex: every level collapses onto C0
-        return [(e_flat, "+")]
-    m = sys.reduced_mass
+        return e_flat, "+"
     nu_idx = state.nu
     _, beta, gam = real_constants(sys, state, e_flat)
     cden = gam - 6 + nu_idx * (nu_idx - 3)
@@ -231,39 +241,30 @@ def energy_real_candidates(sys: MesonSystem, state: QuantumState) -> list[tuple[
             f"negative radicand {disc:.6g} in the level condition for {state.label}",
             value=disc,
         )
-    sq = math.sqrt(disc)
-    # both algebraic roots (condition in |beta|, see the module docstring);
-    # the higher-energy one is the closed form's '+' branch
-    w = abs(beta)
-    roots = [w * ((2 * nu_idx - 1) + sgn * sq) / (4 * cden) for sgn in (+1.0, -1.0)]
-    roots.sort(key=abs)  # smaller |u| <=> higher energy
-    out = [
-        (e_flat - u * u / (8 * m), tag)
-        for u, tag in zip(roots, ("+", "-"))
-        if u > 0
-    ]
-    if not out:
-        raise NonPhysicalParameters(
-            f"no bound-state root (u > 0) for {state.label} with a={sys.params.a}, b={sys.params.b}, delta={sys.params.delta}",
-            value=None,
-        )
-    return out
+    # the roots of the condition in |beta| (see the module docstring) are
+    # u = |beta| ((2 nu - 1) -+ sqrt(disc)) / (4 cden); the '-' sign gives
+    # the smaller |u|
+    w, sq = abs(beta), math.sqrt(disc)
+    for sgn, branch in ((-1.0, "+"), (+1.0, "-")):
+        u = w * ((2 * nu_idx - 1) + sgn * sq) / (4 * cden)
+        if u > 0:
+            return e_flat - u * u / (8 * sys.reduced_mass), branch
+    raise NonPhysicalParameters(
+        f"no bound-state root (u > 0) for {state.label} with a={sys.params.a}, b={sys.params.b}, delta={sys.params.delta}",
+        value=None,
+    )
 
 
 def energy_real(sys: MesonSystem, state: QuantumState) -> float:
-    """Real-variant level energy E_nl (GeV): the higher-energy physical root,
-    the convention behind the published spectra."""
-    return energy_real_candidates(sys, state)[0][0]
+    """Real-variant level energy E_nl (GeV) under the level rule."""
+    return level(sys, state, Variant.REAL)[0]
 
 
-def energy_complex_candidates(sys: MesonSystem, state: QuantumState, p_r: float = 0.0) -> list[tuple[complex, str]]:
-    """Complex-variant levels as (energy, branch) pairs, preferred first.
-
-    Root preference: Re v > 0 (the branch continuously connected to the
-    p_r = 0 bound state), then larger real energy.
-    """
+def _complex_root(sys: MesonSystem, state: QuantumState, p_r: float) -> tuple[complex, str]:
+    """Preferred complex-variant root at momentum p_r as (energy, branch):
+    Re v > 0 (the branch continuously connected to the p_r = 0 bound state),
+    then the larger real energy."""
     e_flat, c1, _ = cornell_quadratic(sys.params)
-    m = sys.reduced_mass
     nu_idx = state.nu
     _, beta, gamma = real_constants(sys, state, e_flat)
     g = -beta - 4j * p_r  # 4 i p_r + beta_c
@@ -272,21 +273,21 @@ def energy_complex_candidates(sys: MesonSystem, state: QuantumState, p_r: float 
     if cden == 0:
         raise DegenerateStateError(f"level condition degenerates at state {state.label}")
     if c1 == 0 and p_r == 0:  # g = 0
-        return [(complex(e_flat), "+")]
+        return complex(e_flat), "+"
+    m = sys.reduced_mass
     root = cmath.sqrt(9 + 4 * gam)
-    out = []
+    cands = []
     for sgn, tag in ((+1.0, "+"), (-1.0, "-")):
         v = g * (-(2 * nu_idx + 1) + sgn * root) / (4 * cden)
-        e = e_flat - v * v / (8 * m)
-        out.append((v, e, tag))
-    out.sort(key=lambda t: (-(t[0].real > 0), -t[1].real))
-    return [(e, tag) for _, e, tag in out]
+        cands.append((v, e_flat - v * v / (8 * m), tag))
+    _, e, branch = min(cands, key=lambda t: (not t[0].real > 0, -t[1].real))
+    return e, branch
 
 
 def energy_complex(sys: MesonSystem, state: QuantumState, p_r: float = 0.0) -> complex:
     """Complex-variant level energy on the preferred root; imaginary part
-    vanishes at p_r = 0."""
-    return energy_complex_candidates(sys, state, p_r)[0][0]
+    vanishes at p_r = 0 unless the level's radicand is negative."""
+    return _complex_root(sys, state, p_r)[0]
 
 
 def rest_energy_bracket(sys: MesonSystem, state: QuantumState) -> float:
@@ -395,19 +396,8 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
 
 def mass_spectrum_detailed(sys: MesonSystem, state: QuantumState, variant: Variant | str = Variant.REAL) -> tuple[float, str]:
     """(mass, branch) with M = m_q + m_qbar + E_nl at p_r = 0."""
-    variant = Variant.parse(variant)
-    if variant is Variant.REAL:
-        cands = energy_real_candidates(sys, state)
-        e, br = cands[0]
-    else:
-        cands = energy_complex_candidates(sys, state, p_r=0.0)
-        for e_c, br in cands:
-            if abs(e_c.imag) <= 1e-12 * max(abs(e_c), 1.0):
-                e = e_c.real
-                break
-        else:
-            raise NonPhysicalParameters(f"no real-valued branch at {state.label}", value=cands[0][0])
-    return sys.mass_sum + e, br
+    e, branch = level(sys, state, variant)
+    return sys.mass_sum + e, branch
 
 
 def mass_spectrum(sys: MesonSystem, state: QuantumState, variant: Variant | str = Variant.REAL) -> float:

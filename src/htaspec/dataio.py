@@ -6,12 +6,12 @@ Input schema (JSON):
         {"label": str,
          "m_q": GeV, "m_qbar": GeV,
          "params": {"real7": {"a","b","delta"}, "complex5": {...}},   # optional per variant
-         "fit_levels": {"real7": ["1S", ...], ...},                   # optional; default =
-                                                                      # every level with data
+         "fit_levels": {"real7": ["1S", ...], ...},                   # optional; level labels,
+                                                                      # default: those with data
          "levels": [
             {"label": "1S",                                           # unique within the meson
              "exp_mass": GeV or null,
-             "include_in_fit": bool,                                  # optional override
+             "include_in_fit": true/false,                            # optional override
              "this_work": {"real7": GeV or null, ...},                # optional, reference output
              "reference_masses": {model_name: GeV or null, ...}}      # optional comparison data
          ]}
@@ -70,7 +70,7 @@ class MesonRecord:
             label = raw["label"]
             mass = raw.get("exp_mass")
             if "include_in_fit" in raw:
-                include = bool(raw["include_in_fit"])
+                include = raw["include_in_fit"]
             elif chosen is not None:
                 include = label in chosen
             else:
@@ -178,6 +178,8 @@ def load_dataset(source: str | None = None) -> list[MesonRecord]:
                 for name, value in values.items():
                     if not _number_or_null(value):
                         raise InputError(f"{where} level {lv['label']}: {key} {name!r} is {value!r}, not a number or null")
+            if not isinstance(lv.get("include_in_fit", False), bool):
+                raise InputError(f"{where} level {lv['label']}: include_in_fit is {lv['include_in_fit']!r}, not true or false")
             mass = lv.get("exp_mass")
             if not _number_or_null(mass):
                 raise InputError(f"{where} level {lv['label']}: bad mass {mass!r}")
@@ -189,6 +191,10 @@ def load_dataset(source: str | None = None) -> list[MesonRecord]:
         fit_levels = raw.get("fit_levels") or {}
         if not isinstance(fit_levels, dict) or not all(isinstance(v, list) for v in fit_levels.values()):
             raise InputError(f"{where}: 'fit_levels' must map each variant to a list of labels")
+        for token, names in fit_levels.items():
+            stray = [name for name in names if not isinstance(name, str) or name not in seen]
+            if stray:
+                raise InputError(f"{where}: fit_levels {token} names {stray}, not level labels of this meson")
         records.append(
             MesonRecord(
                 label=label,

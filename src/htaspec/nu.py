@@ -28,6 +28,7 @@ Polynomials are ascending coefficient tuples: (c0, c1, c2) is c0 + c1 s
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import ConsistencyError, DomainError, UnsupportedWeightError
@@ -197,24 +198,27 @@ def solve_k(problem: NUProblem) -> list[complex]:
     return out
 
 
-def _sqrt_radicand(problem: NUProblem, k: complex) -> tuple[complex, complex]:
-    """Coefficient-wise square root of the (perfect-square) radicand."""
+def _sqrt_radicand(problem: NUProblem, k: complex) -> tuple[tuple[complex, complex], float]:
+    """Coefficient-wise square root (lin0, lin1) of the (perfect-square)
+    radicand, and the rounding its square may carry in the constant term:
+    r2 = h1^2 - st2 + K g2 is formed by cancellation, and lin0^2 =
+    r1^2 / (4 r2) inherits its relative error."""
     r0, r1, r2 = _radicand(problem, k)
     scale = max(abs(r0), abs(r1), abs(r2), problem.coeff_scale)
     tol = 1e-10 * scale
     if abs(r2) > tol:
         lead = cmath.sqrt(r2)
         lin = (r1 / (2 * lead), lead)
+        h1, st2, g2 = _half_diff(problem)[1], problem.sigma_tilde[2], problem.sigma[2]
+        slack = 4 * sys.float_info.epsilon * (abs(h1) ** 2 + abs(st2) + abs(k * g2)) / abs(r2) * abs(lin[0]) ** 2
         # perfect-square consistency: constant term must match
-        if abs(lin[0] * lin[0] - r0) > 1e-8 * max(abs(r0), abs(lin[0]) ** 2, 1.0):
-            raise ConsistencyError(
-                f"radicand is not a perfect square for K={k} (constant-term residual "
-                f"{abs(lin[0] * lin[0] - r0):.3e})"
-            )
-        return lin
+        resid = abs(lin[0] * lin[0] - r0)
+        if resid > 1e-8 * max(abs(r0), abs(lin[0]) ** 2, 1.0) + slack:
+            raise ConsistencyError(f"radicand is not a perfect square for K={k} (constant-term residual {resid:.3e})")
+        return lin, slack
     if abs(r1) > tol:
         raise ConsistencyError(f"radicand for K={k} is linear in s, not a square")
-    return (cmath.sqrt(r0), 0j)
+    return (cmath.sqrt(r0), 0j), 0.0
 
 
 def pi_poly(problem: NUProblem, k: complex, branch: int = +1) -> tuple[complex, complex]:
@@ -226,14 +230,14 @@ def pi_poly(problem: NUProblem, k: complex, branch: int = +1) -> tuple[complex, 
     if branch not in (+1, -1):
         raise DomainError(f"branch must be +1 or -1, got {branch}")
     h0, h1 = _half_diff(problem)
-    l0, l1 = _sqrt_radicand(problem, k)
+    (l0, l1), slack = _sqrt_radicand(problem, k)
     pi = (h0 + branch * l0, h1 + branch * l1)
     # verify (pi - h)^2 reproduces the radicand at sample points
     for i in range(10):
         s = complex(0.37 + 0.61 * i, 0.11 * i - 0.4)
         lhs = (polyval(pi, s) - polyval((h0, h1), s)) ** 2
         rhs = polyval(_radicand(problem, k), s)
-        if abs(lhs - rhs) > 1e-8 * max(abs(lhs), abs(rhs), 1.0):
+        if abs(lhs - rhs) > 1e-8 * max(abs(lhs), abs(rhs), 1.0) + slack:
             raise ConsistencyError(f"pi verification failed at s={s}: {lhs} vs {rhs}")
     return pi
 

@@ -265,6 +265,28 @@ class TestGridScan:
         assert capsys.readouterr().err.startswith("non-physical parameters: ")
         assert not (tmp_path / "ccbar_1S_grid.csv").exists()
 
+    def test_grid_complex_level_energy_exits_3(self, tmp_path, capsys):
+        # the complex5 1S energy here is -0.3875 +- 0.0484i: grid follows the
+        # level rule, as spectrum does, instead of gridding at Re E
+        doc = {
+            "mesons": [
+                {
+                    "label": "cx",
+                    "m_q": 1.5,
+                    "m_qbar": 1.5,
+                    "params": {"complex5": {"a": -1.0, "b": -0.05, "delta": 0.5}},
+                    "levels": [{"label": "1S", "exp_mass": 3.0}],
+                }
+            ]
+        }
+        p = tmp_path / "cx.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for argv in (["spectrum"], ["grid", "--meson", "cx", "--no-normalize"]):
+            assert run([*argv, "--input", str(p), "--variant", "complex5", "--out", str(out)]) == 3
+            assert "no real-valued branch at 1S" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_bad_axis_exits_2(self, tmp_path):
         assert run(
             ["grid", "--meson", "ccbar", "--rmin", "2.0", "--rmax", "1.0",

@@ -243,6 +243,40 @@ class TestEnergyComplex:
             core.mass_spectrum(sys_v, QuantumState(0, 0), Variant.COMPLEX)
 
 
+class TestLevel:
+    def test_readers_share_the_level(self, ccbar_real, ccbar_complex):
+        for label in STATES:
+            st = QuantumState.from_label(label)
+            e, branch = core.level(ccbar_real, st, Variant.REAL)
+            assert core.energy_real(ccbar_real, st) == e
+            assert core.mass_spectrum_detailed(ccbar_real, st, Variant.REAL) == (ccbar_real.mass_sum + e, branch)
+            e, branch = core.level(ccbar_complex, st, Variant.COMPLEX)
+            assert core.energy_complex(ccbar_complex, st, 0.0) == e
+            assert core.mass_spectrum_detailed(ccbar_complex, st, Variant.COMPLEX) == (ccbar_complex.mass_sum + e, branch)
+
+    def test_complex_level_is_real_or_raises(self):
+        # b < 0 reaches a negative radicand, where both complex5 roots at
+        # rest are complex: the level raises exactly where the independent
+        # rest-energy route does
+        rng = np.random.RandomState(2468)
+        raised = 0
+        for _ in range(200):
+            a, b, delta, m = rng.uniform(-3, 3), rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.5), rng.uniform(0.5, 2.5)
+            sys_v = MesonSystem(2 * m, 2 * m, CornellParams(a, b, delta))
+            st = QuantumState(rng.randint(0, 4), rng.randint(0, 3))
+            try:
+                e_br = core.rest_energy_bracket(sys_v, st)
+            except NonPhysicalParameters:
+                assert core.energy_complex(sys_v, st, 0.0).imag != 0.0
+                with pytest.raises(NonPhysicalParameters, match="no real-valued branch"):
+                    core.level(sys_v, st, Variant.COMPLEX)
+                raised += 1
+                continue
+            e, _ = core.level(sys_v, st, Variant.COMPLEX)
+            assert abs(e - e_br) <= 1e-9 * max(abs(e_br), 1e-12)
+        assert 20 <= raised <= 180
+
+
 class TestRestBracketConsistency:
     def test_bracket_equals_complex_at_rest(self):
         rng = np.random.RandomState(1234)

@@ -108,11 +108,16 @@ class TestValidation:
             {"levels": [{"label": "1S", "exp_mass": 3.0, "this_work": {"real7": "3.1"}}]},
             {"levels": [{"label": "1S", "exp_mass": 3.0, "this_work": {"real7": float("inf")}}]},
             {"levels": [{"label": "1S", "exp_mass": True}]},
+            {"levels": [{"label": "1S", "exp_mass": 3.0, "include_in_fit": "false"}]},
+            {"levels": [{"label": "1S", "exp_mass": 3.0, "include_in_fit": 0}]},
+            {"levels": [{"label": "1S", "exp_mass": 3.0}, {"label": "1P", "exp_mass": 3.5}], "fit_levels": {"real7": ["1S", "1p"]}},
+            {"fit_levels": {"real7": ["1S", ["1S"]]}},
         ],
         ids=["params-variant", "fit-levels-variant", "level-not-object", "params-not-object",
              "fit-levels-not-list", "reference-masses-not-object", "duplicate-level-label",
              "reference-mass-text", "reference-mass-bool", "reference-mass-list", "this-work-text",
-             "this-work-infinite", "exp-mass-bool"],
+             "this-work-infinite", "exp-mass-bool", "include-in-fit-text", "include-in-fit-number",
+             "fit-levels-unknown-label", "fit-levels-not-label"],
     )
     def test_malformed_shape_is_input_error(self, tmp_path, entry):
         doc = {"mesons": [{"label": "x", "m_q": 1.0, "m_qbar": 1.0, "levels": [{"label": "1S", "exp_mass": 3.0}], **entry}]}

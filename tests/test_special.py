@@ -272,10 +272,7 @@ def _reachable_points(record, variant, label, count, rng):
     variant = Variant.parse(variant)
     sys_v = record.system(variant)
     state = QuantumState.from_label(label)
-    if variant is Variant.REAL:
-        energy = core.energy_real(sys_v, state)
-    else:
-        energy = core.energy_complex(sys_v, state, 0.0).real
+    energy, _ = core.level(sys_v, state, variant)
     params = waves.wave_params(sys_v, state, energy, variant=variant)
     u, c = params.u, params.c_order
     r = np.exp(rng.uniform(math.log(1e-9), math.log(1.5 * waves._default_r_max(params)), count))
