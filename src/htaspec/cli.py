@@ -14,8 +14,8 @@ Exit codes: 0 ok, 2 input error, 3 non-physical parameters, 4 fit failure,
 5 internal numeric failure.  Outputs are CSV with fixed float formatting and
 fixed ordering, so identical inputs give byte-identical files.
 
-spectrum, scan and fit never import numpy or scipy; grid and check import
-them (through waves and confine1d) only when they run.
+spectrum, scan and fit never import numpy or scipy; grid imports numpy only
+and check numpy and scipy (through waves and confine1d), each when it runs.
 """
 
 from __future__ import annotations
@@ -97,7 +97,11 @@ def cmd_spectrum(args) -> int:
     spectra = []
     for rec in _select_mesons(args):
         sys_v = rec.system(variant)
-        levels = rec.experimental_levels(variant)
+        # every level in file order; which of them a fit selects plays no part here
+        levels = [
+            fitting.ExperimentalLevel(lv["label"], QuantumState.from_label(lv["label"]), lv.get("exp_mass"))
+            for lv in rec.levels
+        ]
         masses = {}
         for st in [lv.state for lv in levels] + [QuantumState(n, l) for n, l in _FIG1_STATES + _FIG2_STATES]:
             if st not in masses:
@@ -151,7 +155,6 @@ def _print_table(title: str, columns: list[str], rows):
 def cmd_fit(args) -> int:
     variant = Variant.parse(args.variant)
     records = _select_mesons(args)
-    os.makedirs(args.out, exist_ok=True)
     d = args.precision
     rows = []
     failures = []
@@ -173,6 +176,7 @@ def cmd_fit(args) -> int:
             )
         except (UnderdeterminedFitError, FitFailedError) as exc:
             failures.append(f"{rec.label}: {exc}")
+    os.makedirs(args.out, exist_ok=True)
     _write_csv(
         os.path.join(args.out, "fitted_params.csv"),
         ["meson", "a", "b", "delta", "residual_rms", "converged"],
@@ -225,12 +229,16 @@ def cmd_grid(args) -> int:
 
 
 def _grid_lines(grid, digits: int):
-    # one format per line, fed from Python-float columns one r row at a
-    # time; "%g" renders NaN as "nan", as _fmt does
-    line = ",".join([f"%.{digits}g"] * 5)
-    ps = list(grid.p_values)
+    # each p_r string formatted once per grid and each r string once per row;
+    # the cells are fed from Python-float columns one r row at a time.  "%g"
+    # renders NaN as "nan", as _fmt does
+    f = f"%.{digits}g"
+    cell = ",".join([f] * 3)
+    ps = [f"{f % p}," for p in grid.p_values]
     for r, amp, dens in zip(grid.r_values, grid.amplitudes, grid.densities):
-        yield from map(line.__mod__, zip([r] * len(ps), ps, amp.real.tolist(), amp.imag.tolist(), dens.tolist()))
+        head = f"{f % r},"
+        for p, values in zip(ps, zip(amp.real.tolist(), amp.imag.tolist(), dens.tolist())):
+            yield head + p + cell % values
 
 
 def cmd_scan(args) -> int:

@@ -61,7 +61,8 @@ class MesonRecord:
 
         Priority: explicit per-level include_in_fit, then membership in the
         meson's fit_levels list for this variant, then "has a measured
-        mass".
+        mass".  A level selected by either of the first two without an
+        exp_mass raises InputError.
         """
         variant = Variant.parse(variant)
         chosen = self.fit_levels.get(variant)
@@ -75,14 +76,10 @@ class MesonRecord:
                 include = label in chosen
             else:
                 include = mass is not None
-            out.append(
-                ExperimentalLevel(
-                    label=label,
-                    state=QuantumState.from_label(label),
-                    mass=mass,
-                    include_in_fit=include and mass is not None,
-                )
-            )
+            if include and mass is None:
+                source = "include_in_fit" if "include_in_fit" in raw else f"fit_levels {variant.value}"
+                raise InputError(f"meson {self.label!r}: {source} selects {label}, which has no exp_mass")
+            out.append(ExperimentalLevel(label=label, state=QuantumState.from_label(label), mass=mass, include_in_fit=include))
         return out
 
     def this_work(self, label: str, variant: Variant | str) -> float | None:

@@ -1,17 +1,19 @@
 """Special-function surface: real Airy functions and their zeros, complex
 gamma, complex upper incomplete gamma.
 
-Airy functions, complex gamma and the Airy zeros are thin wrappers over
-``scipy.special`` (imported on first use); this module adds argument
-validation, the no-NaN/overflow guarantee of the public API (scipy's nan for
-an overflowing Bi, or for |x| beyond about 1.05e6, raises OverflowError), the
-explicit pole test of Gamma and a Newton polish of the Airy zeros.  The
-upper incomplete gamma Gamma(s, z) on Re z > 0 is implemented here, over
+Airy functions and the Airy zeros are thin wrappers over ``scipy.special``
+(imported on first use; only ``check`` reaches them); this module adds
+argument validation, the no-NaN/overflow guarantee of the public API (scipy's
+nan for an overflowing Bi, or for |x| beyond about 1.05e6, raises
+OverflowError) and a Newton polish of the Airy zeros.  Complex gamma and the
+upper incomplete gamma Gamma(s, z) on Re z > 0 are implemented here in numpy
+on one log-Gamma, so ``grid`` imports numpy only.  Gamma(s, z) works over
 broadcast arrays, and a scalar call is a one-element array.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import cache
 
@@ -92,18 +94,28 @@ def airy_ai_zero(k: int) -> float:
 
 def gamma_complex(z: complex) -> complex:
     """Gamma(z) for complex z; non-positive integers are poles (DomainError)."""
-    from scipy.special import gamma
-
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"gamma_complex: argument must be finite, got {z}")
-    # scipy returns nan at the poles, which would otherwise read as overflow
     if z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer():
         raise DomainError(f"gamma_complex: pole at z={z}")
-    v = complex(gamma(z))
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+    with np.errstate(all="ignore"):
+        if z.real >= 0.5:
+            v = np.exp(_loggamma(np.asarray(z)))
+        else:
+            # reflection, Gamma(z) = pi / (sin(pi z) Gamma(1 - z)), in logs so that
+            # neither factor overflows at large |Im z|: sin(pi z) = (-1)^n sin(w),
+            # w = pi (z - n) with z - n exact near the poles, and
+            # sin(w) = (-i t / 2) e^(-i t w) expm1(2i t w), t = sign Im z
+            n = round(z.real)
+            t, w = math.copysign(1.0, z.imag), math.pi * (z - n)
+            log_sin = cmath.log(-0.5j * t) - 1j * t * w + np.log(np.expm1(2j * t * w))
+            v = (-1) ** n * np.exp(math.log(math.pi) - log_sin - _loggamma(np.asarray(1.0 - z)))
+    if z.imag == 0.0:
+        v = v.real  # real on the real axis, without the rounding of the phases above
+    if not np.isfinite(v):
         raise OverflowError("gamma_complex: result overflowed double range")
-    return v
+    return complex(v)
 
 
 # Gamma(s, z) on Re z > 0, per element, by route:
@@ -125,6 +137,11 @@ _EULER_GAMMA = 0.57721566490153286061
 # (e^x - 1)/x = sum_k x^k / (k+1)!, highest power first; 18 terms hold
 # double precision for |x| < 0.5
 _EXPREL_TAYLOR = [1.0 / math.factorial(k + 1) for k in range(17, -1, -1)]
+# B_2, B_4, ..., B_16, and Stirling's coefficients B_2k / (2k (2k-1)) for
+# powers of 1/s^2, highest first
+_BERNOULLI = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510]
+_STIRLING = [b / ((2 * k) * (2 * k - 1)) for k, b in reversed(list(enumerate(_BERNOULLI, 1)))]
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _exp(x):
@@ -134,10 +151,20 @@ def _exp(x):
     return e
 
 
-def _gamma(s):
-    from scipy.special import gamma
+def _loggamma(s):
+    # log Gamma(s) up to a multiple of 2 pi i, off the poles: Stirling's series
+    # through B_16 at t = s + m, m the least shift with Re t >= 10 (the first
+    # term left out is below 2e-18 there), less log s (s+1) ... (s+m-1)
+    m = np.maximum(np.ceil(10.0 - s.real), 0.0)
+    shift = np.ones_like(s)
+    for k in range(int(m.max(initial=0))):
+        shift = np.where(k < m, shift * (s + k), shift)
+    t = s + m
+    return (t - 0.5) * np.log(t) - t + _LOG_SQRT_2PI + np.polyval(_STIRLING, t**-2) / t - np.log(shift)
 
-    g = gamma(s)
+
+def _gamma(s):
+    g = np.exp(_loggamma(s))
     if not np.isfinite(g).all():
         raise NumericError("upper_incomplete_gamma: Gamma(s) overflowed")
     return g
@@ -147,11 +174,17 @@ def _gamma(s):
 def _lngamma1p_poly():
     # ln Gamma(1 + e) = e P(e), P(e) = -gamma_E + sum_{k>=2} (-1)^k zeta(k)
     # e^(k-1) / k; 60 terms hold double precision for |e| <= _POLE_RADIUS.
-    # Highest power first.
-    from scipy.special import zeta
-
-    k = np.arange(61, 1, -1)
-    return np.append((-1.0) ** k * zeta(k) / k, -_EULER_GAMMA)
+    # Highest power first.  zeta(k) by Euler-Maclaurin: the Bernoulli tail at
+    # N = 10, then the terms j^-k, j = 9 .. 1, smallest first (within 1 ulp)
+    k = np.arange(61.0, 1.0, -1.0)
+    zeta = 10.0 ** (1.0 - k) / (k - 1.0) + 0.5 * 10.0**-k
+    rising = k.copy()  # k (k+1) ... (k+2i-2)
+    for i, b in enumerate(_BERNOULLI, 1):
+        zeta += b / math.factorial(2 * i) * rising * 10.0 ** (1.0 - k - 2 * i)
+        rising *= (k + 2 * i - 1) * (k + 2 * i)
+    for j in range(9, 0, -1):
+        zeta += float(j) ** -k
+    return np.append((-1.0) ** k * zeta / k, -_EULER_GAMMA)
 
 
 def _exprel(x):

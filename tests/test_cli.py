@@ -174,6 +174,34 @@ class TestFit:
     def test_underdetermined_exits_4(self, tmp_path):
         assert run(["fit", "--meson", "bcbar", "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize(
+        "selection, source",
+        [
+            ({"fit_levels": {"real7": ["1S", "2S", "4S"]}}, "fit_levels real7"),
+            ({"include": "4S"}, "include_in_fit"),
+        ],
+        ids=["fit-levels", "include-in-fit"],
+    )
+    def test_selected_unmeasured_level_exits_2(self, tmp_path, capsys, selection, source):
+        # the bundled ccbar record's 4S has no exp_mass; selecting it used to
+        # drop it silently and fail later as an underdetermined fit
+        from htaspec import dataio
+
+        doc = json.loads(dataio.builtin_dataset_text())
+        ccbar = next(m for m in doc["mesons"] if m["label"] == "ccbar")
+        ccbar["fit_levels"].update(selection.get("fit_levels", {}))
+        for lv in ccbar["levels"]:
+            if lv["label"] == selection.get("include"):
+                lv["include_in_fit"] = True
+        path = tmp_path / "selected.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["fit", "--input", str(path), "--meson", "ccbar", "--out", str(out)]) == 2
+        assert f"{source} selects 4S, which has no exp_mass" in capsys.readouterr().err
+        assert not out.exists()
+        # spectrum lists every level and never reads the fit selection
+        assert run(["spectrum", "--input", str(path), "--meson", "ccbar", "--out", str(out)]) == 0
+
     def test_fit_recovers_parameters(self, tmp_path):
         code = run(["fit", "--meson", "bbbar", "--out", str(tmp_path)])
         assert code == 0

@@ -152,6 +152,34 @@ class TestGamma:
             assert special.gamma_complex(z) == pytest.approx(ref, rel=1e-10)
 
 
+class TestGammaLane:
+    """The numpy complex Gamma behind upper_incomplete_gamma's series route
+    and the near-pole polynomial, against mpmath."""
+
+    @pytest.mark.parametrize("im_max", [5.0, 50.0])
+    def test_gamma_within_twice_scipy(self, im_max):
+        # Gamma near |Im s| = 50 has condition number about |s psi(s)|, so
+        # no double-precision lane reaches 1e-14 there; the bound is scipy's
+        # own error on the same points
+        mp = pytest.importorskip("mpmath")
+        scipy_special = pytest.importorskip("scipy.special")
+        rng = np.random.RandomState(13)
+        s = rng.uniform(1.0, 20.0, 400) + 1j * rng.uniform(-im_max, im_max, 400)
+        with mp.workdps(30):
+            ref = np.array([complex(mp.gamma(mp.mpc(x))) for x in s.tolist()])
+        lane_err = np.max(abs(special._gamma(s) - ref) / abs(ref))
+        scipy_err = np.max(abs(scipy_special.gamma(s) - ref) / abs(ref))
+        assert lane_err <= 2.0 * scipy_err
+
+    def test_lngamma1p_coefficients_against_zeta(self):
+        # (-1)^k zeta(k) / k for k = 61 .. 2, then -gamma_E
+        mp = pytest.importorskip("mpmath")
+        poly = special._lngamma1p_poly()
+        with mp.workdps(30):
+            ref = [float((-1) ** k * mp.zeta(k) / k) for k in range(61, 1, -1)] + [-float(mp.euler)]
+        assert np.max(abs(poly - ref) / abs(np.array(ref))) <= 4.5e-16
+
+
 class TestUpperIncompleteGamma:
     def test_order_one(self):
         assert special.upper_incomplete_gamma(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)

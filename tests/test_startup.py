@@ -57,6 +57,22 @@ def test_unnormalized_grid_skips_scipy_integrate(tmp_path):
     assert "scipy.integrate" not in mods
 
 
+_GRID = ["grid", "--meson", "ccbar", "--rsteps", "4", "--psteps", "3", "--out", "out"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--no-normalize"], ["--variant", "complex5", "--no-normalize"]],
+    ids=["real7-normalized", "real7-unnormalized", "complex5-unnormalized"],
+)
+def test_grid_loads_no_scipy(tmp_path, flags):
+    # Gamma(s, z), the complete Gamma it needs and the normalizing
+    # quadrature are numpy only; scipy.special alone would add about 0.3 s
+    mods = loaded_after(run_main(_GRID + flags, 0), tmp_path)
+    assert "numpy" in mods
+    assert not any(m.split(".")[0] == "scipy" for m in mods)
+
+
 def test_check_nu_suite_skips_scipy_integrate(tmp_path):
     # the NU suite needs scipy.optimize only; scipy.integrate would add
     # about 0.7 s of cold import to `check --suite nu`
