@@ -14,8 +14,9 @@ Exit codes: 0 ok, 2 input error, 3 non-physical parameters, 4 fit failure,
 5 internal numeric failure.  Outputs are CSV with fixed float formatting and
 fixed ordering, so identical inputs give byte-identical files.
 
-spectrum, scan and fit never import numpy or scipy; grid imports numpy only
-and check numpy and scipy (through waves and confine1d), each when it runs.
+spectrum, scan, fit and check --suite nu never import numpy or scipy; grid
+imports numpy only, and check's quadrature and moment suites numpy and, as
+their only scipy subpackage, scipy.special (Airy), each when it runs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from itertools import islice
 
 from . import core, dataio, fitting
 from .core import QuantumState, Variant
@@ -47,6 +49,7 @@ EXIT_NUMERIC = 5
 
 _FIG1_STATES = [(n, l) for l in (0, 1, 2) for n in range(6)]
 _FIG2_STATES = [(n, l) for n in (0, 1, 2, 3) for l in range(4)]
+_CSV_BLOCK = 1024
 
 
 def _fmt(value, digits: int) -> str:
@@ -58,11 +61,12 @@ def _fmt(value, digits: int) -> str:
 
 
 def _write_csv(path: str, header: list[str], lines):
-    """Write the header and each CSV line (given without its newline)."""
+    """Write the header and the CSV lines (given without newlines), _CSV_BLOCK lines per write."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        while block := list(islice(lines, _CSV_BLOCK)):
+            fh.write("\n".join(block) + "\n")
 
 
 def _select_mesons(args) -> list[dataio.MesonRecord]:

@@ -70,11 +70,7 @@ import math
 from dataclasses import dataclass
 
 from . import nu
-from .errors import (
-    DegenerateStateError,
-    DomainError,
-    NonPhysicalParameters,
-)
+from .errors import DegenerateStateError, DomainError, NonPhysicalParameters, NumericError
 
 __all__ = [
     "Variant",
@@ -329,6 +325,55 @@ def _real_nu_problem(alpha, beta, gamma) -> nu.NUProblem:
     )
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), ported line for line from
+    scipy's brentq.c, so that it returns the float scipy's brentq returns."""
+
+    def value(x):
+        if math.isnan(v := f(x)):
+            raise NumericError(f"brentq: f is nan at x={x}")
+        return v
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericError(f"brentq: f has one sign at both ends of [{xa}, {xb}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):  # scipy's default iteration cap
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NumericError(f"brentq: no convergence in 100 iterations on [{xa}, {xb}]")
+
+
 # Coarse stride of energy_real_via_nu's bracket scan; 400 must stay a
 # multiple of it, so that the coarse scan ends on the grid's last point.
 _SCAN_STRIDE = 10
@@ -341,8 +386,8 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     lambda comes from nu.solve on branch +1, whose radical term carries the
     principal square root (+|beta| x/(2u) - u); it is paired with the
     spectrum index rule -nu(nu-1) + nu tau' (see the module docstring) and
-    the residual is root-solved for E with brentq on an independently
-    scanned bracket.
+    the residual is root-solved for E by Brent's method (_brentq, a bit-exact
+    port of scipy's brentq) on an independently scanned bracket.
 
     The bracket is the first sign change of the residual along 401 geometric
     u points, E = C0 - u^2/(8m), found coarse then fine: the residual
@@ -353,8 +398,6 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     occur at all (the two-root regime), they were measured at least 61
     points apart over 16,560 sampled systems.
     """
-    from scipy.optimize import brentq
-
     e_flat, c1, _ = cornell_quadratic(sys.params)
     if c1 == 0:
         return e_flat
@@ -387,7 +430,7 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
                 lo, r_lo = i, r
             e_lo = e_flat - us[lo] ** 2 / (8 * m)
             e_hi = e_flat - us[hi] ** 2 / (8 * m)
-            return brentq(residual, min(e_lo, e_hi), max(e_lo, e_hi), xtol=1e-14, rtol=1e-15)
+            return _brentq(residual, min(e_lo, e_hi), max(e_lo, e_hi), xtol=1e-14, rtol=1e-15)
         lo, r_lo = hi, r_hi
     raise NonPhysicalParameters(
         f"no root of the NU quantization condition for {state.label}", value=None

@@ -124,7 +124,7 @@ def nelder_mead(func, seed, max_iter=6000):
     Returns (x_best, f_best, converged, n_eval).  Convergence requires the
     simplex diameter (max pairwise distance) < 1e-8 within max_iter
     iterations; hitting the cap returns the best vertex, unconverged.  Kept
-    hand-rolled: scipy.optimize would make fit import scipy, against the
+    hand-rolled: scipy's optimizers would make fit import scipy, against the
     numpy/scipy-free start-up of the fit command.
     """
     k = len(seed)

@@ -233,10 +233,11 @@ def pi_poly(problem: NUProblem, k: complex, branch: int = +1) -> tuple[complex, 
     (l0, l1), slack = _sqrt_radicand(problem, k)
     pi = (h0 + branch * l0, h1 + branch * l1)
     # verify (pi - h)^2 reproduces the radicand at sample points
+    radicand = _radicand(problem, k)
     for i in range(10):
         s = complex(0.37 + 0.61 * i, 0.11 * i - 0.4)
         lhs = (polyval(pi, s) - polyval((h0, h1), s)) ** 2
-        rhs = polyval(_radicand(problem, k), s)
+        rhs = polyval(radicand, s)
         if abs(lhs - rhs) > 1e-8 * max(abs(lhs), abs(rhs), 1.0) + slack:
             raise ConsistencyError(f"pi verification failed at s={s}: {lhs} vs {rhs}")
     return pi

@@ -5,10 +5,12 @@ Airy functions and the Airy zeros are thin wrappers over ``scipy.special``
 (imported on first use; only ``check`` reaches them); this module adds
 argument validation, the no-NaN/overflow guarantee of the public API (scipy's
 nan for an overflowing Bi, or for |x| beyond about 1.05e6, raises
-OverflowError) and a Newton polish of the Airy zeros.  Complex gamma and the
-upper incomplete gamma Gamma(s, z) on Re z > 0 are implemented here in numpy
-on one log-Gamma, so ``grid`` imports numpy only.  Gamma(s, z) works over
-broadcast arrays, and a scalar call is a one-element array.
+OverflowError) and a Newton polish of the Airy zeros.  The Airy functions
+take a scalar (giving a float) or an array (giving an array, from one scipy
+call, raising if any element would).  Complex gamma and the upper incomplete
+gamma Gamma(s, z) on Re z > 0 are implemented here in numpy on one
+log-Gamma, so ``grid`` imports numpy only.  Gamma(s, z) works over broadcast
+arrays, and a scalar call is a one-element array.
 """
 
 from __future__ import annotations
@@ -32,39 +34,36 @@ __all__ = [
 ]
 
 
-def _check_real(x, name):
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise DomainError(f"{name}: argument must be finite, got {x}")
-    return x
-
-
 def _airy(x, name, i):
     from scipy.special import airy
 
-    v = float(airy(_check_real(x, name))[i])
-    if not math.isfinite(v):
+    x = np.asarray(x, float)
+    if not np.isfinite(x).all():
+        raise DomainError(f"{name}: argument must be finite, got {float(x[~np.isfinite(x)][0])}")
+    v = airy(x)[i]
+    if not np.isfinite(v).all():
         # scipy's nan stands for both causes; it cannot tell them apart
-        raise OverflowError(f"{name}: no finite result: overflow, or |x| beyond scipy's range (about 1.05e6), at x={x}")
-    return v
+        bad = float(x[~np.isfinite(v)][0])
+        raise OverflowError(f"{name}: no finite result: overflow, or |x| beyond scipy's range (about 1.05e6), at x={bad}")
+    return float(v) if x.ndim == 0 else v
 
 
-def airy_ai(x: float) -> float:
+def airy_ai(x):
     """Airy function Ai(x), real argument."""
     return _airy(x, "airy_ai", 0)
 
 
-def airy_ai_prime(x: float) -> float:
+def airy_ai_prime(x):
     """Derivative Ai'(x), real argument."""
     return _airy(x, "airy_ai_prime", 1)
 
 
-def airy_bi(x: float) -> float:
+def airy_bi(x):
     """Airy function Bi(x), real argument.  Grows like exp((2/3)x^{3/2})."""
     return _airy(x, "airy_bi", 2)
 
 
-def airy_bi_prime(x: float) -> float:
+def airy_bi_prime(x):
     """Derivative Bi'(x), real argument."""
     return _airy(x, "airy_bi_prime", 3)
 

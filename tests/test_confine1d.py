@@ -184,13 +184,22 @@ class TestClosedFormR:
         calls = []
         for name in ("airy_ai", "airy_ai_prime"):
             orig = getattr(special, name)
-            monkeypatch.setattr(special, name, lambda x, orig=orig: calls.append(x) or orig(x))
+            monkeypatch.setattr(special, name, lambda x, orig=orig: calls.append(np.size(x)) or orig(x))
         c1.normalize_1d(sys_cc, c1.energy_1d(sys_cc, 0, 0.0))
-        # 24,024 with the nested r quadrature; 420 with r in closed form
-        assert len(calls) <= 1000
+        # 24,024 scalar calls with the nested r quadrature, 420 with r in
+        # closed form; now one array call per function and cut, over every node
+        assert calls == [c1._GL_PANELS * c1._GL_NODES] * 4
 
 
 class TestMomentIdentity:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("x", [0.0, 1.0, 2.0])
+    def test_moment_against_mpmath(self, n, x):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            want = mp.quad(lambda t: t**n * mp.airyai(t + x) ** 2, [0, 2, 5, 10, 20, 40])
+        assert c1._airy_moment(n, x) == pytest.approx(float(want), rel=1e-12)
+
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.0])
     def test_residual_small(self, n, x):

@@ -7,7 +7,7 @@ import pytest
 
 from htaspec import cli, core, nu
 from htaspec.core import CornellParams, MesonSystem, QuantumState, Variant
-from htaspec.errors import DomainError, HtaspecError, NonPhysicalParameters
+from htaspec.errors import DomainError, HtaspecError, NonPhysicalParameters, NumericError
 
 STATES = ("1S", "2S", "1P", "2P", "3S", "4S", "1D")
 
@@ -399,6 +399,67 @@ class TestNuScanIdentity:
             self.assert_identical(sys_v, st)
             seen_two = seen_two or fine_sign_changes(sys_v, st) >= 2
         assert seen_two
+
+
+class TestBrentq:
+    """core._brentq against scipy.optimize.brentq, used here as the oracle:
+    equal floats, not merely close ones."""
+
+    def test_check_suite_residuals(self, monkeypatch):
+        from scipy.optimize import brentq
+
+        port, roots = core._brentq, []
+
+        def both(f, a, b, xtol, rtol):
+            got = port(f, a, b, xtol, rtol)
+            assert got == brentq(f, a, b, xtol=xtol, rtol=rtol), (a, b)
+            roots.append(got)
+            return got
+
+        monkeypatch.setattr(core, "_brentq", both)
+        rng = random.Random(20240817)  # the check command's nu suite draws
+        for _ in range(100):
+            a, b, delta, m = rng.uniform(-3, 3), rng.uniform(0.1, 1.5), rng.uniform(0.2, 1.5), rng.uniform(0.5, 2.5)
+            st = QuantumState(rng.randint(0, 3), rng.randint(0, 2))
+            core.energy_real_via_nu(MesonSystem(2 * m, 2 * m, CornellParams(a, b, delta)), st)
+        assert len(roots) == 100
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x**3 - 2 * x - 5, 2.0, 3.0),
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: math.exp(x) - 2.0, -1.0, 3.0),
+            (lambda x: x**5 - x - 1.0, 1.0, 2.0),
+            # steep: the step-length rule rejects interpolation steps here
+            (lambda x: math.expm1(9.0 * (x + 0.5)), -9.5, 9.3),
+            (lambda x: math.tanh(2.0 * (x - 1.4)) - 0.5, -9.6, 9.5),
+            (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0),  # f(a) f(b) underflows to -0
+            (lambda x: x - 1.0, 1.0, 2.0),  # root exactly at the left end
+            (lambda x: x - 2.0, 1.0, 2.0),  # and at the right end
+        ],
+        ids=["cubic", "cos", "exp", "quintic", "steep-exp", "steep-tanh", "tiny-values", "left-end", "right-end"],
+    )
+    @pytest.mark.parametrize("tol", [(1e-14, 1e-15), (2e-12, 8.881784197001252e-16)], ids=["nu", "scipy-default"])
+    def test_analytic_functions(self, f, a, b, tol):
+        from scipy.optimize import brentq
+
+        xtol, rtol = tol
+        assert core._brentq(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+    def test_iteration_cap_raises(self):
+        # scipy raises RuntimeError after its 100 iterations here, too
+        from scipy.optimize import brentq
+
+        f = lambda x: (x - 0.3) ** 9
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            brentq(f, -1.0, 2.0, xtol=1e-14, rtol=1e-15)
+        with pytest.raises(NumericError, match="no convergence in 100 iterations"):
+            core._brentq(f, -1.0, 2.0, 1e-14, 1e-15)
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(NumericError, match="one sign"):
+            core._brentq(lambda x: x * x + 1.0, 0.0, 1.0, 1e-14, 1e-15)
 
 
 class TestMonotonicity:

@@ -84,6 +84,29 @@ class TestAiry:
         with pytest.raises(OverflowError, match=r"overflow, or \|x\| beyond scipy's range"):
             special.airy_ai(-1.06e6)
 
+    AIRY = [special.airy_ai, special.airy_ai_prime, special.airy_bi, special.airy_bi_prime]
+
+    @pytest.mark.parametrize("fn", AIRY, ids=lambda f: f.__name__)
+    def test_array_equals_scalar_calls(self, fn, monkeypatch):
+        import scipy.special
+
+        x = np.linspace(-30.0, 30.0, 241).reshape(1, 241)
+        want = [fn(float(v)) for v in x.ravel()]
+        assert all(type(v) is float for v in want)
+        calls = []
+        airy = scipy.special.airy
+        monkeypatch.setattr(scipy.special, "airy", lambda x: calls.append(x) or airy(x))
+        got = fn(x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        assert got.ravel().tolist() == want
+        assert len(calls) == 1
+
+    def test_array_with_one_overflowing_element(self):
+        with pytest.raises(OverflowError, match="at x=4000.0"):
+            special.airy_bi(np.array([0.0, 1.0, 4000.0, 2.0]))
+        with pytest.raises(DomainError, match="got nan"):
+            special.airy_ai(np.array([0.0, math.nan]))
+
 
 class TestAiryZeros:
     def test_first_two_zeros(self):

@@ -73,12 +73,18 @@ def test_grid_loads_no_scipy(tmp_path, flags):
     assert not any(m.split(".")[0] == "scipy" for m in mods)
 
 
-def test_check_nu_suite_skips_scipy_integrate(tmp_path):
-    # the NU suite needs scipy.optimize only; scipy.integrate would add
-    # about 0.7 s of cold import to `check --suite nu`
-    mods = loaded_after(run_main(["check", "--suite", "nu"], 0), tmp_path)
-    assert "scipy.optimize" in mods
-    assert "scipy.integrate" not in mods
+@pytest.mark.parametrize("suite", ["nu", "quadrature", "moment", "all"])
+def test_check_loads_only_scipy_special(tmp_path, suite):
+    # the root-solve (Brent) and the Airy quadratures (Gauss-Legendre) are
+    # in-house: scipy.optimize and scipy.integrate, which pulls in
+    # scipy.linalg, would add about 0.3 s of cold import to `check`
+    mods = loaded_after(run_main(["check", "--suite", suite], 0), tmp_path)
+    assert not [m for m in mods if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"], ["scipy", "linalg"])]
+    if suite == "nu":
+        # the NU root-solve is pure Python
+        assert mods == set()
+    else:
+        assert "scipy.special" in mods
 
 
 def test_confine1d_import_skips_scipy_integrate(tmp_path):
