@@ -200,23 +200,25 @@ def solve_k(problem: NUProblem) -> list[complex]:
 
 def _sqrt_radicand(problem: NUProblem, k: complex) -> tuple[tuple[complex, complex], float]:
     """Coefficient-wise square root (lin0, lin1) of the (perfect-square)
-    radicand, and the rounding its square may carry in the constant term:
-    r2 = h1^2 - st2 + K g2 is formed by cancellation, and lin0^2 =
-    r1^2 / (4 r2) inherits its relative error."""
+    radicand, and the rounding its square may carry in the constant term.
+
+    r2 = h1^2 - st2 + K g2 and r1 = 2 h0 h1 - st1 + K g1 are formed by
+    cancellation: each counts as zero only within the rounding of its sum,
+    and lin0^2 = r1^2 / (4 r2) inherits the relative error of r2."""
     r0, r1, r2 = _radicand(problem, k)
-    scale = max(abs(r0), abs(r1), abs(r2), problem.coeff_scale)
-    tol = 1e-10 * scale
-    if abs(r2) > tol:
+    (h0, h1), st, g = _half_diff(problem), problem.sigma_tilde, problem.sigma
+    r2_err = 4 * sys.float_info.epsilon * (abs(h1) ** 2 + abs(st[2]) + abs(k * g[2]))
+    r1_err = 4 * sys.float_info.epsilon * (2 * abs(h0 * h1) + abs(st[1]) + abs(k * g[1]))
+    if abs(r2) > r2_err:
         lead = cmath.sqrt(r2)
         lin = (r1 / (2 * lead), lead)
-        h1, st2, g2 = _half_diff(problem)[1], problem.sigma_tilde[2], problem.sigma[2]
-        slack = 4 * sys.float_info.epsilon * (abs(h1) ** 2 + abs(st2) + abs(k * g2)) / abs(r2) * abs(lin[0]) ** 2
+        slack = r2_err / abs(r2) * abs(lin[0]) ** 2
         # perfect-square consistency: constant term must match
         resid = abs(lin[0] * lin[0] - r0)
         if resid > 1e-8 * max(abs(r0), abs(lin[0]) ** 2, 1.0) + slack:
             raise ConsistencyError(f"radicand is not a perfect square for K={k} (constant-term residual {resid:.3e})")
         return lin, slack
-    if abs(r1) > tol:
+    if abs(r1) > r1_err:
         raise ConsistencyError(f"radicand for K={k} is linear in s, not a square")
     return (cmath.sqrt(r0), 0j), 0.0
 

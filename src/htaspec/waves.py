@@ -25,6 +25,10 @@ which is the closed form used everywhere, for every n.  psi_n_numeric
 evaluates the same transform by adaptive oscillatory quadrature and is the
 independent cross-check path.
 
+By Parseval in p_r, 4 pi int |psi_n|^2 r^2 dr dp_r = (4/3) B^2 int_0^inf
+t^3 Omega_n(t)^2 dt, a finite sum of complete gammas (normalize_B);
+total_probability takes the left side by 2-D quadrature as its check.
+
 All branch powers are exp(power * principal log); correctness of the branch
 bookkeeping is adjudicated by the quadrature equivalence, not by matching
 any particular printed rearrangement of the formulas.
@@ -45,14 +49,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import nu
 from .core import MesonSystem, QuantumState, Variant, _real_nu_problem, real_constants
-from .errors import DegenerateOrderError, DomainError, NumericError
+from .errors import DegenerateOrderError, DomainError, NonPhysicalParameters, NumericError
 from .special import gamma_complex, upper_incomplete_gamma
 
 __all__ = [
@@ -284,41 +288,6 @@ def psi_n_numeric(params: WaveParams, n: int, r: float, p_r: float) -> complex:
     return params.B * phase * acc / (2.0 * math.pi)
 
 
-def _density_integrand(params: WaveParams, n: int):
-    def f(r, p):
-        val = psi_n(params, n, r, p)
-        with np.errstate(over="ignore"):  # inf reaches normalize_B's NumericError
-            return (val.real ** 2 + val.imag ** 2) * r * r
-
-    return f
-
-
-def _p_integral(f, r, n_nodes: int = 96):
-    # map p = tan(theta): the |psi|^2 ~ 1/p^2 tail becomes a bounded
-    # integrand on (-pi/2, pi/2); no momentum truncation at all.  One
-    # integral per radius in the array r, a block of radii per call of f.
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    half = math.pi / 2.0 * 0.999999
-    th = half * nodes
-    p, wp = np.tan(th), weights / np.cos(th) ** 2
-    rows = max(1, _BLOCK_CELLS // n_nodes)
-    return np.concatenate([f(r[i : i + rows, None], p) @ wp for i in range(0, len(r), rows)]) * half
-
-
-def _r_norm_integral(params: WaveParams, n: int, r_max: float, n_r: int = 160, n_p: int = 96) -> float:
-    # the momentum-coupled density needs W^(g-2) Gamma(2-g, rW) at the large
-    # |p_r| of the tangent map, where Gamma overflows though the product is small
-    if params.variant is not Variant.REAL:
-        raise DomainError("normalization integrals cover the real variant only")
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
-    # two panels biased toward the origin where the density peaks
-    split = min(4.0 / params.u, 0.5 * r_max)
-    panels = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in ((1e-9, split), (split, r_max))]
-    r = np.concatenate([mid + half * nodes for mid, half in panels])
-    wr = np.concatenate([half * weights for _, half in panels])
-    return float(wr @ _p_integral(_density_integrand(params, n), r, n_p))
-
-
 def _default_r_max(params: WaveParams) -> float:
     # |psi|^2 r^2 ~ r^(2c-4) exp(-2ur): walk out until the envelope is
     # 1e-12 of its peak
@@ -335,29 +304,58 @@ def _default_r_max(params: WaveParams) -> float:
     return r
 
 
-def normalize_B(params: WaveParams, n: int, r_pad: float = 1.0) -> float:
-    """B such that 4 pi int |psi_n|^2 r^2 dr dp_r = 1.
+def normalize_B(params: WaveParams, n: int) -> float:
+    """B such that 4 pi int |psi_n|^2 r^2 dr dp_r = 1 (the angular part is the
+    bare 4 pi), from the Parseval sum of the module docstring with
+    Omega_n(t) = exp(-u t) t^(c-3) sum_j y_j t^(-j):
 
-    The angular part is the bare 4 pi (angular variables were separated).
-    The r integration stops where the integrand envelope falls below 1e-12
-    of its peak, scaled by r_pad; momentum is integrated exactly through a
-    tangent compactification (its 1/p^2 tail cannot be truncated at any
-    reasonable cutoff, so substitution replaces truncation there).  Real
-    variant only: the momentum-coupled one raises DomainError.
-    """
-    base = replace(params, B=1.0)
-    r_max = _default_r_max(base) * r_pad
-    total = 4.0 * math.pi * _r_norm_integral(base, n, r_max)
-    if not (total > 0 and math.isfinite(total)):
-        raise NumericError(f"normalization integral failed: {total}")
-    return 1.0 / math.sqrt(total)
+        (4/3) B^2 sum_{j,k} y_j y_k Gamma(s_jk) / (2u)^s_jk,  s_jk = 2c - 2 - j - k,
+
+    summed relative to its largest term so that none overflows.  An order
+    s_jk <= 0 diverges at r -> 0 and raises NonPhysicalParameters; the
+    momentum-coupled variant raises DomainError."""
+    if params.variant is not Variant.REAL:
+        raise DomainError("normalization integrals cover the real variant only")
+    n = int(n)
+    _check_index(params, n)
+    u, c = params.u, params.c_order
+    ys = [(j, y.real) for j, y in enumerate(_rodrigues_coeffs(params, n)) if y.real != 0]
+    terms = [(2.0 * c - 2.0 - j - k, yj * yk) for j, yj in ys for k, yk in ys]
+    if min(s for s, _ in terms) <= 0:
+        raise NonPhysicalParameters(f"not normalizable: the integral of |psi_{n}|^2 r^2 diverges at r -> 0 (c = {c:.6g})", value=c)
+    logs = [math.lgamma(s) - s * math.log(2.0 * u) + math.log(abs(yy)) for s, yy in terms]
+    top = max(logs)
+    total = 4.0 / 3.0 * sum(math.copysign(math.exp(v - top), yy) for v, (_, yy) in zip(logs, terms))
+    return math.exp(-0.5 * top) / math.sqrt(total)
 
 
 def total_probability(params: WaveParams, n: int) -> float:
-    """4 pi int |psi_n|^2 r^2 dr dp_r with the stored B, on an independent
-    (finer and 1.5x wider) grid than normalize_B uses."""
+    """4 pi int |psi_n|^2 r^2 dr dp_r with the stored B by 2-D quadrature of
+    psi_n, normalize_B's independent check: two Gauss-Legendre r panels out
+    to 1.5x the radius where the envelope falls to 1e-12 of its peak, and
+    p_r = tan(theta), which leaves no momentum truncation.  Real variant only."""
+    # the momentum-coupled density needs W^(g-2) Gamma(2-g, rW) at the large
+    # |p_r| of the tangent map, where Gamma overflows though the product is small
+    if params.variant is not Variant.REAL:
+        raise DomainError("normalization integrals cover the real variant only")
     r_max = _default_r_max(params) * 1.5
-    return 4.0 * math.pi * _r_norm_integral(params, n, r_max, 220, 140)
+    nodes, weights = np.polynomial.legendre.leggauss(220)
+    # two r panels biased toward the origin where the density peaks
+    split = min(4.0 / params.u, 0.5 * r_max)
+    panels = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in ((1e-9, split), (split, r_max))]
+    r = np.concatenate([mid + half * nodes for mid, half in panels])
+    wr = np.concatenate([half * weights for _, half in panels])
+    nodes, weights = np.polynomial.legendre.leggauss(140)
+    half = math.pi / 2.0 * 0.999999
+    th = half * nodes
+    p, wp = np.tan(th), weights / np.cos(th) ** 2
+    rows = max(1, _BLOCK_CELLS // len(p))
+    inner = []  # the p_r integral of |psi_n|^2 r^2 at each radius, a block of radii per psi_n call
+    for i in range(0, len(r), rows):
+        rb = r[i : i + rows, None]
+        val = psi_n(params, n, rb, p)
+        inner.append((val.real ** 2 + val.imag ** 2) * rb * rb @ wp)
+    return 4.0 * math.pi * float(wr @ (np.concatenate(inner) * half))
 
 
 @dataclass(frozen=True)

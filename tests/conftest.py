@@ -50,3 +50,34 @@ def upper_gamma_quadrature(s: complex, z: complex, length: float = 400.0) -> com
     re, _ = quad(f, 0.0, length, args=(0,), limit=400, epsabs=1e-14, epsrel=1e-12)
     im, _ = quad(f, 0.0, length, args=(1,), limit=400, epsabs=1e-14, epsrel=1e-12)
     return complex(re, im)
+
+
+def parseval_b_oracle(alpha: float, beta: float, n: int, dps: int = 40) -> float:
+    """B with 4 pi int |psi_n|^2 r^2 dr dp_r = 1 (real variant), by a 1-D
+    mpmath quadrature of the Parseval form (4/3) B^2 int_0^inf t^3 Omega_n(t)^2 dt.
+
+    The Rodrigues coefficients of y_n = x^(-p) e^(-q/x) d^n/dx^n
+    [x^(2n) e^(q/x) x^p], q = -2u, p = -2c, are expanded here in mpmath, so
+    neither the NU pipeline nor any gamma function of the package is used.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        u = mpmath.sqrt(-mpmath.mpf(alpha))
+        c = mpmath.mpf(beta) / (2 * u)
+        terms = {2 * n: mpmath.mpf(1)}
+        for _ in range(n):
+            new = {}
+            for j, coeff in terms.items():
+                new[j - 1] = new.get(j - 1, 0) + coeff * (-2 * c + j)
+                new[j - 2] = new.get(j - 2, 0) + coeff * 2 * u
+            terms = new
+        coeffs = [terms.get(j, 0) for j in range(n + 1)]
+
+        def integrand(t):
+            y = sum(coeff * t ** (-j) for j, coeff in enumerate(coeffs))
+            return t ** 3 * (mpmath.exp(-u * t) * t ** (c - 3) * y) ** 2
+
+        peak = max((c - 1) / u, 1 / u)
+        total = mpmath.quad(integrand, [0, peak, 4 * peak, mpmath.inf])
+        return float(1 / mpmath.sqrt(4 * total / 3))

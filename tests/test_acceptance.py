@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import parseval_b_oracle
 from htaspec import confine1d, core, fitting, waves
 from htaspec.core import CornellParams, MesonSystem, QuantumState, Variant
 from htaspec.errors import UnderdeterminedFitError
@@ -196,14 +197,13 @@ class TestAcceptance:
         st = QuantumState.from_label("1S")
         params = waves.wave_params(ccbar_real, st, core.energy_real(ccbar_real, st))
         b1 = waves.normalize_B(params, 0)
-        b2 = waves.normalize_B(params, 0, r_pad=2.0)
-        trunc = abs(b2 - b1) / b1
+        b_dev = abs(b1 / parseval_b_oracle(params.alpha, params.beta, 0) - 1)
         prob = waves.total_probability(waves.WaveParams(params.alpha, params.beta, params.gamma, b1), 0)
-        ok = worst < 1e-5 and trunc < 1e-4 and abs(prob - 1) < 1e-3
+        ok = worst < 1e-5 and b_dev < 1e-9 and abs(prob - 1) < 1e-3
         report(
             "criterion-10 closed-form vs transform oracle",
             ok,
-            f"worst rel dev {worst:.1e} (tol 1e-5), truncation shift {trunc:.1e} (tol 1e-4), "
+            f"worst rel dev {worst:.1e} (tol 1e-5), closed-form B vs mpmath {b_dev:.1e} (tol 1e-9), "
             f"probability dev {abs(prob - 1):.1e} (tol 1e-3)",
         )
 

@@ -266,8 +266,7 @@ class TestGridScan:
 
     def test_grid_momentum_coupled_excited_exits_3(self, tmp_path):
         assert run(
-            ["grid", "--meson", "ccbar", "--variant", "complex5", "--state", "2S",
-             "--n", "1", "--out", str(tmp_path)]
+            ["grid", "--meson", "ccbar", "--variant", "complex5", "--state", "2S", "--out", str(tmp_path)]
         ) == 3
 
     @pytest.mark.parametrize("meson", ["ccbar", "bbbar", "bcbar"])
@@ -282,16 +281,16 @@ class TestGridScan:
     @pytest.mark.parametrize("normalize", ["--normalize", "--no-normalize"])
     @pytest.mark.parametrize(
         "extra",
-        [["--n", "9"], ["--n", "-1"], ["--variant", "complex5", "--n", "1"]],
-        ids=["n-above-range", "n-negative", "complex5-excited"],
+        [["--state", "8S"], ["--variant", "complex5", "--state", "2S"]],
+        ids=["n-above-range", "complex5-excited"],
     )
     def test_grid_invalid_n_exits_3(self, tmp_path, capsys, extra, normalize):
-        # no cell can take such an n: exit before writing a CSV of nan cells
+        # no cell can take the state's n: exit before writing a CSV of nan cells
         assert run(
             ["grid", "--meson", "ccbar", *extra, "--rsteps", "3", "--psteps", "3", normalize, "--out", str(tmp_path)]
         ) == 3
         assert capsys.readouterr().err.startswith("non-physical parameters: ")
-        assert not (tmp_path / "ccbar_1S_grid.csv").exists()
+        assert not list(tmp_path.iterdir())
 
     def test_grid_complex_level_energy_exits_3(self, tmp_path, capsys):
         # the complex5 1S energy here is -0.3875 +- 0.0484i: grid follows the

@@ -121,6 +121,15 @@ class TestPiPoly:
         sol = nu.solve(prob)
         assert sol.lam == sol.k + sol.pi[1]
 
+    # the radicand (1e6, -10, 2.5e-5) is (1000 - 0.005 s)^2: a leading
+    # coefficient small against the constant term, but far above the
+    # rounding of the sum 9 + 5 + K that formed it, is no "linear in s"
+    def test_small_leading_coefficient_is_a_square(self):
+        sol = nu.solve(nu.NUProblem((0, 0, 1), (-1e6, 10, -5), (0, -4)))
+        assert sol.k == pytest.approx(-13.999975, rel=1e-14)
+        assert sol.pi[0] == pytest.approx(-1000, rel=1e-9)
+        assert sol.pi[1] == pytest.approx(3.005, rel=1e-12)
+
 
 class TestTauLambda:
     def test_rotated_minus_branch_tau(self):

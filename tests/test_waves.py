@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from htaspec import core, waves
+from conftest import parseval_b_oracle
+from htaspec import cli, core, waves
 from htaspec.core import QuantumState, Variant
-from htaspec.errors import DegenerateOrderError, DomainError
+from htaspec.errors import DegenerateOrderError, DomainError, NonPhysicalParameters
 from htaspec.special import gamma_complex
 
 
@@ -115,11 +116,6 @@ class TestNormalization:
         normed = waves.WaveParams(params_1s.alpha, params_1s.beta, params_1s.gamma, b_norm)
         assert waves.total_probability(normed, 0) == pytest.approx(1.0, abs=1e-3)
 
-    def test_truncation_stability(self, params_1s):
-        b1 = waves.normalize_B(params_1s, 0)
-        b2 = waves.normalize_B(params_1s, 0, r_pad=2.0)
-        assert abs(b2 - b1) / b1 < 1e-4
-
     def test_excited_state_normalization(self, params_2s):
         b_norm = waves.normalize_B(params_2s, 1)
         normed = waves.WaveParams(params_2s.alpha, params_2s.beta, params_2s.gamma, b_norm)
@@ -135,6 +131,39 @@ class TestNormalization:
         st = QuantumState.from_label(label)
         params = waves.wave_params(ccbar_real, st, core.energy_real(ccbar_real, st))
         assert waves.normalize_B(params, n) == pytest.approx(frozen, rel=2e-4)
+
+    def test_closed_form_against_mpmath(self, dataset, monkeypatch):
+        # the Gamma sum cancels more as n grows: B loses about 3e-10 at
+        # n = 4 and 4e-8 at n = 6 against the 40-digit Parseval integral
+        pytest.importorskip("mpmath")
+        calls = []
+        monkeypatch.setattr(waves, "psi_n", lambda *a: calls.append("psi_n"))
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda *a: calls.append("leggauss"))
+        for label in ("ccbar", "bbbar"):
+            sys_v = dataset[label].system(Variant.REAL)
+            for n in range(7):
+                for l in range(3):
+                    st = QuantumState(n, l)
+                    params = waves.wave_params(sys_v, st, core.energy_real(sys_v, st))
+                    want = parseval_b_oracle(params.alpha, params.beta, n)
+                    tol = 1e-9 if n <= 4 else 1e-7
+                    assert waves.normalize_B(params, n) == pytest.approx(want, rel=tol), (label, st.label)
+        assert calls == []
+
+    def test_divergent_density_not_normalizable(self):
+        # r^2 int |psi_0|^2 dp_r ~ r^(2c - 3) at r -> 0: no finite B for c <= 1
+        for c in (0.6, 0.9, 0.99):
+            with pytest.raises(NonPhysicalParameters, match="not normalizable"):
+                waves.normalize_B(waves.WaveParams(alpha=-1.0, beta=2.0 * c, gamma=-5.0), 0)
+        # c = 1.01: B = (4/3 Gamma(0.02) / 2^0.02)^(-1/2)
+        params = waves.WaveParams(alpha=-1.0, beta=2.02, gamma=-5.0)
+        assert waves.normalize_B(params, 0) == pytest.approx(0.12402, abs=1e-5)
+
+    def test_grid_of_non_normalizable_state_exits_3(self, tmp_path, capsys):
+        # bundled bcbar has c < 1 at 1S
+        assert cli.main(["grid", "--meson", "bcbar", "--state", "1S", "--out", str(tmp_path)]) == 3
+        assert "not normalizable" in capsys.readouterr().err
+        assert not (tmp_path / "bcbar_1S_grid.csv").exists()
 
 
 class TestDensityGrid:
