@@ -12,12 +12,12 @@ z_k the k-th negative zero of Ai.
 Normalization.  The physical normalization constant sets the integral of
 4*pi * |c1 Ai|^2 r^2 over (r, p_r) to 1, with r in closed form and p_r by
 quadrature (cut on p_r only); that value is authoritative here.
-Two closed-form constants are also exposed for comparison:
-``closed_form_c1`` (the sqrt form in (b*w)^3 with w = omega^(-1/3)) and its
-further "simplified" variant ``closed_form_c1_reduced``.  Neither matches
-the quadrature constant (the first is off by a system-dependent O(10)
-factor, the second loses the square root entirely); both are reported as
-diagnostics only, never used in computation.
+The closed-form constant ``closed_form_c1`` (the sqrt form in (b*w)^3 with
+w = omega^(-1/3)) is exposed for comparison only: it is off the quadrature
+constant by a system-dependent O(10) factor, and is reported as a
+diagnostic, never used in computation.  Its further "simplified" printed
+form 7 b^9 Gamma^2(1/3) / (2560 * 3^(1/3) m^3) drops the square root
+entirely and is not dimensionally consistent with it, so it is not kept.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "psi_1d",
     "normalize_1d",
     "closed_form_c1",
-    "closed_form_c1_reduced",
     "moment_identity_check",
     "time_factor",
 ]
@@ -151,16 +150,6 @@ def closed_form_c1(sys: Confinement1DSystem) -> float:
     w = sys.omega ** (-1.0 / 3.0)
     g13 = special.gamma_complex(1.0 / 3.0).real
     return math.sqrt(6.0 * (sys.b * w) ** 3 * g13 ** 2 / (5.0 * 3.0 ** (1.0 / 3.0)))
-
-
-def closed_form_c1_reduced(sys: Confinement1DSystem) -> float:
-    """The further-reduced printed constant 7 b^9 Gamma^2(1/3) / (2560 * 3^(1/3) m^3).
-
-    Diagnostic only; not even dimensionally consistent with closed_form_c1
-    (the square root was dropped in the reduction).
-    """
-    g13 = special.gamma_complex(1.0 / 3.0).real
-    return 7.0 * sys.b ** 9 * g13 ** 2 / (2560.0 * 3.0 ** (1.0 / 3.0) * sys.m ** 3)
 
 
 def _airy_moment(n: int, x: float) -> float:

@@ -15,11 +15,12 @@ polynomial index rule lambda_n = -n tau' - n(n-1)/2 sigma''.  Polynomial
 solutions come from the Rodrigues relation y_n = (B_n/rho) d^n/ds^n
 (sigma^n rho).
 
-phi and rho are kept as closed-form descriptors exp(rate/s) * s^power, the
-only family the monomial sigma = c2 s^2 produces; Rodrigues differentiation
-is then exact (the family exp(q/s) * Laurent polynomial is closed under
-d/ds).  Quadratics with a genuine linear/constant part would leave this
-family and are rejected.
+solve returns K, pi, tau and lambda only.  phi and rho are built on request
+(phi_descriptor, rho_descriptor) as closed-form descriptors exp(rate/s) *
+s^power, the only family the monomial sigma = c2 s^2 produces; Rodrigues
+differentiation is then exact (the family exp(q/s) * Laurent polynomial is
+closed under d/ds).  Quadratics with a genuine linear/constant part would
+leave this family, and the descriptors and rodrigues_y reject them.
 
 Polynomials are ascending coefficient tuples: (c0, c1, c2) is c0 + c1 s
 + c2 s^2.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError, UnsupportedWeightError
 
@@ -45,7 +46,6 @@ __all__ = [
     "phi_descriptor",
     "rho_descriptor",
     "rodrigues_y",
-    "eigencondition_residual",
     "solve",
 ]
 
@@ -120,14 +120,12 @@ class RodriguesPolynomial:
 
 @dataclass(frozen=True)
 class NUSolution:
-    """Everything the pipeline derives for one (problem, K, branch)."""
+    """K, pi, tau and lambda for one (problem, K, branch)."""
 
     k: complex
     pi: tuple[complex, complex]
     tau: tuple[complex, complex]
     lam: complex
-    phi: ExpPowerForm
-    rho: ExpPowerForm
 
 
 def _half_diff(problem: NUProblem) -> tuple[complex, complex]:
@@ -198,29 +196,42 @@ def solve_k(problem: NUProblem) -> list[complex]:
     return out
 
 
-def _sqrt_radicand(problem: NUProblem, k: complex) -> tuple[tuple[complex, complex], float]:
+def _sqrt_radicand(problem: NUProblem, k: complex) -> tuple[complex, complex]:
     """Coefficient-wise square root (lin0, lin1) of the (perfect-square)
-    radicand, and the rounding its square may carry in the constant term.
+    radicand, lin1 the principal root of r2.
 
     r2 = h1^2 - st2 + K g2 and r1 = 2 h0 h1 - st1 + K g1 are formed by
-    cancellation: each counts as zero only within the rounding of its sum,
-    and lin0^2 = r1^2 / (4 r2) inherits the relative error of r2."""
+    cancellation: each counts as zero only within the rounding of its sum.
+    The root is taken from r2, or from r0 where r2 is inside its rounding,
+    so two coefficients of (lin0 + lin1 s)^2 match by construction; the
+    third is checked within the rounding it inherits."""
     r0, r1, r2 = _radicand(problem, k)
     (h0, h1), st, g = _half_diff(problem), problem.sigma_tilde, problem.sigma
     r2_err = 4 * sys.float_info.epsilon * (abs(h1) ** 2 + abs(st[2]) + abs(k * g[2]))
     r1_err = 4 * sys.float_info.epsilon * (2 * abs(h0 * h1) + abs(st[1]) + abs(k * g[1]))
     if abs(r2) > r2_err:
-        lead = cmath.sqrt(r2)
-        lin = (r1 / (2 * lead), lead)
-        slack = r2_err / abs(r2) * abs(lin[0]) ** 2
-        # perfect-square consistency: constant term must match
-        resid = abs(lin[0] * lin[0] - r0)
-        if resid > 1e-8 * max(abs(r0), abs(lin[0]) ** 2, 1.0) + slack:
+        lin1 = cmath.sqrt(r2)
+        lin0 = r1 / (2 * lin1)
+        # lin0^2 = r1^2 / (4 r2) inherits the relative error of r2
+        slack = r2_err / abs(r2) * abs(lin0) ** 2
+        resid = abs(lin0 * lin0 - r0)
+        if resid > 1e-8 * max(abs(r0), abs(lin0) ** 2, 1.0) + slack:
             raise ConsistencyError(f"radicand is not a perfect square for K={k} (constant-term residual {resid:.3e})")
-        return lin, slack
-    if abs(r1) > r1_err:
+        return lin0, lin1
+    if abs(r1) <= r1_err:
+        return cmath.sqrt(r0), 0j
+    if r0 == 0:
         raise ConsistencyError(f"radicand for K={k} is linear in s, not a square")
-    return (cmath.sqrt(r0), 0j), 0.0
+    # near the vertex C1 = 0 the true r2 = r1^2/(4 r0) sinks into its own
+    # rounding while r1 does not
+    lin0 = cmath.sqrt(r0)
+    lin1 = r1 / (2 * lin0)
+    if lin1.real < 0 or (lin1.real == 0 and lin1.imag < 0):
+        lin0, lin1 = -lin0, -lin1
+    resid = abs(lin1 * lin1 - r2)
+    if resid > 1e-8 * max(abs(r2), abs(lin1) ** 2) + r2_err:
+        raise ConsistencyError(f"radicand is not a perfect square for K={k} (leading-term residual {resid:.3e})")
+    return lin0, lin1
 
 
 def pi_poly(problem: NUProblem, k: complex, branch: int = +1) -> tuple[complex, complex]:
@@ -232,17 +243,8 @@ def pi_poly(problem: NUProblem, k: complex, branch: int = +1) -> tuple[complex, 
     if branch not in (+1, -1):
         raise DomainError(f"branch must be +1 or -1, got {branch}")
     h0, h1 = _half_diff(problem)
-    (l0, l1), slack = _sqrt_radicand(problem, k)
-    pi = (h0 + branch * l0, h1 + branch * l1)
-    # verify (pi - h)^2 reproduces the radicand at sample points
-    radicand = _radicand(problem, k)
-    for i in range(10):
-        s = complex(0.37 + 0.61 * i, 0.11 * i - 0.4)
-        lhs = (polyval(pi, s) - polyval((h0, h1), s)) ** 2
-        rhs = polyval(radicand, s)
-        if abs(lhs - rhs) > 1e-8 * max(abs(lhs), abs(rhs), 1.0) + slack:
-            raise ConsistencyError(f"pi verification failed at s={s}: {lhs} vs {rhs}")
-    return pi
+    l0, l1 = _sqrt_radicand(problem, k)
+    return (h0 + branch * l0, h1 + branch * l1)
 
 
 def tau_lambda(problem: NUProblem, pi: tuple[complex, complex], k: complex):
@@ -325,27 +327,4 @@ def solve(problem: NUProblem, branch: int = +1) -> NUSolution:
     k = ks[0]
     pi = pi_poly(problem, k, branch)
     tau, lam = tau_lambda(problem, pi, k)
-    return NUSolution(
-        k=k,
-        pi=pi,
-        tau=tau,
-        lam=lam,
-        phi=phi_descriptor(problem, pi),
-        rho=rho_descriptor(problem, tau),
-    )
-
-
-def eigencondition_residual(problem: NUProblem, n: int, embedded_param: complex, embedding, branch: int = +1) -> complex:
-    """lambda(embedded) - lambda_n(embedded); its roots are NU eigenvalues.
-
-    ``embedding`` maps the scalar parameter (typically an energy) to the
-    sigma_tilde coefficients of the problem.
-    """
-    st = _as3(embedding(embedded_param))
-    if any(not (abs(v) < float("inf")) for v in st):
-        raise DomainError(f"embedding produced non-finite sigma_tilde: {st}")
-    if all(v == 0 for v in st):
-        raise DomainError("embedding produced a degenerate (zero) sigma_tilde")
-    prob = replace(problem, sigma_tilde=st)
-    sol = solve(prob, branch=branch)
-    return sol.lam - lambda_n(prob, sol.tau, n)
+    return NUSolution(k=k, pi=pi, tau=tau, lam=lam)

@@ -301,6 +301,30 @@ class TestNuEquivalence:
             e_nu = core.energy_real_via_nu(sys_v, st)
             assert abs(e_closed - e_nu) <= 1e-9 * max(abs(e_closed), 1e-12)
 
+    def test_near_vertex_is_never_inconsistent(self):
+        # a = 3b/delta^2 (1 +- eps) puts C1 near 0, where the radicand's r2
+        # falls inside its own rounding: the NU route either agrees with the
+        # closed form or finds no bracket, and never calls the square
+        # radicand inconsistent
+        rng = random.Random(7)
+        agreed = 0
+        for _ in range(200):
+            b, delta, m = rng.uniform(0.1, 1.5), rng.uniform(0.2, 1.5), rng.uniform(0.5, 2.5)
+            st = QuantumState(rng.randint(0, 3), rng.randint(0, 2))
+            sign, eps = rng.choice((-1, 1)), 10 ** rng.uniform(-9, -3)
+            sys_v = MesonSystem(2 * m, 2 * m, CornellParams(3 * b / delta**2 * (1 + sign * eps), b, delta))
+            try:
+                e_closed = core.energy_real(sys_v, st)
+            except HtaspecError:
+                continue
+            try:
+                e_nu = core.energy_real_via_nu(sys_v, st)
+            except NonPhysicalParameters:
+                continue
+            assert abs(e_closed - e_nu) <= 1e-9 * max(abs(e_closed), 1e-12)
+            agreed += 1
+        assert agreed >= 50
+
 
 def nu_residual(sys_v, st, energy):
     """energy_real_via_nu's residual: lambda on branch +1 minus the index rule."""

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ class TestPiPoly:
         assert sol.pi[0] == pytest.approx(-1000, rel=1e-9)
         assert sol.pi[1] == pytest.approx(3.005, rel=1e-12)
 
+    # near the vertex C1 = 0: the true r2 = 1e-18/4 sinks into the rounding
+    # of 9 + 5 + K, while r1 = -1e-9 does not, so the radicand (1 - 5e-10 s)^2
+    # is rooted from r0, keeping lin1 the principal root of r2
+    def test_near_vertex_radicand_is_a_square(self):
+        prob = nu.NUProblem((0, 0, 1), (-1.0, 1e-9, -5.0), (0, -4))
+        k = nu.solve_k(prob)[0]
+        pi_plus, pi_minus = nu.pi_poly(prob, k, +1), nu.pi_poly(prob, k, -1)
+        assert pi_plus[0] == pytest.approx(-1, rel=1e-15)
+        assert pi_plus[1] == pytest.approx(3 + 5e-10, rel=1e-15)
+        assert pi_minus[0] == pytest.approx(1, rel=1e-15)
+        assert pi_minus[1] == pytest.approx(3 - 5e-10, rel=1e-15)
+
 
 class TestTauLambda:
     def test_rotated_minus_branch_tau(self):
@@ -215,38 +228,6 @@ def strict_eigen_alpha(beta, gamma, n, branch):
     raise AssertionError("no physical strict eigen-alpha")
 
 
-class TestEigenconditionResidual:
-    def embedding(self, beta, gamma):
-        return lambda alpha: (alpha, beta, gamma)
-
-    def test_residual_vanishes_at_strict_root(self):
-        beta, gamma, n = 31.5973, -26.2183, 2
-        prob = rotated_problem(-1.0, beta, gamma)
-        alpha = strict_eigen_alpha(beta, gamma, n, -1)
-        res = nu.eigencondition_residual(prob, n, alpha, self.embedding(beta, gamma), branch=-1)
-        assert abs(res) < 1e-9
-
-    def test_residual_nonzero_off_root(self):
-        beta, gamma, n = 31.5973, -26.2183, 2
-        prob = rotated_problem(-1.0, beta, gamma)
-        alpha = strict_eigen_alpha(beta, gamma, n, -1)
-        res = nu.eigencondition_residual(prob, n, alpha * 1.1, self.embedding(beta, gamma), branch=-1)
-        assert abs(res) > 1e-4
-
-    def test_n_zero_is_lambda_zero(self):
-        # at n = 0, the condition is lambda = 0: construct the root directly
-        beta, gamma = 10.0, -9.0
-        prob = rotated_problem(-1.0, beta, gamma)
-        alpha = strict_eigen_alpha(beta, gamma, 0, -1)
-        res = nu.eigencondition_residual(prob, 0, alpha, self.embedding(beta, gamma), branch=-1)
-        assert abs(res) < 1e-10
-
-    def test_degenerate_embedding_rejected(self):
-        prob = rotated_problem(ALPHA, BETA, GAMMA)
-        with pytest.raises(DomainError):
-            nu.eigencondition_residual(prob, 1, 0.0, lambda _: (0, 0, 0))
-
-
 class TestDescriptorsAndRodrigues:
     def setup_method(self):
         self.prob = rotated_problem(ALPHA, BETA, GAMMA)
@@ -317,8 +298,9 @@ class TestDescriptorsAndRodrigues:
         alpha = strict_eigen_alpha(BETA, GAMMA, n, -1)
         prob = rotated_problem(alpha, BETA, GAMMA)
         sol = nu.solve(prob, branch=-1)
-        y = nu.rodrigues_y(prob, sol.rho, n)
-        psi = lambda x: sol.phi(x) * y(x)
+        phi = nu.phi_descriptor(prob, sol.pi)
+        y = nu.rodrigues_y(prob, nu.rho_descriptor(prob, sol.tau), n)
+        psi = lambda x: phi(x) * y(x)
 
         def deriv(x, h):
             d1 = (psi(x + h) - psi(x - h)) / (2 * h)
@@ -383,3 +365,13 @@ class TestPipelineProperties:
             assert sol.tau[0] == prob.tau_tilde[0] + 2 * sol.pi[0]
             assert sol.tau[1] == prob.tau_tilde[1] + 2 * sol.pi[1]
             assert sol.lam == sol.k + sol.pi[1]
+            # (pi - h)^2 is the radicand coefficient by coefficient, each
+            # within the rounding of the sum that formed it; lin0^2 =
+            # r1^2/(4 r2) inherits r2's relative error where r2 leads
+            (h0, h1), (r0, r1, r2) = nu._half_diff(prob), nu._radicand(prob, sol.k)
+            lin0, lin1 = sol.pi[0] - h0, sol.pi[1] - h1
+            r2_err = 4 * sys.float_info.epsilon * (abs(h1) ** 2 + abs(st2) + abs(sol.k))
+            r1_err = 4 * sys.float_info.epsilon * (2 * abs(h0 * h1) + abs(st1))
+            r0_err = r2_err / abs(r2) * abs(lin0) ** 2 if abs(r2) > r2_err else 0.0
+            for have, want, err in ((lin0 * lin0, r0, r0_err), (2 * lin0 * lin1, r1, r1_err), (lin1 * lin1, r2, r2_err)):
+                assert abs(have - want) <= 1e-8 * max(abs(have), abs(want), 1.0) + err
