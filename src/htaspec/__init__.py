@@ -2,8 +2,8 @@
 
 Subpackages by role:
 
-* ``special``    -- real Airy functions and zeros (over ``scipy.special``),
-                    complex gamma and upper incomplete gamma (numpy)
+* ``special``    -- real Airy functions and zeros, complex gamma and upper
+                    incomplete gamma (numpy)
 * ``nu``         -- generic Nikiforov-Uvarov eigenvalue machinery
 * ``core``       -- Cornell-system types, closed-form level energies, mass
                     spectra, parameter scans

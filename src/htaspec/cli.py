@@ -18,9 +18,9 @@ Exit codes: 0 ok, 2 input error, 3 non-physical parameters, 4 fit failure,
 5 internal numeric failure.  Outputs are CSV with fixed float formatting and
 fixed ordering, so identical inputs give byte-identical files.
 
-spectrum, scan, fit and check --suite nu never import numpy or scipy; grid
-imports numpy only, and check's quadrature and moment suites numpy and, as
-their only scipy subpackage, scipy.special (Airy), each when it runs.
+spectrum, scan, fit and check --suite nu never import numpy; grid and check's
+quadrature and moment suites import it when they run.  No command imports
+scipy.
 """
 
 from __future__ import annotations

@@ -333,7 +333,8 @@ def total_probability(params: WaveParams, n: int) -> float:
     """4 pi int |psi_n|^2 r^2 dr dp_r with the stored B by 2-D quadrature of
     psi_n, normalize_B's independent check: two Gauss-Legendre r panels out
     to 1.5x the radius where the envelope falls to 1e-12 of its peak, and
-    p_r = tan(theta), which leaves no momentum truncation.  Real variant only."""
+    p_r = tan(theta), which leaves no momentum truncation.  Real variant only;
+    a density that does not integrate at r -> 0 raises NonPhysicalParameters."""
     # the momentum-coupled density needs W^(g-2) Gamma(2-g, rW) at the large
     # |p_r| of the tangent map, where Gamma overflows though the product is small
     if params.variant is not Variant.REAL:
@@ -349,6 +350,13 @@ def total_probability(params: WaveParams, n: int) -> float:
     half = math.pi / 2.0 * 0.999999
     th = half * nodes
     p, wp = np.tan(th), weights / np.cos(th) ** 2
+    # near r = 0, psi_n(r, q/r) ~ r^k g(q): r^2 int |psi_n|^2 dp_r ~ r^(2k+1), which the first r
+    # node cannot see; it integrates only if r times it, probed below that node, falls toward 0
+    probe = np.array([[1e-10], [1e-9]])
+    val = psi_n(params, n, probe, p / probe)
+    edge = (val.real ** 2 + val.imag ** 2) * probe * probe @ wp
+    if not (edge[0] < edge[1] or edge[1] == 0):  # a non-finite probe fails too
+        raise NonPhysicalParameters(f"not normalizable: r^2 int |psi_{n}|^2 dp_r grows like 1/r or faster at r -> 0", value=params.c_order)
     rows = max(1, _BLOCK_CELLS // len(p))
     inner = []  # the p_r integral of |psi_n|^2 r^2 at each radius, a block of radii per psi_n call
     for i in range(0, len(r), rows):

@@ -1,5 +1,5 @@
-"""Start-up contract: a command imports numpy and scipy only when it runs
-code that needs them.
+"""Start-up contract: a command imports numpy only when it runs code that
+needs it, and no command imports scipy.
 
 Each case runs in a fresh interpreter, since this test process has long
 since imported both.  The checks are on module names, not timings.
@@ -67,24 +67,24 @@ _GRID = ["grid", "--meson", "ccbar", "--rsteps", "4", "--psteps", "3", "--out", 
 )
 def test_grid_loads_no_scipy(tmp_path, flags):
     # Gamma(s, z), the complete Gamma it needs and the normalizing
-    # quadrature are numpy only; scipy.special alone would add about 0.3 s
-    mods = loaded_after(run_main(_GRID + flags, 0), tmp_path)
+    # quadrature are numpy only; scipy.special alone would add about 0.3 s.
+    # grid never reaches Airy, so it builds no Gauss-Laguerre nodes either
+    airy_idle = "from htaspec import special\nassert special._laguerre.cache_info().currsize == 0"
+    mods = loaded_after(run_main(_GRID + flags, 0) + "\n" + airy_idle, tmp_path)
     assert "numpy" in mods
     assert not any(m.split(".")[0] == "scipy" for m in mods)
 
 
 @pytest.mark.parametrize("suite", ["nu", "quadrature", "moment", "all"])
-def test_check_loads_only_scipy_special(tmp_path, suite):
-    # the root-solve (Brent) and the Airy quadratures (Gauss-Legendre) are
-    # in-house: scipy.optimize and scipy.integrate, which pulls in
-    # scipy.linalg, would add about 0.3 s of cold import to `check`
+def test_check_loads_no_scipy(tmp_path, suite):
+    # the root-solve (Brent), the Airy functions and zeros and the Airy
+    # quadratures (Gauss-Legendre) are in-house: scipy.special alone would
+    # add about 0.4 s of cold import to `check`
     mods = loaded_after(run_main(["check", "--suite", suite], 0), tmp_path)
-    assert not [m for m in mods if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"], ["scipy", "linalg"])]
+    assert not any(m.split(".")[0] == "scipy" for m in mods)
     if suite == "nu":
         # the NU root-solve is pure Python
         assert mods == set()
-    else:
-        assert "scipy.special" in mods
 
 
 def test_confine1d_import_skips_scipy_integrate(tmp_path):

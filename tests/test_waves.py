@@ -116,6 +116,19 @@ class TestNormalization:
         normed = waves.WaveParams(params_1s.alpha, params_1s.beta, params_1s.gamma, b_norm)
         assert waves.total_probability(normed, 0) == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("n, c", [(0, 0.6), (0, 0.95), (1, 1.9), (2, 2.95), (0, -27.4)])
+    def test_non_integrable_density_raises(self, monkeypatch, n, c):
+        # r^2 int |psi_n|^2 dp_r ~ r^(2c-3-2n) at r -> 0, which does not
+        # integrate for c <= n + 1; c = 0.6, n = 0 returned 3764.9 and c =
+        # -27.4 (bcbar's 1S) inf.  The oracle decides without normalize_B
+        monkeypatch.setattr(waves, "normalize_B", None)
+        with pytest.raises(NonPhysicalParameters, match="not normalizable"):
+            waves.total_probability(waves.WaveParams(alpha=-1.0, beta=2.0 * c, gamma=-5.0), n)
+
+    def test_integrable_density_near_the_edge(self):
+        # c = n + 1.05 integrates, however slowly
+        assert math.isfinite(waves.total_probability(waves.WaveParams(alpha=-1.0, beta=2.1, gamma=-5.0), 0))
+
     def test_excited_state_normalization(self, params_2s):
         b_norm = waves.normalize_B(params_2s, 1)
         normed = waves.WaveParams(params_2s.alpha, params_2s.beta, params_2s.gamma, b_norm)
