@@ -76,6 +76,15 @@ def test_grid_loads_no_scipy(tmp_path, flags):
 
 
 @pytest.mark.parametrize("suite", ["nu", "quadrature", "moment", "all"])
+def test_check_loads_only_scipy_special(tmp_path, suite):
+    # the root-solve (Brent) and the Airy quadratures (Gauss-Legendre) are
+    # in-house: scipy.optimize and scipy.integrate, which pulls in
+    # scipy.linalg, would add about 0.3 s of cold import to `check`
+    mods = loaded_after(run_main(["check", "--suite", suite], 0), tmp_path)
+    assert not [m for m in mods if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"], ["scipy", "linalg"])]
+
+
+@pytest.mark.parametrize("suite", ["nu", "quadrature", "moment", "all"])
 def test_check_loads_no_scipy(tmp_path, suite):
     # the root-solve (Brent), the Airy functions and zeros and the Airy
     # quadratures (Gauss-Legendre) are in-house: scipy.special alone would
