@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -59,16 +59,18 @@ def _gauss_legendre(f, a: float, b: float) -> float:
     return float(f(t) @ np.tile(_GL_W * (h / 2.0), _GL_PANELS))
 
 
-@dataclass(frozen=True)
-class Confinement1DSystem:
+class Confinement1DSystem(namedtuple("Confinement1DSystem", "m b")):
     """Reduced mass m (GeV) and linear coefficient b (GeV^2)."""
 
-    m: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.m > 0 and self.b > 0):
-            raise DomainError(f"Confinement1DSystem needs m, b > 0, got m={self.m}, b={self.b}")
+    def __new__(cls, m: float, b: float):
+        if not (m > 0 and b > 0):
+            raise DomainError(f"Confinement1DSystem needs m, b > 0, got m={m}, b={b}")
+        return super().__new__(cls, m, b)
+
+    # namedtuple's _make, behind _replace, skips __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def omega(self) -> float:
@@ -109,7 +111,7 @@ def _airy_r2_moment(x):
     Past x ~ 10 the terms cancel (5e-10 relative at x = 15 against mpmath,
     where the value is 2e-38); the absolute error stays below 1e-40.
     """
-    ai, aip = special.airy_ai(x), special.airy_ai_prime(x)
+    ai, aip = special.airy_ai_pair(x)
     return (8.0 * x * x * aip * aip - 8.0 * x ** 3 * ai * ai + 4.0 * x * ai * aip + 3.0 * ai * ai) / 15.0
 
 
@@ -172,11 +174,12 @@ def moment_identity_check(x: float, n: int) -> float:
     if n < 1:
         raise DomainError(f"moment_identity_check: n must be >= 1, got {n}")
     lhs = _airy_moment(n, x)
-    d2 = _gauss_legendre(
-        lambda t: t ** (n - 1) * 2.0 * (special.airy_ai_prime(t + x) ** 2 + (t + x) * special.airy_ai(t + x) ** 2),
-        0.0,
-        max(_ARG_CUT - x, 1.0) + 25.0,
-    )
+
+    def d2_integrand(t):
+        ai, aip = special.airy_ai_pair(t + x)
+        return t ** (n - 1) * 2.0 * (aip ** 2 + (t + x) * ai ** 2)
+
+    d2 = _gauss_legendre(d2_integrand, 0.0, max(_ARG_CUT - x, 1.0) + 25.0)
     rhs = n / (2.0 * n + 1.0) * (0.5 * d2 - 2.0 * x * _airy_moment(n - 1, x))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale

@@ -67,9 +67,8 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import nu
 from .errors import DegenerateStateError, DomainError, NonPhysicalParameters, NumericError
 
 __all__ = [
@@ -107,39 +106,39 @@ class Variant(enum.Enum):
         raise DomainError(f"unknown variant {token!r}; expected 'real7' or 'complex5'")
 
 
-@dataclass(frozen=True)
-class CornellParams:
+class CornellParams(namedtuple("CornellParams", "a b delta")):
     """Cornell potential strengths and the expansion point delta = 1/A0."""
 
-    a: float
-    b: float
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "delta"):
-            v = getattr(self, name)
+    def __new__(cls, a: float, b: float, delta: float):
+        for name, v in (("a", a), ("b", b), ("delta", delta)):
             if not math.isfinite(v):
                 raise DomainError(f"CornellParams.{name} must be finite, got {v}")
-        if self.delta == 0:
+        if delta == 0:
             raise DomainError("CornellParams.delta must be nonzero")
+        return super().__new__(cls, a, b, delta)
+
+    # namedtuple's _make, behind _replace, skips __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
-@dataclass(frozen=True)
-class MesonSystem:
+class MesonSystem(namedtuple("MesonSystem", "m_q m_qbar params label")):
     """Constituent quark masses plus potential parameters.
 
     The reduced mass is always derived from the constituents, never stored,
     so it cannot drift out of sync with the mass formula.
     """
 
-    m_q: float
-    m_qbar: float
-    params: CornellParams
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.m_q > 0 and self.m_qbar > 0):
-            raise DomainError(f"quark masses must be positive, got {self.m_q}, {self.m_qbar}")
+    def __new__(cls, m_q: float, m_qbar: float, params: CornellParams, label: str = ""):
+        if not (m_q > 0 and m_qbar > 0):
+            raise DomainError(f"quark masses must be positive, got {m_q}, {m_qbar}")
+        return super().__new__(cls, m_q, m_qbar, params, label)
+
+    # namedtuple's _make, behind _replace, skips __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def reduced_mass(self) -> float:
@@ -154,18 +153,20 @@ _L_OF_LETTER = {"S": 0, "P": 1, "D": 2}
 _LETTER_OF_L = {v: k for k, v in _L_OF_LETTER.items()}
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class QuantumState(namedtuple("QuantumState", "n l")):
     """Polynomial index n (n = 0 is the ground state) and orbital number l."""
 
-    n: int
-    l: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.n <= 10):
-            raise DomainError(f"QuantumState.n out of supported range [0, 10]: {self.n}")
-        if not (0 <= self.l <= 5):
-            raise DomainError(f"QuantumState.l out of supported range [0, 5]: {self.l}")
+    def __new__(cls, n: int, l: int = 0):
+        if not (0 <= n <= 10):
+            raise DomainError(f"QuantumState.n out of supported range [0, 10]: {n}")
+        if not (0 <= l <= 5):
+            raise DomainError(f"QuantumState.l out of supported range [0, 5]: {l}")
+        return super().__new__(cls, n, l)
+
+    # namedtuple's _make, behind _replace, skips __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def from_label(cls, label: str) -> "QuantumState":
@@ -317,7 +318,9 @@ def rest_energy_bracket(sys: MesonSystem, state: QuantumState) -> float:
     return cands[0][1]
 
 
-def _real_nu_problem(alpha, beta, gamma) -> nu.NUProblem:
+def _real_nu_problem(alpha, beta, gamma):
+    from . import nu
+
     return nu.NUProblem(
         sigma=(0, 0, 1),
         sigma_tilde=(alpha, beta, gamma),
@@ -398,6 +401,8 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     occur at all (the two-root regime), they were measured at least 61
     points apart over 16,560 sampled systems.
     """
+    from . import nu
+
     e_flat, c1, _ = cornell_quadratic(sys.params)
     if c1 == 0:
         return e_flat
@@ -448,12 +453,8 @@ def mass_spectrum(sys: MesonSystem, state: QuantumState, variant: Variant | str 
     return mass_spectrum_detailed(sys, state, variant)[0]
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    value: float
-    mass: float  # NaN when non-physical
-    physical: bool
-    branch: str = ""
+# mass is NaN at a non-physical point
+ScanPoint = namedtuple("ScanPoint", "value mass physical branch", defaults=("",))
 
 
 def parameter_scan(

@@ -27,28 +27,41 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from .core import CornellParams, MesonSystem, QuantumState, Variant
 from .errors import DomainError, InputError
-from .fitting import ExperimentalLevel
 
-__all__ = ["MesonRecord", "load_dataset", "builtin_dataset_text", "DEFAULT_DATASET"]
+__all__ = ["ExperimentalLevel", "MesonRecord", "load_dataset", "builtin_dataset_text", "DEFAULT_DATASET"]
 
 DEFAULT_DATASET = "builtin:mesons"
 
 
-@dataclass(frozen=True)
-class MesonRecord:
-    """One meson's data: masses, optional per-variant parameters, levels."""
+class ExperimentalLevel(namedtuple("ExperimentalLevel", "label state mass include_in_fit")):
+    """One spectroscopic level: label, quantum numbers, measured mass."""
 
-    label: str
-    m_q: float
-    m_qbar: float
-    params: dict[Variant, CornellParams]
-    levels: tuple[dict, ...]
-    fit_levels: dict[Variant, tuple[str, ...]]
+    __slots__ = ()
+
+    def __new__(cls, label: str, state: QuantumState, mass: float | None, include_in_fit: bool = True):
+        if mass is not None and not math.isfinite(mass):
+            raise DomainError(f"level {label}: mass must be finite or None")
+        return super().__new__(cls, label, state, mass, include_in_fit)
+
+    # namedtuple's _make, behind _replace, skips __new__
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    @property
+    def usable(self) -> bool:
+        return self.include_in_fit and self.mass is not None
+
+
+class MesonRecord(namedtuple("MesonRecord", "label m_q m_qbar params levels fit_levels")):
+    """One meson's data: masses, per-variant parameters (a dict keyed by
+    Variant), the raw level objects of the file and per-variant fit_levels
+    label tuples."""
+
+    __slots__ = ()
 
     def system(self, variant: Variant | str) -> MesonSystem:
         variant = Variant.parse(variant)

@@ -12,9 +12,10 @@ the simplex diameter in (a, b, delta) fell below 1e-8 (GeV^2, GeV^2, GeV).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .core import CornellParams, MesonSystem, QuantumState, Variant, cornell_quadratic, mass_spectrum_detailed
+from .core import CornellParams, MesonSystem, Variant, cornell_quadratic, mass_spectrum_detailed
+from .dataio import ExperimentalLevel
 from .errors import (
     DegenerateStateError,
     DomainError,
@@ -37,41 +38,16 @@ __all__ = [
 _PENALTY_GEV = 10.0
 
 
-@dataclass(frozen=True)
-class ExperimentalLevel:
-    """One spectroscopic level: label, quantum numbers, measured mass."""
-
-    label: str
-    state: QuantumState
-    mass: float | None
-    include_in_fit: bool = True
-
-    def __post_init__(self):
-        if self.mass is not None and not math.isfinite(self.mass):
-            raise DomainError(f"level {self.label}: mass must be finite or None")
-
-    @property
-    def usable(self) -> bool:
-        return self.include_in_fit and self.mass is not None
+# one row of a fit: model_mass is NaN where the model has no bound state,
+# error (model - exp) is None unless both masses exist
+LevelResult = namedtuple("LevelResult", "label model_mass exp_mass error branch included", defaults=(True,))
 
 
-@dataclass(frozen=True)
-class LevelResult:
-    label: str
-    model_mass: float  # NaN when non-physical
-    exp_mass: float | None
-    error: float | None  # model - exp where both exist
-    branch: str
-    included: bool = True
+class FitResult(namedtuple("FitResult", "params residual_rms per_level converged n_eval", defaults=(0,))):
+    """Fitted parameters, their RMS residual, one LevelResult per level,
+    and whether the simplex converged after n_eval objective calls."""
 
-
-@dataclass(frozen=True)
-class FitResult:
-    params: CornellParams
-    residual_rms: float
-    per_level: tuple[LevelResult, ...]
-    converged: bool
-    n_eval: int = 0
+    __slots__ = ()
 
     def recomputed_rms(self) -> float:
         """Independent recomputation of residual_rms from per_level rows."""

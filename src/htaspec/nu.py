@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConsistencyError, DomainError, UnsupportedWeightError
 
@@ -71,44 +71,39 @@ def polyval(coeffs, s: complex) -> complex:
     return acc
 
 
-@dataclass(frozen=True)
-class NUProblem:
+class NUProblem(namedtuple("NUProblem", "sigma sigma_tilde tau_tilde")):
     """Coefficient data of one hypergeometric-type equation."""
 
-    sigma: tuple[complex, complex, complex]
-    sigma_tilde: tuple[complex, complex, complex]
-    tau_tilde: tuple[complex, complex]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", _as3(self.sigma))
-        object.__setattr__(self, "sigma_tilde", _as3(self.sigma_tilde))
-        object.__setattr__(self, "tau_tilde", _as2(self.tau_tilde))
+    def __new__(cls, sigma, sigma_tilde, tau_tilde):
+        self = super().__new__(cls, _as3(sigma), _as3(sigma_tilde), _as2(tau_tilde))
         if all(v == 0 for v in self.sigma):
             raise DomainError("sigma is identically zero")
+        return self
+
+    # namedtuple's _make, behind _replace, skips __new__
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def coeff_scale(self) -> float:
         return max(abs(v) for v in (*self.sigma, *self.sigma_tilde, *self.tau_tilde, 1.0))
 
 
-@dataclass(frozen=True)
-class ExpPowerForm:
+class ExpPowerForm(namedtuple("ExpPowerForm", "rate power")):
     """The function s -> exp(rate/s) * s**power (principal branch)."""
 
-    rate: complex
-    power: complex
+    __slots__ = ()
 
     def __call__(self, s: complex) -> complex:
         s = complex(s)
         return cmath.exp(self.rate / s + self.power * cmath.log(s))
 
 
-@dataclass(frozen=True)
-class RodriguesPolynomial:
+class RodriguesPolynomial(namedtuple("RodriguesPolynomial", "coeffs n")):
     """Polynomial part y_n of the NU solution, ascending coefficients."""
 
-    coeffs: tuple[complex, ...]
-    n: int
+    __slots__ = ()
 
     def __call__(self, s: complex) -> complex:
         return polyval(self.coeffs, s)
@@ -118,14 +113,8 @@ class RodriguesPolynomial:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class NUSolution:
-    """K, pi, tau and lambda for one (problem, K, branch)."""
-
-    k: complex
-    pi: tuple[complex, complex]
-    tau: tuple[complex, complex]
-    lam: complex
+# K, pi, tau and lambda for one (problem, K, branch)
+NUSolution = namedtuple("NUSolution", "k pi tau lam")
 
 
 def _half_diff(problem: NUProblem) -> tuple[complex, complex]:

@@ -1,9 +1,10 @@
 """Special-function surface, in numpy: real Airy functions and their zeros,
 complex gamma, complex upper incomplete gamma.
 
-Ai and Ai' map a scalar to a float and an array to an array, in one pass of
-the Airy lane that raises if any element would; against mpmath their error is
-at most 1.2 times scipy.special.airy's on seeded samples.  The lane's
+Ai and Ai' (alone, or both by airy_ai_pair) map a scalar to a float and an
+array to an array, in one pass of the Airy lane that raises if any element
+would; against mpmath their error is at most 1.2 times scipy.special.airy's
+on seeded samples.  The lane's
 Gauss-Laguerre nodes are built on the first Airy call, so ``grid`` never pays
 for them.  Complex gamma and Gamma(s, z) on Re z > 0 share one log-Gamma;
 Gamma(s, z) works over broadcast arrays, and a scalar call is a one-element array.
@@ -22,6 +23,7 @@ from .errors import DomainError, NumericError
 __all__ = [
     "airy_ai",
     "airy_ai_prime",
+    "airy_ai_pair",
     "airy_ai_zero",
     "gamma_complex",
     "upper_incomplete_gamma",
@@ -91,25 +93,31 @@ def _airy_lane(x):
     return ai, aip
 
 
-def _airy(x, name, i):
+def _airy(x, name):
+    # (Ai(x), Ai'(x)) from one lane pass: floats for a scalar, arrays for an array
     x = np.asarray(x, float)
     if not np.isfinite(x).all():
         raise DomainError(f"{name}: argument must be finite, got {float(x[~np.isfinite(x)][0])}")
     far = abs(x) > _AIRY_XMAX
     if far.any():
         raise OverflowError(f"{name}: |x| must be <= {_AIRY_XMAX:g}, where the phase (2/3)|x|^(3/2) keeps 7 digits; got x={float(x[far][0])}")
-    v = _airy_lane(x.ravel())[i].reshape(x.shape)
-    return float(v) if x.ndim == 0 else v
+    ai, aip = (v.reshape(x.shape) for v in _airy_lane(x.ravel()))
+    return (float(ai), float(aip)) if x.ndim == 0 else (ai, aip)
 
 
 def airy_ai(x):
     """Airy function Ai(x), real argument."""
-    return _airy(x, "airy_ai", 0)
+    return _airy(x, "airy_ai")[0]
 
 
 def airy_ai_prime(x):
     """Derivative Ai'(x), real argument."""
-    return _airy(x, "airy_ai_prime", 1)
+    return _airy(x, "airy_ai_prime")[1]
+
+
+def airy_ai_pair(x):
+    """(Ai(x), Ai'(x)), real argument, from one pass of the Airy lane."""
+    return _airy(x, "airy_ai_pair")
 
 
 @cache

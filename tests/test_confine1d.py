@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from htaspec import cli
 from htaspec import confine1d as c1
 from htaspec import special
 from htaspec.core import Variant
@@ -178,14 +179,26 @@ class TestClosedFormR:
                 assert c1._airy_r2_moment(float(x)) == pytest.approx(float(want), rel=1e-11)
 
     def test_airy_calls_bounded(self, sys_cc, monkeypatch):
+        e0 = c1.energy_1d(sys_cc, 0, 0.0)
         calls = []
-        for name in ("airy_ai", "airy_ai_prime"):
-            orig = getattr(special, name)
-            monkeypatch.setattr(special, name, lambda x, orig=orig: calls.append(np.size(x)) or orig(x))
-        c1.normalize_1d(sys_cc, c1.energy_1d(sys_cc, 0, 0.0))
+        orig = special._airy_lane
+        monkeypatch.setattr(special, "_airy_lane", lambda x: calls.append(np.size(x)) or orig(x))
+        c1.normalize_1d(sys_cc, e0)
         # 24,024 scalar calls with the nested r quadrature, 420 with r in
-        # closed form; now one array call per function and cut, over every node
-        assert calls == [c1._GL_PANELS * c1._GL_NODES] * 4
+        # closed form, then one array call per function and cut; now one
+        # lane pass per cut gives Ai and Ai' at every node
+        assert calls == [c1._GL_PANELS * c1._GL_NODES] * 2
+
+
+def test_check_takes_ai_and_aip_from_one_lane_pass(monkeypatch):
+    # check --suite all made 33 lane passes over 7,173 elements while the r^2
+    # moment and the moment identity's d2 integrand called Ai and Ai' apart
+    special.airy_ai_zero.cache_clear()  # counted as in a fresh process
+    calls = []
+    orig = special._airy_lane
+    monkeypatch.setattr(special, "_airy_lane", lambda x: calls.append(np.size(x)) or orig(x))
+    assert cli.main(["check", "--suite", "all"]) == 0
+    assert len(calls) <= 25
 
 
 class TestMomentIdentity:

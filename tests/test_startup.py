@@ -1,8 +1,10 @@
 """Start-up contract: a command imports numpy only when it runs code that
-needs it, and no command imports scipy.
+needs it, and no command imports scipy; no command imports dataclasses
+(which pulls in inspect, ast, dis and tokenize), and each command compiles
+only the package modules it runs.
 
 Each case runs in a fresh interpreter, since this test process has long
-since imported both.  The checks are on module names, not timings.
+since imported all of them.  The checks are on module names, not timings.
 """
 
 import os
@@ -15,9 +17,9 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def loaded_after(code, cwd):
-    """numpy/scipy module names in sys.modules after running code in a fresh interpreter."""
-    probe = "import sys\nprint('MODULES', *sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+def loaded_after(code, cwd, roots=("numpy", "scipy")):
+    """Names in sys.modules under the given top-level packages after running code in a fresh interpreter."""
+    probe = f"import sys\nprint('MODULES', *sorted(m for m in sys.modules if m.split('.')[0] in {tuple(roots)!r}))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\n{probe}"], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
@@ -35,19 +37,40 @@ def test_cli_import_loads_neither(tmp_path):
     assert loaded_after("import htaspec.cli", tmp_path) == set()
 
 
-@pytest.mark.parametrize(
-    "argv, rc",
-    [
-        (["spectrum", "--out", "out"], 0),
-        (["scan", "--meson", "ccbar", "--param", "b", "--lo", "0.3", "--hi", "0.5", "--steps", "11", "--out", "out"], 0),
-        # bcbar has two measured levels for three parameters
-        (["fit", "--out", "out"], 4),
-    ],
-    ids=["spectrum", "scan", "fit"],
-)
+_SPECTRUM = (["spectrum", "--out", "out"], 0)
+_SCAN = (["scan", "--meson", "ccbar", "--param", "b", "--lo", "0.3", "--hi", "0.5", "--steps", "11", "--out", "out"], 0)
+# bcbar has two measured levels for three parameters
+_FIT = (["fit", "--out", "out"], 4)
+
+
+@pytest.mark.parametrize("argv, rc", [_SPECTRUM, _SCAN, _FIT], ids=["spectrum", "scan", "fit"])
 def test_light_commands_load_neither(tmp_path, argv, rc):
     assert loaded_after(run_main(argv, rc), tmp_path) == set()
     assert os.listdir(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["import htaspec.cli", run_main(*_SPECTRUM), run_main(*_SCAN), run_main(*_FIT), run_main(["check", "--suite", "nu"], 0)],
+    ids=["import", "spectrum", "scan", "fit", "check-nu"],
+)
+def test_loads_no_dataclasses_or_inspect(tmp_path, code):
+    # the value types are namedtuples; dataclasses and the inspect it pulls
+    # in cost about 9 ms of a fresh import
+    assert loaded_after(code, tmp_path, ("dataclasses", "inspect")) == set()
+
+
+@pytest.mark.parametrize("argv, rc", [_SPECTRUM, _SCAN], ids=["spectrum", "scan"])
+def test_spectrum_and_scan_compile_neither_nu_nor_fitting(tmp_path, argv, rc):
+    mods = loaded_after(run_main(argv, rc), tmp_path, ("htaspec",))
+    assert "htaspec.core" in mods
+    assert not mods & {"htaspec.nu", "htaspec.fitting"}
+
+
+def test_fit_compiles_no_nu(tmp_path):
+    mods = loaded_after(run_main(*_FIT), tmp_path, ("htaspec",))
+    assert "htaspec.fitting" in mods
+    assert "htaspec.nu" not in mods
 
 
 def test_unnormalized_grid_skips_scipy_integrate(tmp_path):
@@ -73,6 +96,11 @@ def test_grid_loads_no_scipy(tmp_path, flags):
     mods = loaded_after(run_main(_GRID + flags, 0) + "\n" + airy_idle, tmp_path)
     assert "numpy" in mods
     assert not any(m.split(".")[0] == "scipy" for m in mods)
+
+
+def test_grid_loads_no_dataclasses(tmp_path):
+    # numpy itself imports inspect, so only dataclasses is checked here
+    assert loaded_after(run_main(_GRID, 0), tmp_path, ("dataclasses",)) == set()
 
 
 @pytest.mark.parametrize("suite", ["nu", "quadrature", "moment", "all"])

@@ -1,0 +1,94 @@
+"""Contract of the value types: immutable namedtuples that validate when
+built, by keyword or position, and again on _replace and _make."""
+
+import math
+
+import numpy as np
+import pytest
+
+from htaspec import confine1d, core, dataio, nu, waves
+from htaspec.core import CornellParams, MesonSystem, QuantumState, Variant
+from htaspec.errors import DomainError
+
+_PARAMS = CornellParams(a=-1.6808, b=0.4069, delta=0.5074)
+
+
+def _values():
+    return [
+        _PARAMS,
+        MesonSystem(1.23, 1.23, _PARAMS, "ccbar"),
+        QuantumState(1, 2),
+        core.ScanPoint(0.5, 3.1, True, "+"),
+        waves.WaveParams(alpha=-1.0, beta=2.2, gamma=-5.0),
+        confine1d.Confinement1DSystem(m=0.615, b=0.4069),
+        dataio.ExperimentalLevel("1S", QuantumState(0), 3.097),
+        nu.NUProblem(sigma=(0, 0, 1), sigma_tilde=(-1.0, 2.0, -3.0), tau_tilde=(0, -4)),
+    ]
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_fields_cannot_be_assigned(value):
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], 0.0)
+    with pytest.raises(AttributeError):
+        value.extra = 0.0  # __slots__ = (): no instance dict either
+
+
+def test_quantum_state_as_dict_key_and_set_member():
+    masses = {QuantumState(0, 0): 3.097, QuantumState(1, 1): 3.9}
+    assert masses[QuantumState.from_label("2P")] == 3.9
+    assert {QuantumState(0), QuantumState(0, 0), QuantumState.from_label("1S")} == {QuantumState(n=0, l=0)}
+
+
+def test_repr_keeps_the_keyword_form():
+    assert repr(_PARAMS) == "CornellParams(a=-1.6808, b=0.4069, delta=0.5074)"
+    assert repr(QuantumState(2)) == "QuantumState(n=2, l=0)"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: waves.WaveParams(alpha=-1.0, beta=2.2, gamma=-5.0)._replace(B=-1.0),
+        lambda: waves.WaveParams(alpha=-1.0, beta=2.2, gamma=-5.0)._replace(alpha=0.5),
+        lambda: _PARAMS._replace(delta=0),
+        lambda: _PARAMS._replace(a=math.nan),
+        lambda: CornellParams._make([1.0, 0.4, 0.0]),
+        lambda: MesonSystem(1.23, 1.23, _PARAMS)._replace(m_q=0.0),
+        lambda: QuantumState(1, 2)._replace(n=11),
+        lambda: confine1d.Confinement1DSystem(0.615, 0.4069)._replace(b=-1.0),
+        lambda: dataio.ExperimentalLevel("1S", QuantumState(0), 3.097)._replace(mass=math.inf),
+        lambda: nu.NUProblem((0, 0, 1), (1, 2, 3), (0, -4))._replace(sigma=(0, 0, 0)),
+    ],
+    ids=["WaveParams-B", "WaveParams-alpha", "CornellParams-delta", "CornellParams-a", "CornellParams-make",
+         "MesonSystem", "QuantumState", "Confinement1DSystem", "ExperimentalLevel", "NUProblem"],
+)
+def test_replace_validates(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_replace_keeps_type_and_other_fields():
+    p = waves.WaveParams(alpha=-1.0, beta=2.2, gamma=-5.0, variant=Variant.COMPLEX)
+    q = p._replace(B=2.0)
+    assert type(q) is waves.WaveParams
+    assert (q.alpha, q.beta, q.gamma, q.B, q.variant) == (-1.0, 2.2, -5.0, 2.0, Variant.COMPLEX)
+    # _replace runs __new__, so NUProblem converts the new coefficients too
+    assert nu.NUProblem((0, 0, 1), (1, 2, 3), (0, -4))._replace(tau_tilde=[1]).tau_tilde == (1 + 0j, 0j)
+
+
+def test_values_are_tuples():
+    # the one change from the frozen dataclasses they replace
+    a, b, delta = _PARAMS
+    assert (a, b, delta) == (-1.6808, 0.4069, 0.5074)
+    assert QuantumState(1, 2) == (1, 2)
+    assert list(core.ScanPoint(0.5, 3.1, True)) == [0.5, 3.1, True, ""]
+
+
+def test_phase_space_grid_checks_shapes():
+    amp = np.zeros((2, 3), complex)
+    grid = waves.PhaseSpaceGrid((0.1, 0.2), (-1.0, 0.0, 1.0), amp, abs(amp) ** 2)
+    assert grid.cell_errors == ()
+    with pytest.raises(DomainError):
+        waves.PhaseSpaceGrid((0.1, 0.2, 0.3), (-1.0, 0.0, 1.0), amp, abs(amp) ** 2)
+    with pytest.raises(DomainError):
+        waves.PhaseSpaceGrid((0.1, 0.2), (-1.0, 0.0, 1.0), amp, np.zeros(3))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,16 @@ class TestNormalization:
         monkeypatch.setattr(waves, "normalize_B", None)
         with pytest.raises(NonPhysicalParameters, match="not normalizable"):
             waves.total_probability(waves.WaveParams(alpha=-1.0, beta=2.0 * c, gamma=-5.0), n)
+
+    def test_non_integrable_density_raises_without_warnings(self, bcbar_real):
+        # bcbar's real7 1S (c = -27.4) overflows psi_n and its square at the
+        # r -> 0 probe; only the documented exception may surface
+        st = QuantumState.from_label("1S")
+        params = waves.wave_params(bcbar_real, st, core.energy_real(bcbar_real, st))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonPhysicalParameters, match="not normalizable"):
+                waves.total_probability(params, 0)
 
     def test_integrable_density_near_the_edge(self):
         # c = n + 1.05 integrates, however slowly
