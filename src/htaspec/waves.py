@@ -393,9 +393,9 @@ def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
     Axes are (lo, hi, count) tuples or explicit ascending sequences.  An n
     that no cell can take (out of range, n > 0 on the momentum-coupled
     variant, a degenerate gamma order) raises before any cell is evaluated;
-    other cell evaluation failures are recorded per cell (amplitude NaN),
-    not raised.  Rows are evaluated a block at a time, whole blocks per
-    psi_n call.
+    other cell evaluation failures, and cells whose density overflows, are
+    recorded per cell (amplitude and density NaN), not raised.  Rows are
+    evaluated a block at a time, whole blocks per psi_n call.
     """
     _check_index(params, int(n))
     rs = _axis_values(r_axis, "r")
@@ -406,13 +406,15 @@ def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
     rows = max(1, _BLOCK_CELLS // len(ps))
     for lo in range(0, len(rs), rows):
         _fill_rows(params, n, r_col, p_row, lo, min(lo + rows, len(rs)), amp, errors)
-    return PhaseSpaceGrid(
-        r_values=tuple(rs),
-        p_values=tuple(ps),
-        amplitudes=amp,
-        densities=np.abs(amp) ** 2,
-        cell_errors=tuple(errors),
-    )
+    with np.errstate(over="ignore"):
+        dens = np.abs(amp) ** 2
+    bad = ~np.isfinite(dens)  # |psi_n| past ~1e154 here, or a cell that raised
+    failed = {(i, j) for i, j, _ in errors}
+    overflowed = [(i, j, "NumericError: |psi_n|^2 is not finite (overflow)") for i, j in np.argwhere(bad).tolist() if (i, j) not in failed]
+    if overflowed:
+        amp[bad], dens[bad] = complex(math.nan, math.nan), math.nan
+        errors = sorted(errors + overflowed)
+    return PhaseSpaceGrid(r_values=tuple(rs), p_values=tuple(ps), amplitudes=amp, densities=dens, cell_errors=tuple(errors))
 
 
 def _fill_rows(params, n, r_col, p_row, lo, hi, amp, errors):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 import pytest
 
@@ -250,6 +251,23 @@ class TestGridScan:
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("41 of 123 cells failed")
         assert len(err) == 6 and all("DomainError" in line for line in err[1:])
+
+    def test_grid_overflowing_density_is_a_failed_cell(self, tmp_path, capsys):
+        # |psi_n| near 1e292 here: its square overflows.  The cells are
+        # written nan and reported, with no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                ["grid", "--meson", "bcbar", "--no-normalize", "--rmin", "1e-10", "--rmax", "1e-9", "--rsteps", "3",
+                 "--psteps", "3", "--pmin", "1e8", "--pmax", "1e9", "--out", str(tmp_path)]
+            )
+        assert code == 0
+        lines = (tmp_path / "bcbar_1S_grid.csv").read_text().splitlines()
+        assert len(lines) == 10 and all(line.endswith(",nan,nan,nan") for line in lines[1:])
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "9 of 9 cells failed (nan in the CSV); first 5:"
+        assert err[1:] == [f"cell ({i},{j}): NumericError: |psi_n|^2 is not finite (overflow)" for i, j in
+                           [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]]
 
     def test_grid_requires_single_meson(self, tmp_path):
         assert run(["grid", "--out", str(tmp_path)]) == 2

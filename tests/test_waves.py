@@ -238,6 +238,20 @@ class TestDensityGrid:
                 want = waves.psi_n(params_1s, 0, grid.r_values[i], p)
                 assert grid.amplitudes[i, j] == pytest.approx(want, rel=1e-13)
 
+    def test_overflowing_density_is_a_failed_cell(self, bcbar_real):
+        # bcbar's 1S psi_0 at r = 1e-10 is finite, but its square is not; the
+        # cells join the raised ones in row-major order, with no warning
+        st = QuantumState(0, 0)
+        params = waves.wave_params(bcbar_real, st, core.energy_real(bcbar_real, st))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = waves.density_grid(params, 0, [0.0, 1e-10, 0.5], [0.0, 1e9])
+        kinds = [(i, j, msg.split(":")[0]) for i, j, msg in grid.cell_errors]
+        assert kinds == [(0, 0, "DomainError"), (0, 1, "DomainError"), (1, 0, "NumericError"), (1, 1, "NumericError")]
+        assert np.isnan(grid.amplitudes[:2]).all() and np.isnan(grid.densities[:2]).all()
+        assert np.isfinite(grid.densities[2]).all()
+        assert grid.densities[2, 0] == abs(grid.amplitudes[2, 0]) ** 2
+
     def test_peak_radius_trend(self, params_1s):
         grid = waves.density_grid(params_1s, 0, (0.02, 6.0, 500), (0.0, 1.0, 5))
         peaks = [waves.peak_radius(grid, j) for j in range(5)]
