@@ -9,15 +9,20 @@ omega = b^2/(8m), and the boundary condition psi(r=0) = 0 quantizes
 
 z_k the k-th negative zero of Ai.
 
-Normalization.  The physical normalization constant sets the integral of
-4*pi * |c1 Ai|^2 r^2 over (r, p_r) to 1, with r in closed form and p_r by
-quadrature (cut on p_r only); that value is authoritative here.
-The closed-form constant ``closed_form_c1`` (the sqrt form in (b*w)^3 with
-w = omega^(-1/3)) is exposed for comparison only: it is off the quadrature
-constant by a system-dependent O(10) factor, and is reported as a
-diagnostic, never used in computation.  Its further "simplified" printed
-form 7 b^9 Gamma^2(1/3) / (2560 * 3^(1/3) m^3) drops the square root
-entirely and is not dimensionally consistent with it, so it is not kept.
+Normalization.  c1 sets the integral of 4*pi * |c1 Ai|^2 r^2 over r >= 0
+and real p_r to 1.  With w = omega^(-1/3), x0 = -E w and c = w/(2m), the
+r-integral is exact after t = (p_r^2/2m + b r - E) w, and the p_r-integral
+of (t - x0 - c p_r^2)_+^2 is (16/15) (t - x0)^(5/2) / sqrt(c), so
+
+    c1 = sqrt(15 / (8 pi I(x0))) * (m b)^(1/3),
+    I(x0) = int_{x0}^inf (t - x0)^(5/2) Ai(t)^2 dt,
+
+with I from one smooth quadrature after t = x0 + s^2 (I = 2.07009... at the
+ground state at rest).  The paper's printed constant,
+sqrt(6 (b w)^3 Gamma^2(1/3) / (5 * 3^(1/3))), scales as sqrt(m b): this c1
+is 0.0776877628 * (m b)^(-1/6) times it on every system, the trace of a
+dropped p_r Jacobian 1/sqrt(c) and a wrong numeric constant, so it is not
+kept.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ __all__ = [
     "energy_1d",
     "psi_1d",
     "normalize_1d",
-    "closed_form_c1",
     "moment_identity_check",
     "time_factor",
 ]
@@ -89,8 +93,8 @@ def energy_1d(sys: Confinement1DSystem, n: int, p_r: float = 0.0) -> float:
 def psi_1d(sys: Confinement1DSystem, r: float, p_r: float, energy: float, c1: float | None = None) -> float:
     """c1 * Ai((p_r^2/2m + b r - E) * omega^(-1/3)) for r >= 0.
 
-    c1 defaults to the quadrature-normalized ground-state constant of this
-    system (cached per system).
+    c1 defaults to the closed-form ground-state constant of this system
+    (normalize_1d, cached per system).
     """
     if r < 0:
         raise DomainError(f"psi_1d: r must be >= 0, got {r}")
@@ -116,7 +120,10 @@ def _airy_r2_moment(x):
 
 
 def _norm_integral(sys: Confinement1DSystem, e0: float, arg_cut: float) -> float:
-    """integral over r >= 0, p_r real of Ai(...)^2 r^2: r exactly, p_r up to Airy argument arg_cut at r = 0."""
+    """integral over r >= 0, p_r real of Ai(...)^2 r^2: r exactly, p_r up to Airy argument arg_cut at r = 0.
+
+    The independent oracle for normalize_1d's closed form (check and tests).
+    """
     m, w = sys.m, sys.omega ** (-1.0 / 3.0)
     p_max = math.sqrt(max(2.0 * m * (arg_cut / w + e0), 0.0)) + 1e-12
     val = _gauss_legendre(lambda p: _airy_r2_moment((p * p / (2.0 * m) - e0) * w) / (sys.b * w) ** 3, 0.0, p_max)
@@ -125,33 +132,24 @@ def _norm_integral(sys: Confinement1DSystem, e0: float, arg_cut: float) -> float
     return 2.0 * val  # even in p_r
 
 
+def _airy_half_moment(x0: float) -> float:
+    """I(x0) = int_{x0}^inf (t - x0)^(5/2) Ai(t)^2 dt = int_0^inf 2 s^6 Ai(x0 + s^2)^2 ds,
+    cut where the Airy argument passes max(15, x0 + 1) + 25, as in _airy_moment."""
+    s_max = math.sqrt(max(_ARG_CUT - x0, 1.0) + 25.0)
+    return _gauss_legendre(lambda s: 2.0 * s ** 6 * special.airy_ai(x0 + s * s) ** 2, 0.0, s_max)
+
+
 def normalize_1d(sys: Confinement1DSystem, e0: float) -> float:
-    """Ground-state c1 from 4*pi * c1^2 * int Ai^2 r^2 dr dp_r = 1.
+    """c1 at energy e0 from 4*pi * c1^2 * int Ai^2 r^2 dr dp_r = 1, in closed form.
 
     The angular variables are already separated, so they contribute the
-    bare 4*pi.  Cutting p_r at Airy argument 15 (at r = 0) keeps the tail
-    far below the 1e-4 contract; a second pass cut at 19 guards against
-    truncation.
+    bare 4*pi; the module docstring derives the rest.
     """
-    base = _norm_integral(sys, e0, _ARG_CUT)
-    wider = _norm_integral(sys, e0, _ARG_CUT + 4.0)
-    if abs(wider - base) > 1e-6 * base:
-        raise NumericError(
-            f"normalization quadrature not converged: truncation shift {abs(wider - base) / base:.3e}"
-        )
-    return 1.0 / math.sqrt(4.0 * math.pi * wider)
-
-
-def closed_form_c1(sys: Confinement1DSystem) -> float:
-    """The sqrt-form closed constant sqrt(6 (b w)^3 Gamma^2(1/3) / (5 * 3^(1/3))).
-
-    Diagnostic only: it disagrees with the quadrature constant by an O(10)
-    factor (its derivation drops Jacobian factors); cmd check reports the
-    measured ratio.
-    """
-    w = sys.omega ** (-1.0 / 3.0)
-    g13 = special.gamma_complex(1.0 / 3.0).real
-    return math.sqrt(6.0 * (sys.b * w) ** 3 * g13 ** 2 / (5.0 * 3.0 ** (1.0 / 3.0)))
+    x0 = -e0 * sys.omega ** (-1.0 / 3.0)
+    i_x0 = _airy_half_moment(x0)
+    if not math.isfinite(i_x0) or i_x0 <= 0:
+        raise NumericError(f"normalization quadrature failed (I(x0) = {i_x0} at x0 = {x0})")
+    return math.sqrt(15.0 / (8.0 * math.pi * i_x0)) * (sys.m * sys.b) ** (1.0 / 3.0)
 
 
 def _airy_moment(n: int, x: float) -> float:

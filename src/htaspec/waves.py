@@ -404,9 +404,10 @@ def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
     errors: list[tuple[int, int, str]] = []
     r_col, p_row = np.array(rs)[:, None], np.array(ps)
     rows = max(1, _BLOCK_CELLS // len(ps))
-    for lo in range(0, len(rs), rows):
-        _fill_rows(params, n, r_col, p_row, lo, min(lo + rows, len(rs)), amp, errors)
-    with np.errstate(over="ignore"):
+    # psi_n's terms overflow far out in p_r; the non-finite guard below records those cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(rs), rows):
+            _fill_rows(params, n, r_col, p_row, lo, min(lo + rows, len(rs)), amp, errors)
         dens = np.abs(amp) ** 2
     bad = ~np.isfinite(dens)  # |psi_n| past ~1e154 here, or a cell that raised
     failed = {(i, j) for i, j, _ in errors}

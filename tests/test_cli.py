@@ -269,6 +269,23 @@ class TestGridScan:
         assert err[1:] == [f"cell ({i},{j}): NumericError: |psi_n|^2 is not finite (overflow)" for i, j in
                            [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]]
 
+    def test_grid_overflowing_terms_warn_nothing(self, tmp_path, capsys):
+        # far out in p_r, w ** (2 + j - c) in psi_n's terms passes 1e308; the
+        # cells are reported by the grid, not by numpy RuntimeWarnings (which,
+        # raised as errors here, would also replace the cells' NumericErrors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                ["grid", "--meson", "bcbar", "--no-normalize", "--rsteps", "3", "--psteps", "3",
+                 "--pmin", "1e11", "--pmax", "2e11", "--out", str(tmp_path)]
+            )
+        assert code == 0
+        lines = (tmp_path / "bcbar_1S_grid.csv").read_text().splitlines()
+        assert len(lines) == 10 and all(line.endswith(",nan,nan,nan") for line in lines[1:])
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "9 of 9 cells failed (nan in the CSV); first 5:"
+        assert len(err) == 6 and all(": NumericError: " in line for line in err[1:])
+
     def test_grid_requires_single_meson(self, tmp_path):
         assert run(["grid", "--out", str(tmp_path)]) == 2
     def test_grid_momentum_coupled_variant(self, tmp_path):
@@ -388,6 +405,13 @@ class TestCheck:
         assert run(["check", "--suite", "moment"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
+
+    def test_every_line_is_gated(self, capsys):
+        # a line with no residual and tolerance could never fail
+        assert run(["check", "--suite", "all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9
+        assert all(line.startswith("PASS ") and "residual=" in line and "(tol " in line for line in lines)
 
     @pytest.mark.parametrize("flag", [["--meson", "ccbar"], ["--variant", "complex5"], ["--precision", "3"]])
     def test_flags_it_never_reads_exit_2(self, flag):

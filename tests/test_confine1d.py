@@ -114,6 +114,11 @@ class TestPsi1D:
             assert abs(lhs - rhs) / scale < 1e-6
 
 
+def _mp_half_moment(mp, x0):
+    """I(x0) = int_0^inf 2 s^6 Ai(x0 + s^2)^2 ds by mpmath quadrature."""
+    return mp.quad(lambda s: 2 * s**6 * mp.airyai(x0 + s * s) ** 2, [0, 2, 4, 8, mp.inf])
+
+
 class TestNormalization:
     def test_positive_and_normalized(self, sys_cc):
         e0 = c1.energy_1d(sys_cc, 0, 0.0)
@@ -128,14 +133,22 @@ class TestNormalization:
         wide = c1._norm_integral(sys_cc, e0, 19.0)
         assert abs(wide - base) / base < 1e-5
 
-    def test_closed_forms_are_diagnostic_only(self, sys_cc):
-        # the sqrt-form constant does NOT match the quadrature one; the
-        # measured ratio is frozen here to document the discrepancy
-        e0 = c1.energy_1d(sys_cc, 0, 0.0)
-        c_quad = c1.normalize_1d(sys_cc, e0)
-        ratio = c_quad / c1.closed_form_c1(sys_cc)
-        assert ratio == pytest.approx(0.09786, abs=2e-4)
-        assert abs(ratio - 1.0) > 0.5
+    def test_half_moment_against_mpmath(self):
+        # I(x0) at the ground state at rest, x0 the first zero of Ai
+        mp = pytest.importorskip("mpmath")
+        x0 = float(special.airy_ai_zero(1))
+        with mp.workdps(30):
+            want = _mp_half_moment(mp, x0)
+        assert c1._airy_half_moment(x0) == pytest.approx(float(want), rel=1e-15)
+
+    @pytest.mark.parametrize("n, p_r", [(0, 0.0), (1, 0.3)], ids=["ground", "excited"])
+    def test_normalize_against_mpmath(self, sys_cc, n, p_r):
+        mp = pytest.importorskip("mpmath")
+        e0 = c1.energy_1d(sys_cc, n, p_r)
+        x0 = -e0 * sys_cc.omega ** (-1.0 / 3.0)
+        with mp.workdps(20):
+            want = mp.sqrt(15 / (8 * mp.pi * _mp_half_moment(mp, x0))) * mp.cbrt(mp.mpf(sys_cc.m) * sys_cc.b)
+        assert c1.normalize_1d(sys_cc, e0) == pytest.approx(float(want), rel=1e-12)
 
 
 def _nested_norm_integral(sys, e0, arg_cut):
@@ -185,9 +198,9 @@ class TestClosedFormR:
         monkeypatch.setattr(special, "_airy_lane", lambda x: calls.append(np.size(x)) or orig(x))
         c1.normalize_1d(sys_cc, e0)
         # 24,024 scalar calls with the nested r quadrature, 420 with r in
-        # closed form, then one array call per function and cut; now one
-        # lane pass per cut gives Ai and Ai' at every node
-        assert calls == [c1._GL_PANELS * c1._GL_NODES] * 2
+        # closed form, then one lane pass per truncation cut; the closed form
+        # in (r, p_r) leaves one pass for I(x0)
+        assert calls == [c1._GL_PANELS * c1._GL_NODES]
 
 
 def test_check_takes_ai_and_aip_from_one_lane_pass(monkeypatch):
