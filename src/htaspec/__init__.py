@@ -4,7 +4,7 @@ Subpackages by role:
 
 * ``special``    -- real Airy functions and zeros, complex gamma and upper
                     incomplete gamma (numpy)
-* ``nu``         -- generic Nikiforov-Uvarov eigenvalue machinery
+* ``nu``         -- Nikiforov-Uvarov eigenvalue machinery for sigma = s^2
 * ``core``       -- Cornell-system types, closed-form level energies, mass
                     spectra, parameter scans
 * ``confine1d``  -- 1D linear-confinement Airy solution and normalization

@@ -314,7 +314,7 @@ def _check_quadrature(records) -> list[tuple[str, bool, float, float]]:
     c1_quad = 1.0 / math.sqrt(4.0 * math.pi * confine1d._norm_integral(one, e0, 15.0))
     shift = abs(c1 / c1_quad - 1.0)
     return [
-        ("wave-normalization-probability", abs(prob - 1.0) < 1e-3, abs(prob - 1.0), 1e-3),
+        ("wave-normalization-probability", abs(prob - 1.0) < 1e-10, abs(prob - 1.0), 1e-10),
         ("1d-closed-form-vs-quadrature", shift < 1e-12, shift, 1e-12),
     ]
 

@@ -42,7 +42,7 @@ Conventions (natural units, hbar = 1, energies in GeV):
   of beta, i.e. of C1: symmetric in a about the vertex (each level is
   reached from a and from a - 2 C1).  The pairing is kept exactly because it
   is the quantization convention behind the fitted spectra;
-  energy_real_via_nu reproduces it through the generic NU machinery.  The
+  energy_real_via_nu reproduces it through the NU machinery.  The
   wave functions (waves module) use the minus branch instead, whose phi
   decays at large separation; only that branch is normalizable.
 
@@ -346,11 +346,7 @@ def rest_energy_bracket(sys: MesonSystem, state: QuantumState) -> float:
 def _real_nu_problem(alpha, beta, gamma):
     from . import nu
 
-    return nu.NUProblem(
-        sigma=(0, 0, 1),
-        sigma_tilde=(alpha, beta, gamma),
-        tau_tilde=(0, -4),
-    )
+    return nu.NUProblem(sigma_tilde=(alpha, beta, gamma), tau_tilde=(0, -4))
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -409,7 +405,7 @@ _SCAN_STRIDE = 10
 
 def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     """Real-variant level by root-solving the quantization condition through
-    the generic NU machinery (no closed form).
+    the NU machinery (K, pi, tau, lambda; no closed-form level).
 
     lambda comes from nu.solve on branch +1, whose radical term carries the
     principal square root (+|beta| x/(2u) - u); it is paired with the

@@ -29,15 +29,11 @@ class DegenerateOrderError(HtaspecError, ValueError):
 
 
 class ConsistencyError(HtaspecError, ArithmeticError):
-    """An internal cross-check failed (e.g. radicand not a perfect square)."""
+    """An internal cross-check failed (e.g. no K makes the NU radicand a perfect square)."""
 
 
 class NumericError(HtaspecError, ArithmeticError):
     """A numeric scheme failed to converge; message carries diagnostics."""
-
-
-class UnsupportedWeightError(HtaspecError, ValueError):
-    """Weight/phi family outside exp(c/s) * s^k."""
 
 
 class UnderdeterminedFitError(HtaspecError, ValueError):

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import reduce
 from itertools import combinations
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .core import CornellParams, MesonSystem, Variant, cornell_quadratic, level_rule, mass_spectrum_detailed
 from .dataio import ExperimentalLevel
@@ -62,7 +63,7 @@ class FitResult(namedtuple("FitResult", "params residual_rms per_level converged
         rows = [lr for lr in self.per_level if lr.included]
         errs = [lr.error for lr in rows if lr.error is not None and math.isfinite(lr.model_mass)]
         penal = [lr for lr in rows if lr.exp_mass is not None and not math.isfinite(lr.model_mass)]
-        total = sum(e * e for e in errs) + _PENALTY_GEV ** 2 * len(penal)
+        total = math.fsum(e * e for e in errs) + _PENALTY_GEV ** 2 * len(penal)
         count = len(errs) + len(penal)
         return math.sqrt(total / count) if count else math.nan
 
@@ -134,7 +135,10 @@ def nelder_mead(func, seed, max_iter=6000):
         if not any(math.dist(p, q) >= 1e-8 for p, q in combinations(simplex, 2)):
             converged = True
             break
-        centroid = [sum(c) / k for c in zip(*simplex[:-1])]
+        # a plain left-to-right sum from 0: builtin sum() of floats is
+        # compensated from Python 3.12 on, and would make the digits of every
+        # fit depend on the interpreter
+        centroid = [reduce(add, c, 0.0) / k for c in zip(*simplex[:-1])]
         (f_best, _), (f_next, _), (f_worst, worst) = verts[0], verts[-2], verts[-1]
         refl = [c + alpha * (c - w) for c, w in zip(centroid, worst)]
         f_r = func(refl)

@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import nu
-from .core import MesonSystem, QuantumState, Variant, _real_nu_problem, real_constants
+from .core import MesonSystem, QuantumState, Variant, real_constants
 from .errors import DegenerateOrderError, DomainError, NonPhysicalParameters, NumericError
 from .special import gamma_complex, upper_incomplete_gamma
 
@@ -75,6 +75,9 @@ __all__ = [
 
 _MAX_N = 6
 _BLOCK_CELLS = 1 << 12  # cells per psi_n call in grids and quadratures; bounds temporaries
+# total_probability's rule: the smallest that tests/test_waves.py's
+# convergence table shows converged to 1e-12
+_PROB_R_NODES, _PROB_P_NODES = 50, 40
 
 
 class WaveParams(namedtuple("WaveParams", "alpha beta gamma B variant")):
@@ -135,17 +138,15 @@ def _check_index(params: WaveParams, n: int):
 
 
 @lru_cache(maxsize=512)
-def _rodrigues_coeffs_cached(alpha: float, beta: float, gamma: float, n: int) -> tuple[complex, ...]:
+def _rodrigues_coeffs_cached(alpha: float, beta: float, n: int) -> tuple[complex, ...]:
     u = math.sqrt(-alpha)
     c = beta / (2.0 * u)
-    problem = _real_nu_problem(alpha, beta, gamma)
-    rho = nu.ExpPowerForm(rate=-2.0 * u, power=-2.0 * c)
-    return nu.rodrigues_y(problem, rho, n).coeffs
+    return nu.rodrigues_y(nu.ExpPowerForm(rate=-2.0 * u, power=-2.0 * c), n).coeffs
 
 
 def _rodrigues_coeffs(params: WaveParams, n: int) -> tuple[complex, ...]:
     """Coefficients of y_n for the minus-branch weight exp(-2u/x) x^(-2c)."""
-    return _rodrigues_coeffs_cached(params.alpha, params.beta, params.gamma, n)
+    return _rodrigues_coeffs_cached(params.alpha, params.beta, n)
 
 
 def psi_n(params: WaveParams, n: int, r, p_r):
@@ -310,7 +311,8 @@ def normalize_B(params: WaveParams, n: int) -> float:
 
         (4/3) B^2 sum_{j,k} y_j y_k Gamma(s_jk) / (2u)^s_jk,  s_jk = 2c - 2 - j - k,
 
-    summed relative to its largest term so that none overflows.  An order
+    summed relative to its largest term so that none overflows, by math.fsum,
+    which rounds the cancelling sum once on every interpreter.  An order
     s_jk <= 0 diverges at r -> 0 and raises NonPhysicalParameters; the
     momentum-coupled variant raises DomainError."""
     if params.variant is not Variant.REAL:
@@ -324,31 +326,34 @@ def normalize_B(params: WaveParams, n: int) -> float:
         raise NonPhysicalParameters(f"not normalizable: the integral of |psi_{n}|^2 r^2 diverges at r -> 0 (c = {c:.6g})", value=c)
     logs = [math.lgamma(s) - s * math.log(2.0 * u) + math.log(abs(yy)) for s, yy in terms]
     top = max(logs)
-    total = 4.0 / 3.0 * sum(math.copysign(math.exp(v - top), yy) for v, (_, yy) in zip(logs, terms))
+    total = 4.0 / 3.0 * math.fsum(math.copysign(math.exp(v - top), yy) for v, (_, yy) in zip(logs, terms))
     return math.exp(-0.5 * top) / math.sqrt(total)
 
 
 def total_probability(params: WaveParams, n: int) -> float:
     """4 pi int |psi_n|^2 r^2 dr dp_r with the stored B by 2-D quadrature of
-    psi_n, normalize_B's independent check: two Gauss-Legendre r panels out
-    to 1.5x the radius where the envelope falls to 1e-12 of its peak, and
-    p_r = tan(theta), which leaves no momentum truncation.  Real variant only;
-    a density that does not integrate at r -> 0 raises NonPhysicalParameters."""
+    psi_n, normalize_B's independent check: two Gauss-Legendre r panels of
+    _PROB_R_NODES nodes out to 1.5x the radius where the envelope falls to
+    1e-12 of its peak, and _PROB_P_NODES nodes in p_r = (u/2) tan(theta) over
+    the whole of (-pi/2, pi/2), which truncates no momentum.  u/2 is the
+    momentum scale of psi_n, whose p_r enters through r (u - 2 i p_r).  Real
+    variant only; a density that does not integrate at r -> 0 raises
+    NonPhysicalParameters."""
     # the momentum-coupled density needs W^(g-2) Gamma(2-g, rW) at the large
     # |p_r| of the tangent map, where Gamma overflows though the product is small
     if params.variant is not Variant.REAL:
         raise DomainError("normalization integrals cover the real variant only")
     r_max = _default_r_max(params) * 1.5
-    nodes, weights = np.polynomial.legendre.leggauss(220)
+    nodes, weights = np.polynomial.legendre.leggauss(_PROB_R_NODES)
     # two r panels biased toward the origin where the density peaks
     split = min(4.0 / params.u, 0.5 * r_max)
     panels = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in ((1e-9, split), (split, r_max))]
     r = np.concatenate([mid + half * nodes for mid, half in panels])
     wr = np.concatenate([half * weights for _, half in panels])
-    nodes, weights = np.polynomial.legendre.leggauss(140)
-    half = math.pi / 2.0 * 0.999999
+    nodes, weights = np.polynomial.legendre.leggauss(_PROB_P_NODES)
+    half, scale = math.pi / 2.0, params.u / 2.0
     th = half * nodes
-    p, wp = np.tan(th), weights / np.cos(th) ** 2
+    p, wp = scale * np.tan(th), scale * weights / np.cos(th) ** 2
     # near r = 0, psi_n(r, q/r) ~ r^k g(q): r^2 int |psi_n|^2 dp_r ~ r^(2k+1), which the first r
     # node cannot see; it integrates only if r times it, probed below that node, falls toward 0
     # where the density diverges, psi_n overflows at the probe: the test reads the inf or nan

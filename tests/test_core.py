@@ -204,13 +204,13 @@ class TestEnergyComplex:
             # complex-variant constants mirrored from the real ones
             alpha, beta, gamma = core.real_constants(ccbar_complex, st, energy)
             alpha_c, beta_c = 4 * p * p - alpha, -beta - 8j * p
-            prob = nu.NUProblem((0, 0, 1), (-alpha_c, -beta_c, gamma), (4j * p, 4))
+            prob = nu.NUProblem((-alpha_c, -beta_c, gamma), (4j * p, 4))
             v = cmath.sqrt(alpha_c - 4 * p * p)
             g = 4j * p + beta_c
             sol = nu.solve(prob, branch=+1)
             if abs(sol.pi[1] - (-1 + g / (2 * v))) > 1e-8 * max(1.0, abs(g / (2 * v))):
                 sol = nu.solve(prob, branch=-1)
-            lam_n = nu.lambda_n(prob, sol.tau, st.nu)
+            lam_n = nu.lambda_n(sol.tau, st.nu)
             return sol.lam - lam_n
 
         e = e0 * 1.05 + 0.02j

@@ -4,11 +4,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from htaspec import nu
-from htaspec.errors import ConsistencyError, DomainError, UnsupportedWeightError
+from htaspec.errors import ConsistencyError, DomainError
 
 # The two problem families the package actually solves (hbar = 1):
 # rotated-real:    sigma = x^2, tau_t = -4x,          sigma_t = alpha + beta x + gamma x^2
@@ -16,15 +16,11 @@ from htaspec.errors import ConsistencyError, DomainError, UnsupportedWeightError
 
 
 def rotated_problem(alpha, beta, gamma):
-    return nu.NUProblem(sigma=(0, 0, 1), sigma_tilde=(alpha, beta, gamma), tau_tilde=(0, -4))
+    return nu.NUProblem(sigma_tilde=(alpha, beta, gamma), tau_tilde=(0, -4))
 
 
 def momentum_problem(alpha, beta, gamma, p):
-    return nu.NUProblem(
-        sigma=(0, 0, 1),
-        sigma_tilde=(-alpha, -beta, -gamma),
-        tau_tilde=(4j * p, 4),
-    )
+    return nu.NUProblem(sigma_tilde=(-alpha, -beta, -gamma), tau_tilde=(4j * p, 4))
 
 
 ALPHA, BETA, GAMMA = -8.7027, 31.5973, -26.2183  # a ccbar-like parameter point
@@ -42,7 +38,7 @@ class TestSolveK:
         beta_c = beta - 8j * p
         ks = nu.solve_k(momentum_problem(alpha, beta_c + 8j * p - 8j * p, gamma, p))
         # with sigma_t = -(alpha + beta_c x + gamma x^2), tau_t = 4(x + i p):
-        prob = nu.NUProblem((0, 0, 1), (-alpha, -beta_c, -gamma), (4j * p, 4))
+        prob = nu.NUProblem((-alpha, -beta_c, -gamma), (4j * p, 4))
         ks = nu.solve_k(prob)
         expected = (-16 * p**2 * gamma - 8j * p * beta_c + 4 * alpha - beta_c**2 + 4 * alpha * gamma) / (
             4 * (4 * p**2 - alpha)
@@ -53,15 +49,27 @@ class TestSolveK:
     def test_perfect_square_at_k_zero(self):
         # sigma_t = sigma and tau_t = sigma' make the radicand K sigma:
         # K = 0 is admissible (sigma = x^2 is already a perfect square)
-        prob = nu.NUProblem((0, 0, 1), (0, 0, 1), (0, 2))
+        prob = nu.NUProblem((0, 0, 1), (0, 2))
         ks = nu.solve_k(prob)
         assert any(abs(k) < 1e-12 for k in ks)
 
-    def test_degenerate_radicand_empty(self):
-        # constant sigma and sigma_t, vanishing h: the radicand is a bare
-        # constant in s, leaving nothing to factor into a square
-        prob = nu.NUProblem((1, 0, 0), (2, 0, 0), (0, 0))
+    # R0 = h0^2 - st0 = 0 with R1 = -st1 != 0: the radicand -st1 s + (...) s^2
+    # has a simple root at s = 0, so no K makes it a square
+    def test_zero_r0_with_linear_term_has_no_k(self):
+        prob = nu.NUProblem((0, 1, 0), (0, 0))
         assert nu.solve_k(prob) == []
+        for branch in (+1, -1):
+            with pytest.raises(ConsistencyError):
+                nu.solve(prob, branch=branch)
+
+    # R0 = R1 = 0: R = (h1^2 - st2 + K) s^2 is a square for every K; the
+    # canonical K = 0 leaves l1 = sqrt(9 + 5)
+    def test_zero_r0_and_r1_gives_k_zero(self):
+        prob = nu.NUProblem((0, 0, -5), (0, -4))
+        assert nu.solve_k(prob) == [0]
+        sol = nu.solve(prob, branch=-1)
+        assert sol.k == 0
+        assert sol.pi == (0, 3 - math.sqrt(14))
 
 
 class TestPiPoly:
@@ -70,29 +78,26 @@ class TestPiPoly:
         # square root of the leading radicand coefficient fixes branch=+1 to
         # +(beta/(2u)) for beta > 0
         prob = rotated_problem(ALPHA, BETA, GAMMA)
-        k = nu.solve_k(prob)[0]
         u = math.sqrt(-ALPHA)
-        pi_plus = nu.pi_poly(prob, k, +1)
+        pi_plus = nu.pi_poly(prob, +1)
         assert pi_plus[1] == pytest.approx(3 + BETA / (2 * u), rel=1e-12)
         assert pi_plus[0] == pytest.approx(-u, rel=1e-12)
 
     def test_branch_sum_cancels_radical(self):
         prob = rotated_problem(ALPHA, BETA, GAMMA)
-        k = nu.solve_k(prob)[0]
-        p_plus = nu.pi_poly(prob, k, +1)
-        p_minus = nu.pi_poly(prob, k, -1)
+        p_plus = nu.pi_poly(prob, +1)
+        p_minus = nu.pi_poly(prob, -1)
         # pi+ + pi- = sigma' - tau_t = 6x
         assert p_plus[0] + p_minus[0] == pytest.approx(0, abs=1e-10)
         assert p_plus[1] + p_minus[1] == pytest.approx(6, rel=1e-12)
 
     def test_momentum_pi_structure(self):
         alpha, beta, gamma, p = 11.6, complex(-46.9, -3.2), 26.7, 0.4
-        prob = nu.NUProblem((0, 0, 1), (-alpha, -beta, -gamma), (4j * p, 4))
-        k = nu.solve_k(prob)[0]
+        prob = nu.NUProblem((-alpha, -beta, -gamma), (4j * p, 4))
         v = cmath.sqrt(alpha - 4 * p * p)
         g = 4j * p + beta
         for branch in (+1, -1):
-            pi = nu.pi_poly(prob, k, branch)
+            pi = nu.pi_poly(prob, branch)
             # pi = -x - 2ip +- (g x/(2v) + v): check against both signs
             cand_plus = (-2j * p + v, -1 + g / (2 * v))
             cand_minus = (-2j * p - v, -1 - g / (2 * v))
@@ -103,41 +108,31 @@ class TestPiPoly:
 
     def test_bad_branch_rejected(self):
         prob = rotated_problem(ALPHA, BETA, GAMMA)
-        k = nu.solve_k(prob)[0]
         with pytest.raises(DomainError):
-            nu.pi_poly(prob, k, 2)
-
-    def test_wrong_k_fails_consistency(self):
-        prob = rotated_problem(ALPHA, BETA, GAMMA)
-        k = nu.solve_k(prob)[0]
-        with pytest.raises(ConsistencyError):
-            nu.pi_poly(prob, k + 1.0, +1)
+            nu.pi_poly(prob, 2)
 
     # a rotated-real problem with small |beta| (a 2P level's residual on the
-    # energy_real_via_nu grid, past its first sign change): r2 = 2.7e-7 is
-    # formed by cancellation from terms near 11, so solve_k's K leaves a
-    # constant-term residual of 1.1e-7, above the relative 1e-8 bound alone
+    # energy_real_via_nu grid, past its first sign change): the s^2
+    # coefficient of the square, 2.7e-7, cancels from terms near 11
     def test_small_beta_radicand_is_a_square(self):
         prob = rotated_problem(-7.529761396044542, -0.00284706153079739, -11.280918571323735)
         sol = nu.solve(prob)
         assert sol.lam == sol.k + sol.pi[1]
 
     # the radicand (1e6, -10, 2.5e-5) is (1000 - 0.005 s)^2: a leading
-    # coefficient small against the constant term, but far above the
-    # rounding of the sum 9 + 5 + K that formed it, is no "linear in s"
+    # coefficient small against the constant term is no "linear in s"
     def test_small_leading_coefficient_is_a_square(self):
-        sol = nu.solve(nu.NUProblem((0, 0, 1), (-1e6, 10, -5), (0, -4)))
+        sol = nu.solve(nu.NUProblem((-1e6, 10, -5), (0, -4)))
         assert sol.k == pytest.approx(-13.999975, rel=1e-14)
         assert sol.pi[0] == pytest.approx(-1000, rel=1e-9)
         assert sol.pi[1] == pytest.approx(3.005, rel=1e-12)
 
-    # near the vertex C1 = 0: the true r2 = 1e-18/4 sinks into the rounding
-    # of 9 + 5 + K, while r1 = -1e-9 does not, so the radicand (1 - 5e-10 s)^2
-    # is rooted from r0, keeping lin1 the principal root of r2
+    # near the vertex C1 = 0: the radicand (1 - 5e-10 s)^2 has an s^2
+    # coefficient of 2.5e-19, far inside the rounding of 9 + 5 + K; l1 is
+    # still the principal root
     def test_near_vertex_radicand_is_a_square(self):
-        prob = nu.NUProblem((0, 0, 1), (-1.0, 1e-9, -5.0), (0, -4))
-        k = nu.solve_k(prob)[0]
-        pi_plus, pi_minus = nu.pi_poly(prob, k, +1), nu.pi_poly(prob, k, -1)
+        prob = nu.NUProblem((-1.0, 1e-9, -5.0), (0, -4))
+        pi_plus, pi_minus = nu.pi_poly(prob, +1), nu.pi_poly(prob, -1)
         assert pi_plus[0] == pytest.approx(-1, rel=1e-15)
         assert pi_plus[1] == pytest.approx(3 + 5e-10, rel=1e-15)
         assert pi_minus[0] == pytest.approx(1, rel=1e-15)
@@ -149,7 +144,7 @@ class TestTauLambda:
         # tau_minus = 2 sqrt(-alpha) + x (2 + alpha beta / (-alpha)^{3/2})
         prob = rotated_problem(ALPHA, BETA, GAMMA)
         k = nu.solve_k(prob)[0]
-        pi = nu.pi_poly(prob, k, -1)
+        pi = nu.pi_poly(prob, -1)
         tau, lam = nu.tau_lambda(prob, pi, k)
         u = math.sqrt(-ALPHA)
         assert tau[0] == pytest.approx(2 * u, rel=1e-12)
@@ -159,7 +154,7 @@ class TestTauLambda:
     def test_tau_is_exact_coefficient_arithmetic(self):
         prob = rotated_problem(ALPHA, BETA, GAMMA)
         k = nu.solve_k(prob)[0]
-        pi = nu.pi_poly(prob, k, +1)
+        pi = nu.pi_poly(prob, +1)
         tau, _ = nu.tau_lambda(prob, pi, k)
         assert tau[0] == prob.tau_tilde[0] + 2 * pi[0]
         assert tau[1] == prob.tau_tilde[1] + 2 * pi[1]
@@ -173,25 +168,24 @@ class TestTauLambda:
 
 class TestLambdaN:
     def test_n_zero(self):
-        prob = rotated_problem(ALPHA, BETA, GAMMA)
-        assert nu.lambda_n(prob, (1.0, 2.0), 0) == 0
+        assert nu.lambda_n((1.0, 2.0), 0) == 0
 
     def test_momentum_printed_form(self):
         # the momentum-coupled plus branch reproduces
         # lambda_n = -n (4ip + beta + (n+1) v)/v with v = sqrt(-4p^2+alpha)
         alpha, beta, gamma, p = 11.6, complex(-46.9, -3.2), 26.7, 0.4
-        prob = nu.NUProblem((0, 0, 1), (-alpha, -beta, -gamma), (4j * p, 4))
+        prob = nu.NUProblem((-alpha, -beta, -gamma), (4j * p, 4))
         k = nu.solve_k(prob)[0]
         v = cmath.sqrt(alpha - 4 * p * p)
         g = 4j * p + beta
         # select the branch with pi' = -1 + g/(2v)
-        pi = nu.pi_poly(prob, k, +1)
+        pi = nu.pi_poly(prob, +1)
         if abs(pi[1] - (-1 + g / (2 * v))) > 1e-9:
-            pi = nu.pi_poly(prob, k, -1)
+            pi = nu.pi_poly(prob, -1)
         tau, _ = nu.tau_lambda(prob, pi, k)
         for n in (1, 2, 3):
             expected = -n * (4j * p + beta + (n + 1) * v) / v
-            assert nu.lambda_n(prob, tau, n) == pytest.approx(expected, rel=1e-10)
+            assert nu.lambda_n(tau, n) == pytest.approx(expected, rel=1e-10)
 
     def test_rotated_strict_rule(self):
         # strict -n tau' - n(n-1): on the minus branch tau' = 2 - beta/u.
@@ -199,17 +193,16 @@ class TestLambdaN:
         # convention lives in core, not here.)
         prob = rotated_problem(ALPHA, BETA, GAMMA)
         k = nu.solve_k(prob)[0]
-        pi = nu.pi_poly(prob, k, -1)
+        pi = nu.pi_poly(prob, -1)
         tau, _ = nu.tau_lambda(prob, pi, k)
         u = math.sqrt(-ALPHA)
         for n in (1, 2, 4):
             expected = -n * (2 - BETA / u) - n * (n - 1)
-            assert nu.lambda_n(prob, tau, n) == pytest.approx(expected, rel=1e-10)
+            assert nu.lambda_n(tau, n) == pytest.approx(expected, rel=1e-10)
 
     def test_negative_n_rejected(self):
-        prob = rotated_problem(ALPHA, BETA, GAMMA)
         with pytest.raises(DomainError):
-            nu.lambda_n(prob, (0.0, 2.0), -1)
+            nu.lambda_n((0.0, 2.0), -1)
 
 
 def strict_eigen_alpha(beta, gamma, n, branch):
@@ -232,10 +225,10 @@ class TestDescriptorsAndRodrigues:
     def setup_method(self):
         self.prob = rotated_problem(ALPHA, BETA, GAMMA)
         self.k = nu.solve_k(self.prob)[0]
-        self.pi = nu.pi_poly(self.prob, self.k, -1)
+        self.pi = nu.pi_poly(self.prob, -1)
         self.tau, self.lam = nu.tau_lambda(self.prob, self.pi, self.k)
-        self.phi = nu.phi_descriptor(self.prob, self.pi)
-        self.rho = nu.rho_descriptor(self.prob, self.tau)
+        self.phi = nu.phi_descriptor(self.pi)
+        self.rho = nu.rho_descriptor(self.tau)
         self.u = math.sqrt(-ALPHA)
 
     def test_phi_closed_form(self):
@@ -252,26 +245,24 @@ class TestDescriptorsAndRodrigues:
         for x in (0.3, 0.9, 2.1):
             h = 1e-6
             num = (self.phi(x + h) - self.phi(x - h)) / (2 * h)
-            assert num / self.phi(x) == pytest.approx(
-                nu.polyval(self.pi, x) / nu.polyval(self.prob.sigma, x), rel=1e-7
-            )
+            assert num / self.phi(x) == pytest.approx(nu.polyval(self.pi, x) / x**2, rel=1e-7)
 
     def test_weight_equation_property(self):
         # (sigma rho)' = tau rho at sample points
         for x in (0.4, 1.1, 1.9):
             h = 1e-6
-            f = lambda t: nu.polyval(self.prob.sigma, t) * self.rho(t)
+            f = lambda t: t**2 * self.rho(t)
             num = (f(x + h) - f(x - h)) / (2 * h)
             assert num == pytest.approx(nu.polyval(self.tau, x) * self.rho(x), rel=1e-7)
 
     def test_rodrigues_n0(self):
-        y0 = nu.rodrigues_y(self.prob, self.rho, 0)
+        y0 = nu.rodrigues_y(self.rho, 0)
         assert y0.coeffs == (1 + 0j,)
         assert y0(0.7) == 1
 
     def test_rodrigues_n1_matches_tau(self):
         # y1 = (1/rho) d/dx (sigma rho) = tau for this normalization
-        y1 = nu.rodrigues_y(self.prob, self.rho, 1)
+        y1 = nu.rodrigues_y(self.rho, 1)
         assert y1.degree == 1
         assert y1.coeffs[0] == pytest.approx(self.tau[0], rel=1e-12)
         assert y1.coeffs[1] == pytest.approx(self.tau[1], rel=1e-12)
@@ -280,8 +271,8 @@ class TestDescriptorsAndRodrigues:
         # d^2/dx^2 (sigma^2 rho) / rho against Richardson-extrapolated
         # central differences at 20 points (rho has steep exp(-2u/x) scale
         # variation, so a single-step stencil cannot reach 1e-6)
-        y2 = nu.rodrigues_y(self.prob, self.rho, 2)
-        f = lambda x: nu.polyval(self.prob.sigma, x) ** 2 * self.rho(x)
+        y2 = nu.rodrigues_y(self.rho, 2)
+        f = lambda x: x**4 * self.rho(x)
 
         def second(x, h):
             return (f(x + h) - 2 * f(x) + f(x - h)) / h**2
@@ -298,8 +289,8 @@ class TestDescriptorsAndRodrigues:
         alpha = strict_eigen_alpha(BETA, GAMMA, n, -1)
         prob = rotated_problem(alpha, BETA, GAMMA)
         sol = nu.solve(prob, branch=-1)
-        phi = nu.phi_descriptor(prob, sol.pi)
-        y = nu.rodrigues_y(prob, nu.rho_descriptor(prob, sol.tau), n)
+        phi = nu.phi_descriptor(sol.pi)
+        y = nu.rodrigues_y(nu.rho_descriptor(sol.tau), n)
         psi = lambda x: phi(x) * y(x)
 
         def deriv(x, h):
@@ -313,29 +304,16 @@ class TestDescriptorsAndRodrigues:
             d1b, d2b = deriv(x, h / 2)
             d1 = (4 * d1b - d1a) / 3
             d2 = (4 * d2b - d2a) / 3
-            sig = nu.polyval(prob.sigma, x)
+            sig = x**2
             resid = d2 + nu.polyval(prob.tau_tilde, x) / sig * d1 + nu.polyval(prob.sigma_tilde, x) / sig**2 * psi(x)
             scale = max(abs(d2), abs(nu.polyval(prob.sigma_tilde, x) / sig**2 * psi(x)), 1e-30)
             assert abs(resid) / scale < 1e-6
-
-    def test_non_monomial_sigma_rejected(self):
-        prob = nu.NUProblem((1, 0, 1), (0, 1, 0), (0, 1))
-        with pytest.raises(UnsupportedWeightError):
-            nu.phi_descriptor(prob, (0.5, 1.0))
-        with pytest.raises(UnsupportedWeightError):
-            nu.rodrigues_y(prob, nu.ExpPowerForm(-1.0, 2.0), 1)
 
 
 class TestNUProblemValidation:
     def test_degree_limits(self):
         with pytest.raises(DomainError):
-            nu.NUProblem((0, 0, 1, 1), (0, 0, 1), (0, 1))
-        with pytest.raises(DomainError):
-            nu.NUProblem((0, 0, 1), (0, 0, 1), (0, 1, 2))
-
-    def test_zero_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            nu.NUProblem((0, 0, 0), (0, 0, 1), (0, 1))
+            nu.NUProblem((0, 0, 1), (0, 1, 2))
 
     def test_solution_invariants(self):
         sol = nu.solve(rotated_problem(ALPHA, BETA, GAMMA), branch=-1)
@@ -352,26 +330,30 @@ class TestPipelineProperties:
     @settings(max_examples=60, deadline=None)
     @given(st0=finite_c, st1=finite_c, st2=finite_c, t0=finite_c, t1=finite_c)
     def test_tau_and_lambda_exact_over_random_problems(self, st0, st1, st2, t0, t1):
-        prob = nu.NUProblem((0, 0, 1), (st0, st1, st2), (t0, t1))
-        ks = nu.solve_k(prob)
-        if not ks:
-            return
+        prob = nu.NUProblem((st0, st1, st2), (t0, t1))
+        (h0, h1), eps = nu._half_diff(prob), sys.float_info.epsilon
+        r0, r1, r2 = h0 * h0 - st0, 2 * h0 * h1 - st1, h1 * h1 - st2
+        # the two R0 = 0 cases are pinned in TestSolveK
+        assume(r0 != 0)
+        k, l0, l1 = nu._square_root(prob)
+        assert nu.solve_k(prob) == [k]
         for branch in (+1, -1):
-            try:
-                sol = nu.solve(prob, branch=branch)
-            except ConsistencyError:
-                continue
+            # R0 != 0 always admits a K: no ConsistencyError on either branch
+            sol = nu.solve(prob, branch=branch)
             # coefficient-exact identities of the pipeline
+            assert sol.pi == (h0 + branch * l0, h1 + branch * l1)
             assert sol.tau[0] == prob.tau_tilde[0] + 2 * sol.pi[0]
             assert sol.tau[1] == prob.tau_tilde[1] + 2 * sol.pi[1]
+            if not cmath.isfinite(k):
+                # K = l1^2 - r2 with l1 = R1/(2 sqrt(R0)) overflows only
+                # for |R0| near the underflow threshold
+                assert abs(r0) < 1e-290
+                continue
             assert sol.lam == sol.k + sol.pi[1]
-            # (pi - h)^2 is the radicand coefficient by coefficient, each
-            # within the rounding of the sum that formed it; lin0^2 =
-            # r1^2/(4 r2) inherits r2's relative error where r2 leads
-            (h0, h1), (r0, r1, r2) = nu._half_diff(prob), nu._radicand(prob, sol.k)
-            lin0, lin1 = sol.pi[0] - h0, sol.pi[1] - h1
-            r2_err = 4 * sys.float_info.epsilon * (abs(h1) ** 2 + abs(st2) + abs(sol.k))
-            r1_err = 4 * sys.float_info.epsilon * (2 * abs(h0 * h1) + abs(st1))
-            r0_err = r2_err / abs(r2) * abs(lin0) ** 2 if abs(r2) > r2_err else 0.0
-            for have, want, err in ((lin0 * lin0, r0, r0_err), (2 * lin0 * lin1, r1, r1_err), (lin1 * lin1, r2, r2_err)):
-                assert abs(have - want) <= 1e-8 * max(abs(have), abs(want), 1.0) + err
+        # (l0 + l1 s)^2 is the radicand r + K s^2 by construction, each
+        # coefficient within the rounding of the operations that formed it
+        assert l1.real > 0 or (l1.real == 0 and l1.imag >= 0)
+        assert abs(l0 * l0 - r0) <= 8 * eps * abs(r0)
+        assert abs(2 * l0 * l1 - r1) <= 8 * eps * abs(r1)
+        if cmath.isfinite(k):
+            assert abs(l1 * l1 - (r2 + k)) <= 8 * eps * (abs(r2) + abs(k))

@@ -22,7 +22,7 @@ def _values():
         waves.WaveParams(alpha=-1.0, beta=2.2, gamma=-5.0),
         confine1d.Confinement1DSystem(m=0.615, b=0.4069),
         dataio.ExperimentalLevel("1S", QuantumState(0), 3.097),
-        nu.NUProblem(sigma=(0, 0, 1), sigma_tilde=(-1.0, 2.0, -3.0), tau_tilde=(0, -4)),
+        nu.NUProblem(sigma_tilde=(-1.0, 2.0, -3.0), tau_tilde=(0, -4)),
     ]
 
 
@@ -57,7 +57,7 @@ def test_repr_keeps_the_keyword_form():
         lambda: QuantumState(1, 2)._replace(n=11),
         lambda: confine1d.Confinement1DSystem(0.615, 0.4069)._replace(b=-1.0),
         lambda: dataio.ExperimentalLevel("1S", QuantumState(0), 3.097)._replace(mass=math.inf),
-        lambda: nu.NUProblem((0, 0, 1), (1, 2, 3), (0, -4))._replace(sigma=(0, 0, 0)),
+        lambda: nu.NUProblem((1, 2, 3), (0, -4))._replace(tau_tilde=(0, 1, 2)),
     ],
     ids=["WaveParams-B", "WaveParams-alpha", "CornellParams-delta", "CornellParams-a", "CornellParams-make",
          "MesonSystem", "QuantumState", "Confinement1DSystem", "ExperimentalLevel", "NUProblem"],
@@ -73,7 +73,7 @@ def test_replace_keeps_type_and_other_fields():
     assert type(q) is waves.WaveParams
     assert (q.alpha, q.beta, q.gamma, q.B, q.variant) == (-1.0, 2.2, -5.0, 2.0, Variant.COMPLEX)
     # _replace runs __new__, so NUProblem converts the new coefficients too
-    assert nu.NUProblem((0, 0, 1), (1, 2, 3), (0, -4))._replace(tau_tilde=[1]).tau_tilde == (1 + 0j, 0j)
+    assert nu.NUProblem((1, 2, 3), (0, -4))._replace(tau_tilde=[1]).tau_tilde == (1 + 0j, 0j)
 
 
 def test_values_are_tuples():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from conftest import parseval_b_oracle
 from htaspec import cli, core, waves
-from htaspec.core import QuantumState, Variant
-from htaspec.errors import DegenerateOrderError, DomainError, NonPhysicalParameters
+from htaspec.core import CornellParams, MesonSystem, QuantumState, Variant
+from htaspec.errors import DegenerateOrderError, DomainError, HtaspecError, NonPhysicalParameters
 from htaspec.special import gamma_complex
 
 
@@ -188,6 +189,65 @@ class TestNormalization:
         assert cli.main(["grid", "--meson", "bcbar", "--state", "1S", "--out", str(tmp_path)]) == 3
         assert "not normalizable" in capsys.readouterr().err
         assert not (tmp_path / "bcbar_1S_grid.csv").exists()
+
+
+def _normalized_states(dataset):
+    """(label, WaveParams with normalize_B's B, n): the bundled ccbar and
+    bbbar real7 states with n, l <= 2, and a seeded sample of 40 normalizable
+    Cornell states over c from about 4 to 20, 3S among them."""
+
+    def normalized(label, sys_v, st):
+        params = waves.wave_params(sys_v, st, core.energy_real(sys_v, st))
+        return f"{label} {st.label}", params._replace(B=waves.normalize_B(params, st.n)), st.n
+
+    states = [normalized(label, dataset[label].system(Variant.REAL), QuantumState(n, l))
+              for label in ("ccbar", "bbbar") for n in range(3) for l in range(3)]
+    rng = random.Random(2026)
+    while len(states) < 18 + 40:
+        m = rng.uniform(0.8, 5.0)
+        params = CornellParams(rng.uniform(-2.5, 0.5), rng.uniform(0.2, 1.5), rng.uniform(0.3, 1.5))
+        try:
+            states.append(normalized(repr(params), MesonSystem(m, m, params), QuantumState(rng.randint(0, 2), rng.randint(0, 2))))
+        except HtaspecError:  # no bound level, or not normalizable
+            pass
+    return states
+
+
+class TestProbabilityRule:
+    """The convergence table behind waves._PROB_R_NODES and _PROB_P_NODES,
+    the smallest rule (r nodes in steps of 10, p nodes in steps of 5) whose
+    probabilities move by at most 1e-12 when both node counts double."""
+
+    @staticmethod
+    def probabilities(states, r_nodes, p_nodes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(waves, "_PROB_R_NODES", r_nodes)
+            mp.setattr(waves, "_PROB_P_NODES", p_nodes)
+            return np.array([waves.total_probability(params, n) for _, params, n in states])
+
+    @pytest.fixture(scope="class")
+    def table(self, dataset):
+        states = _normalized_states(dataset)
+        assert any(label.endswith("3S") for label, _, _ in states[18:])
+        rule = (waves._PROB_R_NODES, waves._PROB_P_NODES)
+        return states, self.probabilities(states, *rule), self.probabilities(states, 2 * rule[0], 2 * rule[1])
+
+    def test_rule_in_use_is_converged(self, table):
+        _, probs, finer = table
+        assert np.max(np.abs(probs - finer)) <= 1e-12
+
+    @pytest.mark.parametrize("fewer_r, fewer_p", [(10, 0), (0, 5)])
+    def test_smaller_rule_is_not(self, table, fewer_r, fewer_p):
+        states, _, finer = table
+        probs = self.probabilities(states, waves._PROB_R_NODES - fewer_r, waves._PROB_P_NODES - fewer_p)
+        assert np.max(np.abs(probs - finer)) > 1e-12
+
+    def test_normalized_probability_is_one(self, table):
+        # what is left beyond the quadrature's 1e-12 is normalize_B's share:
+        # its Parseval sum cancels most on the n = 2 states (3S, 3P, 3D)
+        states, probs, _ = table
+        for (label, _, _), prob in zip(states, probs):
+            assert abs(prob - 1.0) <= 1e-11, label
 
 
 class TestDensityGrid:
