@@ -42,7 +42,8 @@ Conventions (natural units, hbar = 1, energies in GeV):
   of beta, i.e. of C1: symmetric in a about the vertex (each level is
   reached from a and from a - 2 C1).  The pairing is kept exactly because it
   is the quantization convention behind the fitted spectra;
-  energy_real_via_nu reproduces it through the NU machinery.  The
+  energy_real_via_nu reproduces it through the NU machinery, root-solving
+  nu.solve's lambda in u at alpha = -u^2, down to the vertex.  The
   wave functions (waves module) use the minus branch instead, whose phi
   decays at large separation; only that branch is normalizable.
 
@@ -343,12 +344,6 @@ def rest_energy_bracket(sys: MesonSystem, state: QuantumState) -> float:
     return cands[0][1]
 
 
-def _real_nu_problem(alpha, beta, gamma):
-    from . import nu
-
-    return nu.NUProblem(sigma_tilde=(alpha, beta, gamma), tau_tilde=(0, -4))
-
-
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     """Root of f in [xa, xb] by Brent's method (R. P. Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 4), ported line for line from
@@ -398,9 +393,27 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
     raise NumericError(f"brentq: no convergence in 100 iterations on [{xa}, {xb}]")
 
 
-# Coarse stride of energy_real_via_nu's bracket scan; 400 must stay a
-# multiple of it, so that the coarse scan ends on the grid's last point.
+# Coarse stride of energy_real_via_nu's bracket scan
 _SCAN_STRIDE = 10
+
+
+def _first_sign_change(f, xs):
+    """(x_lo, x_hi) around the first sign change of f along xs, or None.
+    f is evaluated at every _SCAN_STRIDE-th point and at the last one, and
+    the points between are walked only inside the first coarse cell whose
+    ends differ in sign."""
+    lo, f_lo = 0, f(xs[0])
+    for hi in [*range(_SCAN_STRIDE, len(xs) - 1, _SCAN_STRIDE), len(xs) - 1]:
+        f_hi = f(xs[hi])
+        if (f_hi < 0) != (f_lo < 0):
+            for i in range(lo + 1, hi):
+                f_i = f(xs[i])
+                if (f_i < 0) != (f_lo < 0):
+                    return xs[lo], xs[i]
+                lo, f_lo = i, f_i
+            return xs[lo], xs[hi]
+        lo, f_lo = hi, f_hi
+    return None
 
 
 def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
@@ -409,18 +422,22 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
 
     lambda comes from nu.solve on branch +1, whose radical term carries the
     principal square root (+|beta| x/(2u) - u); it is paired with the
-    spectrum index rule -nu(nu-1) + nu tau' (see the module docstring) and
-    the residual is root-solved for E by Brent's method (_brentq, a bit-exact
-    port of scipy's brentq) on an independently scanned bracket.
+    spectrum index rule -nu(nu-1) + nu tau' (see the module docstring).  The
+    residual is a function of u = sqrt(-alpha), posed with alpha = -u^2
+    directly, so that a small u near the vertex is not lost in
+    E = C0 - u^2/(8m); it is root-solved for u by Brent's method (_brentq, a
+    bit-exact port of scipy's brentq) on an independently scanned bracket,
+    and E = C0 - u^2/(8m) is returned.
 
     The bracket is the first sign change of the residual along 401 geometric
-    u points, E = C0 - u^2/(8m), found coarse then fine: the residual
-    is evaluated at every _SCAN_STRIDE-th point, and the fine points are
-    walked only inside the first coarse cell whose ends differ in sign.  That
-    gives the same bracket, hence the same root, as walking every point,
-    unless two sign changes fall inside one coarse cell.  Where two changes
-    occur at all (the two-root regime), they were measured at least 61
-    points apart over 16,560 sampled systems.
+    u points from 1e-6 u_hi to u_hi, found coarse then fine
+    (_first_sign_change).  That gives the same bracket as walking every
+    point, unless two sign changes fall inside one coarse cell; where two
+    changes occur at all (the two-root regime), they were measured at least
+    61 points apart over 16,560 sampled systems.  Without a sign change
+    there, the scan continues below at the same ratio, from 1e-6 of the
+    root scale |beta| (2 nu + 2) / (4 |cden|) upward, so that the root found
+    is still the one of smallest u.
     """
     from . import nu
 
@@ -431,36 +448,25 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     nu_idx = state.nu
     _, beta, gam = real_constants(sys, state, e_flat)
 
-    def residual(energy: float) -> float:
-        sol = nu.solve(_real_nu_problem(*real_constants(sys, state, energy)), branch=+1)
-        lam_star = -nu_idx * (nu_idx - 1) + nu_idx * sol.tau[1]
-        return (sol.lam - lam_star).real
+    def residual(u: float) -> float:
+        sol = nu.solve(nu.NUProblem((-u * u, beta, gam), (0, -4)), branch=+1)
+        return (sol.lam - (-nu_idx * (nu_idx - 1) + nu_idx * sol.tau[1])).real
 
-    # bracket by geometric scan in u = sqrt(-alpha); E = e_flat - u^2/(8m)
     cden = abs(gam - 6 + nu_idx * (nu_idx - 3))
-    u_hi = 4.0 * (abs(beta) * (2 * nu_idx + 2) / max(4.0 * cden, 1e-9) + abs(beta) + 1.0)
-    us = [u_hi * (1e-6) ** (1 - i / 400.0) for i in range(401)]
+    scale = abs(beta) * (2 * nu_idx + 2) / max(4.0 * cden, 1e-9)
+    u_hi = 4.0 * (scale + abs(beta) + 1.0)
 
-    def residual_at(i: int) -> float:
-        return residual(e_flat - us[i] * us[i] / (8 * m))
+    def grid(lo: int, hi: int) -> list[float]:
+        # geometric u points, ascending: i = 0 is 1e-6 u_hi and i = 400 is u_hi
+        return [u_hi * (1e-6) ** (1 - i / 400.0) for i in range(lo, hi + 1)]
 
-    lo, r_lo = 0, residual_at(0)
-    for hi in range(_SCAN_STRIDE, len(us), _SCAN_STRIDE):
-        r_hi = residual_at(hi)
-        if (r_hi < 0) != (r_lo < 0):
-            for i in range(lo + 1, hi):
-                r = residual_at(i)
-                if (r < 0) != (r_lo < 0):
-                    hi = i
-                    break
-                lo, r_lo = i, r
-            e_lo = e_flat - us[lo] ** 2 / (8 * m)
-            e_hi = e_flat - us[hi] ** 2 / (8 * m)
-            return _brentq(residual, min(e_lo, e_hi), max(e_lo, e_hi), xtol=1e-14, rtol=1e-15)
-        lo, r_lo = hi, r_hi
-    raise NonPhysicalParameters(
-        f"no root of the NU quantization condition for {state.label}", value=None
-    )
+    bracket = _first_sign_change(residual, grid(0, 400))
+    if bracket is None and scale > 0:
+        bracket = _first_sign_change(residual, grid(-int(400.0 * math.log(u_hi / scale) / math.log(1e6)), 0))
+    if bracket is None:
+        raise NonPhysicalParameters(f"no root of the NU quantization condition for {state.label}", value=None)
+    u = _brentq(residual, *bracket, xtol=1e-18 * bracket[0], rtol=1e-15)
+    return e_flat - u * u / (8 * m)
 
 
 def mass_spectrum_detailed(sys: MesonSystem, state: QuantumState, variant: Variant | str = Variant.REAL) -> tuple[float, str]:

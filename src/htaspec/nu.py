@@ -25,11 +25,11 @@ the principal root of h1^2 - st2).  Then pi = h +- (l0 + l1 s),
 tau = tau_t + 2 pi, lambda = K + pi', and the polynomial index rule is
 lambda_n = -n tau' - n(n-1).
 
-solve returns K, pi, tau and lambda only.  phi and rho are built on request
-(phi_descriptor, rho_descriptor) as closed-form descriptors exp(rate/s) *
-s^power, the family sigma = s^2 produces; Rodrigues differentiation
-y_n = (1/rho) d^n/ds^n (s^2n rho) is then exact (exp(q/s) times a Laurent
-polynomial stays in that family under d/ds).
+solve, the one entry point, returns K, pi, tau and lambda.  phi and rho
+are built on request (phi_descriptor, rho_descriptor) as closed-form
+descriptors exp(rate/s) * s^power, the family sigma = s^2 produces; its
+Rodrigues polynomials y_n = (1/rho) d^n/ds^n (s^2n rho) are generalized
+Bessel polynomials, which rodrigues_y writes in closed form.
 
 Polynomials are ascending coefficient tuples: (c0, c1, c2) is c0 + c1 s
 + c2 s^2.
@@ -38,6 +38,7 @@ Polynomials are ascending coefficient tuples: (c0, c1, c2) is c0 + c1 s
 from __future__ import annotations
 
 import cmath
+import math
 from collections import namedtuple
 
 from .errors import ConsistencyError, DomainError
@@ -47,9 +48,6 @@ __all__ = [
     "NUSolution",
     "ExpPowerForm",
     "RodriguesPolynomial",
-    "solve_k",
-    "pi_poly",
-    "tau_lambda",
     "lambda_n",
     "phi_descriptor",
     "rho_descriptor",
@@ -102,65 +100,9 @@ class RodriguesPolynomial(namedtuple("RodriguesPolynomial", "coeffs n")):
     def __call__(self, s: complex) -> complex:
         return polyval(self.coeffs, s)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
 
 # K, pi, tau and lambda for one (problem, branch)
 NUSolution = namedtuple("NUSolution", "k pi tau lam")
-
-
-def _half_diff(problem: NUProblem) -> tuple[complex, complex]:
-    # (sigma' - tau_t)/2 as a linear polynomial, sigma' = 2s
-    t0, t1 = problem.tau_tilde
-    return ((0 - t0) / 2, (2 - t1) / 2)
-
-
-def _square_root(problem: NUProblem):
-    """(K, l0, l1) with h^2 - sigma_t + K s^2 = (l0 + l1 s)^2 and l1 the
-    principal root, or None when no K makes the radicand a square."""
-    h0, h1 = _half_diff(problem)
-    st0, st1, st2 = problem.sigma_tilde
-    r0 = h0 * h0 - st0
-    r1 = 2 * h0 * h1 - st1
-    r2 = h1 * h1 - st2  # the K-free part of the s^2 coefficient
-    if r0 == 0:
-        # R = r2 s^2 at the canonical K = 0 when R1 = 0 too; no K otherwise
-        return (0j, 0j, cmath.sqrt(r2)) if r1 == 0 else None
-    l0 = cmath.sqrt(r0)
-    l1 = r1 / (2 * l0)
-    if l1.real < 0 or (l1.real == 0 and l1.imag < 0):
-        l0, l1 = -l0, -l1
-    return l1 * l1 - r2, l0, l1
-
-
-def solve_k(problem: NUProblem) -> list[complex]:
-    """[K] making the pi radicand a perfect square; [] when there is none
-    (R0 = 0 != R1), and then solve raises ConsistencyError.
-
-    K is branch-independent (the branch only picks the sign of the square
-    root).
-    """
-    root = _square_root(problem)
-    return [] if root is None else [root[0]]
-
-
-def pi_poly(problem: NUProblem, branch: int = +1) -> tuple[complex, complex]:
-    """pi(s) at the K of solve_k; branch (+1/-1) signs the radical term.
-
-    The radical's leading coefficient takes the principal square root, so
-    branch semantics follow that canonical choice.
-    """
-    return solve(problem, branch).pi
-
-
-def tau_lambda(problem: NUProblem, pi: tuple[complex, complex], k: complex):
-    """tau = tau_t + 2 pi (exact coefficient arithmetic) and lambda = K + pi'."""
-    t0, t1 = problem.tau_tilde
-    tau = (t0 + 2 * pi[0], t1 + 2 * pi[1])
-    lam = k + pi[1]
-    return tau, lam
 
 
 def lambda_n(tau: tuple[complex, complex], n: int) -> complex:
@@ -182,44 +124,52 @@ def rho_descriptor(tau: tuple[complex, complex]) -> ExpPowerForm:
 
 
 def rodrigues_y(rho: ExpPowerForm, n: int) -> RodriguesPolynomial:
-    """y_n = (1/rho) d^n/ds^n [s^2n rho], B_n = 1.
+    """y_n = (1/rho) d^n/ds^n [s^2n rho], B_n = 1, for rho = exp(q/s) s^p.
 
-    s^2n rho = exp(q/s) s^(p+2n) with p = rho.power; the derivative of
-    exp(q/s) s^e is exp(q/s) (e s^(e-1) - q s^(e-2)), so n-fold
-    differentiation stays inside exp(q/s) times a generalized Laurent
-    polynomial, each step lowering the exponent offset by 1 or 2 from 2n, and
-    dividing by rho leaves an ordinary degree-n polynomial.
+    These are generalized Bessel polynomials (Krall & Frink, Trans. AMS 65
+    (1949) 100), with the closed-form coefficients
+
+        y_n(s) = sum_k C(n, k) (n + p + 1)_k (-q)^(n-k) s^k,
+
+    (x)_k the rising factorial: each coefficient is a product, with no sum
+    to cancel.
     """
     n = int(n)
     if n < 0:
         raise DomainError(f"rodrigues_y: n must be >= 0, got {n}")
-    q = rho.rate
-    p = rho.power
-    # terms[j] = coefficient of s^(p + j)
-    terms: dict[int, complex] = {2 * n: 1 + 0j}
-    for _ in range(n):
-        new: dict[int, complex] = {}
-        for j, coeff in terms.items():
-            e = p + j
-            new[j - 1] = new.get(j - 1, 0j) + coeff * e
-            new[j - 2] = new.get(j - 2, 0j) - coeff * q
-        terms = new
-    # divide by rho: s^(p+j)/s^p = s^j; exponents j now span 0..n
-    coeffs = [0j] * (max(terms) + 1)
-    for j, coeff in terms.items():
-        coeffs[j] = coeff
+    q, p = rho.rate, rho.power
+    coeffs, rising = [], 1
+    for k in range(n + 1):
+        coeffs.append(complex(math.comb(n, k) * rising * (-q) ** (n - k)))
+        rising *= p + (n + 1 + k)
     return RodriguesPolynomial(coeffs=tuple(coeffs), n=n)
 
 
 def solve(problem: NUProblem, branch: int = +1) -> NUSolution:
-    """Run the full pipeline for one branch."""
+    """K, pi = h +- (l0 + l1 s), tau = tau_t + 2 pi and lambda = K + pi' on
+    one branch: +1/-1 signs the radical, whose l1 is the principal root.
+
+    Raises ConsistencyError where no K exists (R0 = 0 != R1), and where K or
+    lambda is not finite (|R0| near the underflow threshold).
+    """
     if branch not in (+1, -1):
         raise DomainError(f"branch must be +1 or -1, got {branch}")
-    root = _square_root(problem)
-    if root is None:
+    (t0, t1), (st0, st1, st2) = problem.tau_tilde, problem.sigma_tilde
+    h0, h1 = (0 - t0) / 2, (2 - t1) / 2  # h = (sigma' - tau_t)/2, sigma' = 2s
+    r0, r1 = h0 * h0 - st0, 2 * h0 * h1 - st1
+    r2 = h1 * h1 - st2  # the K-free part of the s^2 coefficient
+    if r0 != 0:
+        l0 = cmath.sqrt(r0)
+        l1 = r1 / (2 * l0)
+        if l1.real < 0 or (l1.real == 0 and l1.imag < 0):
+            l0, l1 = -l0, -l1
+        k = l1 * l1 - r2
+    elif r1 == 0:  # R = r2 s^2 is a square at every K; the canonical one is 0
+        k, l0, l1 = 0j, 0j, cmath.sqrt(r2)
+    else:
         raise ConsistencyError("no K makes the radicand a perfect square (R0 = 0 != R1)")
-    k, l0, l1 = root
-    h0, h1 = _half_diff(problem)
     pi = (h0 + branch * l0, h1 + branch * l1)
-    tau, lam = tau_lambda(problem, pi, k)
-    return NUSolution(k=k, pi=pi, tau=tau, lam=lam)
+    lam = k + pi[1]
+    if not (cmath.isfinite(k) and cmath.isfinite(lam)):
+        raise ConsistencyError(f"K = {k} and lambda = {lam} are not finite: R0 = {r0} is too small")
+    return NUSolution(k=k, pi=pi, tau=(t0 + 2 * pi[0], t1 + 2 * pi[1]), lam=lam)

@@ -1,5 +1,6 @@
 """Special-function surface, in numpy: real Airy functions and their zeros,
-complex gamma, complex upper incomplete gamma.
+complex gamma, complex upper incomplete gamma, and generalized
+Gauss-Laguerre rules (gauss_laguerre, which normalize_B also uses).
 
 Ai and Ai' (alone, or both by airy_ai_pair) map a scalar to a float and an
 array to an array, in one pass of the Airy lane that raises if any element
@@ -25,6 +26,7 @@ __all__ = [
     "airy_ai_prime",
     "airy_ai_pair",
     "airy_ai_zero",
+    "gauss_laguerre",
     "gamma_complex",
     "upper_incomplete_gamma",
 ]
@@ -45,13 +47,19 @@ _LAGUERRE_NODES = 48
 _INV_2_SQRT_PI = 0.5 / math.sqrt(math.pi)
 
 
-@cache
-def _laguerre(a):
-    # Golub-Welsch: nodes and unit-sum weights of the rule for t^a e^-t
-    i = np.arange(1.0, _LAGUERRE_NODES)
-    jacobi = np.diag(2.0 * np.arange(_LAGUERRE_NODES) + a + 1.0) + np.diag(np.sqrt(i * (i + a)), -1)
+def gauss_laguerre(a, nodes):
+    """Nodes and unit-sum weights of the generalized Gauss-Laguerre rule for
+    t^a e^-t, a > -1, by Golub-Welsch; exact on polynomials of degree below
+    2 nodes."""
+    i = np.arange(1.0, nodes)
+    jacobi = np.diag(2.0 * np.arange(nodes) + a + 1.0) + np.diag(np.sqrt(i * (i + a)), -1)
     t, v = np.linalg.eigh(jacobi)
     return t, v[0] ** 2 / (v[0] ** 2).sum()
+
+
+@cache
+def _laguerre(a):
+    return gauss_laguerre(a, _LAGUERRE_NODES)
 
 
 def _maclaurin(x):

@@ -6,7 +6,8 @@ A = r + i p_bar/2 and with u = sqrt(-alpha), c = beta/(2u),
     Omega_n(A) = exp(-u A) * A^(c-3) * y_n(1/A),
 
 y_n the Rodrigues polynomial of the weight exp(-2u/x) x^(-2c) (minus
-pi-branch: the plus branch grows like exp(+uA) and is not normalizable).
+pi-branch: the plus branch grows like exp(+uA) and is not normalizable),
+y_n(x) = sum_j C(n, j) (n + 1 - 2c)_j (2u)^(n-j) x^j by nu.rodrigues_y.
 The physical wave function is the inverse transform back to p_r along the
 Fourier line s = i*omega, taken over the convergent half-line (the
 exp(-u A) factor diverges on the other side):
@@ -26,8 +27,9 @@ evaluates the same transform by adaptive oscillatory quadrature and is the
 independent cross-check path.
 
 By Parseval in p_r, 4 pi int |psi_n|^2 r^2 dr dp_r = (4/3) B^2 int_0^inf
-t^3 Omega_n(t)^2 dt, a finite sum of complete gammas (normalize_B);
-total_probability takes the left side by 2-D quadrature as its check.
+t^3 Omega_n(t)^2 dt, which an (n + 1)-node Gauss-Laguerre rule integrates
+exactly (normalize_B); total_probability takes the left side by 2-D
+quadrature as its check.
 
 All branch powers are exp(power * principal log); correctness of the branch
 bookkeeping is adjudicated by the quadrature equivalence, not by matching
@@ -57,7 +59,7 @@ import numpy as np
 from . import nu
 from .core import MesonSystem, QuantumState, Variant, real_constants
 from .errors import DegenerateOrderError, DomainError, NonPhysicalParameters, NumericError
-from .special import gamma_complex, upper_incomplete_gamma
+from .special import gamma_complex, gauss_laguerre, upper_incomplete_gamma
 
 __all__ = [
     "WaveParams",
@@ -306,28 +308,30 @@ def _default_r_max(params: WaveParams) -> float:
 
 def normalize_B(params: WaveParams, n: int) -> float:
     """B such that 4 pi int |psi_n|^2 r^2 dr dp_r = 1 (the angular part is the
-    bare 4 pi), from the Parseval sum of the module docstring with
-    Omega_n(t) = exp(-u t) t^(c-3) sum_j y_j t^(-j):
+    bare 4 pi), from the Parseval form of the module docstring.  With
+    Omega_n(t) = exp(-u t) t^(c-3) y_n(1/t) and x = 2ut it is
 
-        (4/3) B^2 sum_{j,k} y_j y_k Gamma(s_jk) / (2u)^s_jk,  s_jk = 2c - 2 - j - k,
+        (4/3) B^2 Gamma(a + 1) (2u)^-(a+1) sum_i w_i P(x_i)^2,  a = 2c - 3 - 2n,
 
-    summed relative to its largest term so that none overflows, by math.fsum,
-    which rounds the cancelling sum once on every interpreter.  An order
-    s_jk <= 0 diverges at r -> 0 and raises NonPhysicalParameters; the
+    P(x) = sum_j C(n, j) (n + 1 - 2c)_j x^(n-j), and (x_i, w_i) the
+    (n + 1)-node generalized Gauss-Laguerre rule for x^a e^-x with unit-sum
+    weights: exact for the degree-2n P^2, every term positive.  a <= -1
+    diverges at r -> 0 and raises NonPhysicalParameters; the
     momentum-coupled variant raises DomainError."""
     if params.variant is not Variant.REAL:
         raise DomainError("normalization integrals cover the real variant only")
     n = int(n)
     _check_index(params, n)
     u, c = params.u, params.c_order
-    ys = [(j, y.real) for j, y in enumerate(_rodrigues_coeffs(params, n)) if y.real != 0]
-    terms = [(2.0 * c - 2.0 - j - k, yj * yk) for j, yj in ys for k, yk in ys]
-    if min(s for s, _ in terms) <= 0:
+    s = 2.0 * c - 2.0 - 2 * n  # a + 1
+    if s <= 0:
         raise NonPhysicalParameters(f"not normalizable: the integral of |psi_{n}|^2 r^2 diverges at r -> 0 (c = {c:.6g})", value=c)
-    logs = [math.lgamma(s) - s * math.log(2.0 * u) + math.log(abs(yy)) for s, yy in terms]
-    top = max(logs)
-    total = 4.0 / 3.0 * math.fsum(math.copysign(math.exp(v - top), yy) for v, (_, yy) in zip(logs, terms))
-    return math.exp(-0.5 * top) / math.sqrt(total)
+    # P(x) = x^n y_n(1/x) for the weight exp(-1/x) x^(-2c): its Rodrigues
+    # coefficients, ascending in 1/x, are P's in descending powers of x
+    p_coeffs = [y.real for y in nu.rodrigues_y(nu.ExpPowerForm(rate=-1.0, power=-2.0 * c), n).coeffs]
+    x, w = gauss_laguerre(s - 1.0, n + 1)
+    total = 4.0 / 3.0 * math.fsum(w * np.polyval(p_coeffs, x) ** 2)
+    return math.exp(-0.5 * (math.lgamma(s) - s * math.log(2.0 * u))) / math.sqrt(total)
 
 
 def total_probability(params: WaveParams, n: int) -> float:

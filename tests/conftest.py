@@ -52,27 +52,38 @@ def upper_gamma_quadrature(s: complex, z: complex, length: float = 400.0) -> com
     return complex(re, im)
 
 
+def rodrigues_oracle(q, p, n: int) -> list:
+    """Ascending coefficients of y_n = s^(-p) e^(-q/s) d^n/ds^n [s^(2n)
+    e^(q/s) s^p] in mpmath, at the working precision in force, by n-fold
+    differentiation: d/ds of e^(q/s) s^e is e^(q/s) (e s^(e-1) - q s^(e-2)).
+    Independent of the package's closed form."""
+    import mpmath
+
+    q, p = mpmath.mpf(q), mpmath.mpf(p)
+    terms = {2 * n: mpmath.mpf(1)}  # terms[j] = coefficient of s^(p + j)
+    for _ in range(n):
+        new = {}
+        for j, coeff in terms.items():
+            new[j - 1] = new.get(j - 1, 0) + coeff * (p + j)
+            new[j - 2] = new.get(j - 2, 0) - coeff * q
+        terms = new
+    return [terms.get(j, 0) for j in range(n + 1)]
+
+
 def parseval_b_oracle(alpha: float, beta: float, n: int, dps: int = 40) -> float:
     """B with 4 pi int |psi_n|^2 r^2 dr dp_r = 1 (real variant), by a 1-D
     mpmath quadrature of the Parseval form (4/3) B^2 int_0^inf t^3 Omega_n(t)^2 dt.
 
-    The Rodrigues coefficients of y_n = x^(-p) e^(-q/x) d^n/dx^n
-    [x^(2n) e^(q/x) x^p], q = -2u, p = -2c, are expanded here in mpmath, so
-    neither the NU pipeline nor any gamma function of the package is used.
+    The Rodrigues coefficients of y_n (rodrigues_oracle at q = -2u, p = -2c)
+    are expanded in mpmath, so neither the NU pipeline nor any gamma function
+    of the package is used.
     """
     import mpmath
 
     with mpmath.workdps(dps):
         u = mpmath.sqrt(-mpmath.mpf(alpha))
         c = mpmath.mpf(beta) / (2 * u)
-        terms = {2 * n: mpmath.mpf(1)}
-        for _ in range(n):
-            new = {}
-            for j, coeff in terms.items():
-                new[j - 1] = new.get(j - 1, 0) + coeff * (-2 * c + j)
-                new[j - 2] = new.get(j - 2, 0) + coeff * 2 * u
-            terms = new
-        coeffs = [terms.get(j, 0) for j in range(n + 1)]
+        coeffs = rodrigues_oracle(-2 * u, -2 * c, n)
 
         def integrand(t):
             y = sum(coeff * t ** (-j) for j, coeff in enumerate(coeffs))

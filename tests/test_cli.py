@@ -2,7 +2,9 @@ import csv
 import json
 import os
 import warnings
+from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from htaspec import cli
@@ -412,6 +414,31 @@ class TestCheck:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 9
         assert all(line.startswith("PASS ") and "residual=" in line and "(tol " in line for line in lines)
+
+    def test_first_meson_not_normalizable(self, tmp_path, capsys):
+        # bcbar's real7 1S (c = -27.4) is not normalizable: the probability
+        # line takes the next real7 meson, and prints what the bundled order does
+        assert run(["check"]) == 0
+        bundled = capsys.readouterr().out
+        doc = json.loads((files("htaspec") / "data" / "mesons.json").read_text())
+        by_label = {m["label"]: m for m in doc["mesons"]}
+        for order, code in ((["bcbar", "ccbar"], 0), (["bcbar"], 3)):
+            p = tmp_path / "mesons.json"
+            p.write_text(json.dumps({"mesons": [by_label[label] for label in order]}))
+            assert run(["check", "--input", str(p)]) == code
+            out, err = capsys.readouterr()
+            assert (out, "not normalizable" in err) == ((bundled, False) if code == 0 else ("", True))
+
+    def test_coarser_moment_quadrature_fails(self, monkeypatch, capsys):
+        # half the panels and nodes leave residuals near 5e-10, far above
+        # the 1e-15 the rule in use reaches
+        from htaspec import confine1d
+
+        monkeypatch.setattr(confine1d, "_GL_PANELS", 4)
+        monkeypatch.setattr(confine1d, "_GL_X", np.polynomial.legendre.leggauss(16)[0])
+        monkeypatch.setattr(confine1d, "_GL_W", np.polynomial.legendre.leggauss(16)[1])
+        assert run(["check", "--suite", "moment"]) == 5
+        assert capsys.readouterr().out.count("FAIL moment-identity") == 6
 
     @pytest.mark.parametrize("flag", [["--meson", "ccbar"], ["--variant", "complex5"], ["--precision", "3"]])
     def test_flags_it_never_reads_exit_2(self, flag):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -325,42 +326,74 @@ class TestNuEquivalence:
             agreed += 1
         assert agreed >= 50
 
+    def test_near_vertex_roots_agree(self):
+        # with alpha = -u^2 posed directly and the scan continued below
+        # 1e-6 u_hi, the NU route finds the roots that raised before
+        agreed = 0
+        for sys_v, st in near_vertex_draw():
+            e_closed, e_nu = outcome(core.energy_real, sys_v, st), outcome(core.energy_real_via_nu, sys_v, st)
+            agreed += isinstance(e_nu, float) and abs(e_closed - e_nu) <= 1e-9 * max(abs(e_closed), 1e-12)
+        assert agreed >= 195
 
-def nu_residual(sys_v, st, energy):
-    """energy_real_via_nu's residual: lambda on branch +1 minus the index rule."""
-    sol = nu.solve(core._real_nu_problem(*core.real_constants(sys_v, st, energy)), branch=+1)
+
+def near_vertex_draw():
+    """test_near_vertex_is_never_inconsistent's 200 (system, state) pairs:
+    a = 3b/delta^2 (1 +- eps) puts C1 near 0."""
+    rng = random.Random(7)
+    for _ in range(200):
+        b, delta, m = rng.uniform(0.1, 1.5), rng.uniform(0.2, 1.5), rng.uniform(0.5, 2.5)
+        st = QuantumState(rng.randint(0, 3), rng.randint(0, 2))
+        sign, eps = rng.choice((-1, 1)), 10 ** rng.uniform(-9, -3)
+        yield MesonSystem(2 * m, 2 * m, CornellParams(3 * b / delta**2 * (1 + sign * eps), b, delta)), st
+
+
+def nu_residual(sys_v, st, u):
+    """energy_real_via_nu's residual at u = sqrt(-alpha): lambda on branch
+    +1 minus the index rule."""
+    _, beta, gam = core.real_constants(sys_v, st, core.cornell_quadratic(sys_v.params)[0])
+    sol = nu.solve(nu.NUProblem((-u * u, beta, gam), (0, -4)), branch=+1)
     return (sol.lam - (-st.nu * (st.nu - 1) + st.nu * sol.tau[1])).real
+
+
+def scan_grids(sys_v, st):
+    """energy_real_via_nu's u points, each list ascending: the 401-point
+    grid, then its continuation below 1e-6 u_hi down to 1e-6 of the root
+    scale (empty when that lies above)."""
+    _, beta, gam = core.real_constants(sys_v, st, core.cornell_quadratic(sys_v.params)[0])
+    nu_idx = st.nu
+    cden = abs(gam - 6 + nu_idx * (nu_idx - 3))
+    scale = abs(beta) * (2 * nu_idx + 2) / max(4.0 * cden, 1e-9)
+    u_hi = 4.0 * (scale + abs(beta) + 1.0)
+    grid, below = [u_hi * (1e-6) ** (1 - i / 400.0) for i in range(401)], []
+    while 0 < 1e-6 * scale < (u := u_hi * (1e-6) ** (1 + len(below) / 400.0)):
+        below.append(u)
+    return grid, below[::-1]
 
 
 def fine_grid_residuals(sys_v, st):
     """(u, residual) at each of energy_real_via_nu's 401 u points, from small
     u, evaluated lazily: a point that raises ends the walk there."""
-    e_flat = core.cornell_quadratic(sys_v.params)[0]
-    _, beta, gam = core.real_constants(sys_v, st, e_flat)
-    nu_idx, m = st.nu, sys_v.reduced_mass
-    cden = abs(gam - 6 + nu_idx * (nu_idx - 3))
-    u_hi = 4.0 * (abs(beta) * (2 * nu_idx + 2) / max(4.0 * cden, 1e-9) + abs(beta) + 1.0)
-    for i in range(401):
-        u = u_hi * (1e-6) ** (1 - i / 400.0)
-        yield u, nu_residual(sys_v, st, e_flat - u * u / (8 * m))
+    for u in scan_grids(sys_v, st)[0]:
+        yield u, nu_residual(sys_v, st, u)
 
 
 def fine_scan_root(sys_v, st):
     """energy_real_via_nu with the one-point-at-a-time bracket walk: the
-    first sign change on the full 401-point grid, then the same brentq call."""
+    first sign change on the 401-point grid, else on its continuation below,
+    then the same brentq call in u."""
     from scipy.optimize import brentq
 
     e_flat, c1, _ = core.cornell_quadratic(sys_v.params)
     if c1 == 0:
         return e_flat
-    m = sys_v.reduced_mass
-    prev_u, prev_r = None, None
-    for u, r in fine_grid_residuals(sys_v, st):
-        if prev_r is not None and (r < 0) != (prev_r < 0):
-            e_lo = e_flat - prev_u ** 2 / (8 * m)
-            e_hi = e_flat - u ** 2 / (8 * m)
-            return brentq(lambda e: nu_residual(sys_v, st, e), min(e_lo, e_hi), max(e_lo, e_hi), xtol=1e-14, rtol=1e-15)
-        prev_u, prev_r = u, r
+    for us in scan_grids(sys_v, st):
+        prev_u, prev_r = None, None
+        for u in us:
+            r = nu_residual(sys_v, st, u)
+            if prev_r is not None and (r < 0) != (prev_r < 0):
+                root = brentq(lambda x: nu_residual(sys_v, st, x), prev_u, u, xtol=1e-18 * prev_u, rtol=1e-15)
+                return e_flat - root * root / (8 * sys_v.reduced_mass)
+            prev_u, prev_r = u, r
     raise NonPhysicalParameters(f"no root of the NU quantization condition for {st.label}", value=None)
 
 
@@ -423,6 +456,15 @@ class TestNuScanIdentity:
             self.assert_identical(sys_v, st)
             seen_two = seen_two or fine_sign_changes(sys_v, st) >= 2
         assert seen_two
+
+    def test_near_vertex_continuation(self):
+        # the first 40 near-vertex systems: most have their root below the
+        # 401-point grid, on the continuation
+        continued = 0
+        for sys_v, st in itertools.islice(near_vertex_draw(), 40):
+            self.assert_identical(sys_v, st)
+            continued += fine_sign_changes(sys_v, st) == 0
+        assert continued >= 20
 
 
 class TestBrentq:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import sys
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import rodrigues_oracle
 from htaspec import nu
 from htaspec.errors import ConsistencyError, DomainError
 
@@ -28,36 +30,29 @@ ALPHA, BETA, GAMMA = -8.7027, 31.5973, -26.2183  # a ccbar-like parameter point
 
 class TestSolveK:
     def test_rotated_k_formula(self):
-        ks = nu.solve_k(rotated_problem(ALPHA, BETA, GAMMA))
+        k = nu.solve(rotated_problem(ALPHA, BETA, GAMMA)).k
         expected = (-36 * ALPHA - BETA**2 + 4 * ALPHA * GAMMA) / (4 * ALPHA)
-        assert len(ks) == 1
-        assert ks[0] == pytest.approx(expected, rel=1e-12)
+        assert k == pytest.approx(expected, rel=1e-12)
 
     def test_momentum_k_formula(self):
         alpha, beta, gamma, p = 11.6, -46.9, 26.7, 0.4
         beta_c = beta - 8j * p
-        ks = nu.solve_k(momentum_problem(alpha, beta_c + 8j * p - 8j * p, gamma, p))
         # with sigma_t = -(alpha + beta_c x + gamma x^2), tau_t = 4(x + i p):
-        prob = nu.NUProblem((-alpha, -beta_c, -gamma), (4j * p, 4))
-        ks = nu.solve_k(prob)
+        k = nu.solve(momentum_problem(alpha, beta_c, gamma, p)).k
         expected = (-16 * p**2 * gamma - 8j * p * beta_c + 4 * alpha - beta_c**2 + 4 * alpha * gamma) / (
             4 * (4 * p**2 - alpha)
         )
-        assert len(ks) == 1
-        assert ks[0] == pytest.approx(expected, rel=1e-12)
+        assert k == pytest.approx(expected, rel=1e-12)
 
     def test_perfect_square_at_k_zero(self):
         # sigma_t = sigma and tau_t = sigma' make the radicand K sigma:
         # K = 0 is admissible (sigma = x^2 is already a perfect square)
-        prob = nu.NUProblem((0, 0, 1), (0, 2))
-        ks = nu.solve_k(prob)
-        assert any(abs(k) < 1e-12 for k in ks)
+        assert abs(nu.solve(nu.NUProblem((0, 0, 1), (0, 2))).k) < 1e-12
 
     # R0 = h0^2 - st0 = 0 with R1 = -st1 != 0: the radicand -st1 s + (...) s^2
     # has a simple root at s = 0, so no K makes it a square
     def test_zero_r0_with_linear_term_has_no_k(self):
         prob = nu.NUProblem((0, 1, 0), (0, 0))
-        assert nu.solve_k(prob) == []
         for branch in (+1, -1):
             with pytest.raises(ConsistencyError):
                 nu.solve(prob, branch=branch)
@@ -66,10 +61,17 @@ class TestSolveK:
     # canonical K = 0 leaves l1 = sqrt(9 + 5)
     def test_zero_r0_and_r1_gives_k_zero(self):
         prob = nu.NUProblem((0, 0, -5), (0, -4))
-        assert nu.solve_k(prob) == [0]
         sol = nu.solve(prob, branch=-1)
         assert sol.k == 0
         assert sol.pi == (0, 3 - math.sqrt(14))
+
+    # R0 = 5e-324 makes l1 = R1/(2 sqrt(R0)) about 2e161 and K = l1^2 - r2
+    # inf: no finite K, so no solution
+    def test_underflowing_r0_raises(self):
+        prob = nu.NUProblem((-5e-324, 1, 0), (0, -4))
+        for branch in (+1, -1):
+            with pytest.raises(ConsistencyError, match="R0 = "):
+                nu.solve(prob, branch=branch)
 
 
 class TestPiPoly:
@@ -79,14 +81,14 @@ class TestPiPoly:
         # +(beta/(2u)) for beta > 0
         prob = rotated_problem(ALPHA, BETA, GAMMA)
         u = math.sqrt(-ALPHA)
-        pi_plus = nu.pi_poly(prob, +1)
+        pi_plus = nu.solve(prob, +1).pi
         assert pi_plus[1] == pytest.approx(3 + BETA / (2 * u), rel=1e-12)
         assert pi_plus[0] == pytest.approx(-u, rel=1e-12)
 
     def test_branch_sum_cancels_radical(self):
         prob = rotated_problem(ALPHA, BETA, GAMMA)
-        p_plus = nu.pi_poly(prob, +1)
-        p_minus = nu.pi_poly(prob, -1)
+        p_plus = nu.solve(prob, +1).pi
+        p_minus = nu.solve(prob, -1).pi
         # pi+ + pi- = sigma' - tau_t = 6x
         assert p_plus[0] + p_minus[0] == pytest.approx(0, abs=1e-10)
         assert p_plus[1] + p_minus[1] == pytest.approx(6, rel=1e-12)
@@ -97,7 +99,7 @@ class TestPiPoly:
         v = cmath.sqrt(alpha - 4 * p * p)
         g = 4j * p + beta
         for branch in (+1, -1):
-            pi = nu.pi_poly(prob, branch)
+            pi = nu.solve(prob, branch).pi
             # pi = -x - 2ip +- (g x/(2v) + v): check against both signs
             cand_plus = (-2j * p + v, -1 + g / (2 * v))
             cand_minus = (-2j * p - v, -1 - g / (2 * v))
@@ -109,7 +111,7 @@ class TestPiPoly:
     def test_bad_branch_rejected(self):
         prob = rotated_problem(ALPHA, BETA, GAMMA)
         with pytest.raises(DomainError):
-            nu.pi_poly(prob, 2)
+            nu.solve(prob, 2)
 
     # a rotated-real problem with small |beta| (a 2P level's residual on the
     # energy_real_via_nu grid, past its first sign change): the s^2
@@ -132,7 +134,7 @@ class TestPiPoly:
     # still the principal root
     def test_near_vertex_radicand_is_a_square(self):
         prob = nu.NUProblem((-1.0, 1e-9, -5.0), (0, -4))
-        pi_plus, pi_minus = nu.pi_poly(prob, +1), nu.pi_poly(prob, -1)
+        pi_plus, pi_minus = nu.solve(prob, +1).pi, nu.solve(prob, -1).pi
         assert pi_plus[0] == pytest.approx(-1, rel=1e-15)
         assert pi_plus[1] == pytest.approx(3 + 5e-10, rel=1e-15)
         assert pi_minus[0] == pytest.approx(1, rel=1e-15)
@@ -142,10 +144,7 @@ class TestPiPoly:
 class TestTauLambda:
     def test_rotated_minus_branch_tau(self):
         # tau_minus = 2 sqrt(-alpha) + x (2 + alpha beta / (-alpha)^{3/2})
-        prob = rotated_problem(ALPHA, BETA, GAMMA)
-        k = nu.solve_k(prob)[0]
-        pi = nu.pi_poly(prob, -1)
-        tau, lam = nu.tau_lambda(prob, pi, k)
+        k, pi, tau, lam = nu.solve(rotated_problem(ALPHA, BETA, GAMMA), -1)
         u = math.sqrt(-ALPHA)
         assert tau[0] == pytest.approx(2 * u, rel=1e-12)
         assert tau[1] == pytest.approx(2 + ALPHA * BETA / (-ALPHA) ** 1.5, rel=1e-12)
@@ -153,17 +152,9 @@ class TestTauLambda:
 
     def test_tau_is_exact_coefficient_arithmetic(self):
         prob = rotated_problem(ALPHA, BETA, GAMMA)
-        k = nu.solve_k(prob)[0]
-        pi = nu.pi_poly(prob, +1)
-        tau, _ = nu.tau_lambda(prob, pi, k)
+        _, pi, tau, _ = nu.solve(prob, +1)
         assert tau[0] == prob.tau_tilde[0] + 2 * pi[0]
         assert tau[1] == prob.tau_tilde[1] + 2 * pi[1]
-
-    def test_zero_pi_case(self):
-        prob = rotated_problem(ALPHA, BETA, GAMMA)
-        tau, lam = nu.tau_lambda(prob, (0j, 0j), 1.25)
-        assert tau == prob.tau_tilde
-        assert lam == pytest.approx(1.25)
 
 
 class TestLambdaN:
@@ -175,14 +166,13 @@ class TestLambdaN:
         # lambda_n = -n (4ip + beta + (n+1) v)/v with v = sqrt(-4p^2+alpha)
         alpha, beta, gamma, p = 11.6, complex(-46.9, -3.2), 26.7, 0.4
         prob = nu.NUProblem((-alpha, -beta, -gamma), (4j * p, 4))
-        k = nu.solve_k(prob)[0]
         v = cmath.sqrt(alpha - 4 * p * p)
         g = 4j * p + beta
         # select the branch with pi' = -1 + g/(2v)
-        pi = nu.pi_poly(prob, +1)
-        if abs(pi[1] - (-1 + g / (2 * v))) > 1e-9:
-            pi = nu.pi_poly(prob, -1)
-        tau, _ = nu.tau_lambda(prob, pi, k)
+        sol = nu.solve(prob, +1)
+        if abs(sol.pi[1] - (-1 + g / (2 * v))) > 1e-9:
+            sol = nu.solve(prob, -1)
+        tau = sol.tau
         for n in (1, 2, 3):
             expected = -n * (4j * p + beta + (n + 1) * v) / v
             assert nu.lambda_n(tau, n) == pytest.approx(expected, rel=1e-10)
@@ -191,10 +181,7 @@ class TestLambdaN:
         # strict -n tau' - n(n-1): on the minus branch tau' = 2 - beta/u.
         # (The spectrum tables use the sign-flipped pairing instead; that
         # convention lives in core, not here.)
-        prob = rotated_problem(ALPHA, BETA, GAMMA)
-        k = nu.solve_k(prob)[0]
-        pi = nu.pi_poly(prob, -1)
-        tau, _ = nu.tau_lambda(prob, pi, k)
+        tau = nu.solve(rotated_problem(ALPHA, BETA, GAMMA), -1).tau
         u = math.sqrt(-ALPHA)
         for n in (1, 2, 4):
             expected = -n * (2 - BETA / u) - n * (n - 1)
@@ -224,9 +211,7 @@ def strict_eigen_alpha(beta, gamma, n, branch):
 class TestDescriptorsAndRodrigues:
     def setup_method(self):
         self.prob = rotated_problem(ALPHA, BETA, GAMMA)
-        self.k = nu.solve_k(self.prob)[0]
-        self.pi = nu.pi_poly(self.prob, -1)
-        self.tau, self.lam = nu.tau_lambda(self.prob, self.pi, self.k)
+        self.k, self.pi, self.tau, self.lam = nu.solve(self.prob, -1)
         self.phi = nu.phi_descriptor(self.pi)
         self.rho = nu.rho_descriptor(self.tau)
         self.u = math.sqrt(-ALPHA)
@@ -263,9 +248,22 @@ class TestDescriptorsAndRodrigues:
     def test_rodrigues_n1_matches_tau(self):
         # y1 = (1/rho) d/dx (sigma rho) = tau for this normalization
         y1 = nu.rodrigues_y(self.rho, 1)
-        assert y1.degree == 1
+        assert len(y1.coeffs) == 2
         assert y1.coeffs[0] == pytest.approx(self.tau[0], rel=1e-12)
         assert y1.coeffs[1] == pytest.approx(self.tau[1], rel=1e-12)
+
+    def test_rodrigues_coefficients_against_mpmath(self):
+        # the weights waves builds, exp(-2u/s) s^(-2c): every coefficient a
+        # rounded product, within 2e-15 of n-fold differentiation in mpmath
+        mpmath = pytest.importorskip("mpmath")
+        rng, worst = random.Random(1), 0.0
+        with mpmath.workdps(40):
+            for _ in range(2000):
+                u, c, n = rng.uniform(0.1, 10.0), rng.uniform(-30.0, 30.0), rng.randint(0, 6)
+                got = nu.rodrigues_y(nu.ExpPowerForm(rate=-2.0 * u, power=-2.0 * c), n).coeffs
+                want = rodrigues_oracle(-2.0 * u, -2.0 * c, n)
+                worst = max(worst, *(float(abs(g - w) / abs(w)) for g, w in zip(got, want)))
+        assert worst <= 2e-15
 
     def test_rodrigues_n2_vs_finite_differences(self):
         # d^2/dx^2 (sigma^2 rho) / rho against Richardson-extrapolated
@@ -331,28 +329,36 @@ class TestPipelineProperties:
     @given(st0=finite_c, st1=finite_c, st2=finite_c, t0=finite_c, t1=finite_c)
     def test_tau_and_lambda_exact_over_random_problems(self, st0, st1, st2, t0, t1):
         prob = nu.NUProblem((st0, st1, st2), (t0, t1))
-        (h0, h1), eps = nu._half_diff(prob), sys.float_info.epsilon
+        (t0, t1), eps = prob.tau_tilde, sys.float_info.epsilon
+        h0, h1 = (0 - t0) / 2, (2 - t1) / 2  # h = (sigma' - tau_t)/2
         r0, r1, r2 = h0 * h0 - st0, 2 * h0 * h1 - st1, h1 * h1 - st2
         # the two R0 = 0 cases are pinned in TestSolveK
         assume(r0 != 0)
-        k, l0, l1 = nu._square_root(prob)
-        assert nu.solve_k(prob) == [k]
+        # sqrt(R) = l0 + l1 s with l1 the principal root, and the K that
+        # makes R = h^2 - sigma_t + K s^2 that square
+        l0 = cmath.sqrt(r0)
+        l1 = r1 / (2 * l0)
+        if l1.real < 0 or (l1.real == 0 and l1.imag < 0):
+            l0, l1 = -l0, -l1
+        k = l1 * l1 - r2
         for branch in (+1, -1):
-            # R0 != 0 always admits a K: no ConsistencyError on either branch
+            if not (cmath.isfinite(k) and cmath.isfinite(k + (h1 + branch * l1))):
+                # K = l1^2 - r2 with l1 = R1/(2 sqrt(R0)) overflows only
+                # for |R0| near the underflow threshold: solve raises there
+                assert abs(r0) < 1e-290
+                with pytest.raises(ConsistencyError, match="R0"):
+                    nu.solve(prob, branch=branch)
+                continue
+            # R0 != 0 with a finite K: no ConsistencyError on either branch
             sol = nu.solve(prob, branch=branch)
             # coefficient-exact identities of the pipeline
+            assert sol.k == k
             assert sol.pi == (h0 + branch * l0, h1 + branch * l1)
             assert sol.tau[0] == prob.tau_tilde[0] + 2 * sol.pi[0]
             assert sol.tau[1] == prob.tau_tilde[1] + 2 * sol.pi[1]
-            if not cmath.isfinite(k):
-                # K = l1^2 - r2 with l1 = R1/(2 sqrt(R0)) overflows only
-                # for |R0| near the underflow threshold
-                assert abs(r0) < 1e-290
-                continue
             assert sol.lam == sol.k + sol.pi[1]
         # (l0 + l1 s)^2 is the radicand r + K s^2 by construction, each
         # coefficient within the rounding of the operations that formed it
-        assert l1.real > 0 or (l1.real == 0 and l1.imag >= 0)
         assert abs(l0 * l0 - r0) <= 8 * eps * abs(r0)
         assert abs(2 * l0 * l1 - r1) <= 8 * eps * abs(r1)
         if cmath.isfinite(k):

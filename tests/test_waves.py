@@ -158,8 +158,9 @@ class TestNormalization:
         assert waves.normalize_B(params, n) == pytest.approx(frozen, rel=2e-4)
 
     def test_closed_form_against_mpmath(self, dataset, monkeypatch):
-        # the Gamma sum cancels more as n grows: B loses about 3e-10 at
-        # n = 4 and 4e-8 at n = 6 against the 40-digit Parseval integral
+        # the Gauss-Laguerre sum has only positive terms: B keeps 1e-11
+        # against the 40-digit Parseval integral for every n (the Gamma
+        # double sum it replaced lost 4e-8 at n = 6)
         pytest.importorskip("mpmath")
         calls = []
         monkeypatch.setattr(waves, "psi_n", lambda *a: calls.append("psi_n"))
@@ -171,9 +172,19 @@ class TestNormalization:
                     st = QuantumState(n, l)
                     params = waves.wave_params(sys_v, st, core.energy_real(sys_v, st))
                     want = parseval_b_oracle(params.alpha, params.beta, n)
-                    tol = 1e-9 if n <= 4 else 1e-7
-                    assert waves.normalize_B(params, n) == pytest.approx(want, rel=tol), (label, st.label)
+                    assert waves.normalize_B(params, n) == pytest.approx(want, rel=1e-11, abs=0), (label, st.label)
         assert calls == []
+
+    def test_seeded_excited_states_against_mpmath(self):
+        # n = 3..6 over c in (n + 1.2, 25): the Gamma double sum lost up to
+        # 3.7e-5 on such draws
+        pytest.importorskip("mpmath")
+        rng = random.Random(3)
+        for _ in range(8):
+            n, u = rng.randint(3, 6), rng.uniform(0.2, 8.0)
+            params = waves.WaveParams(alpha=-u * u, beta=2.0 * u * rng.uniform(n + 1.2, 25.0), gamma=-5.0)
+            want = parseval_b_oracle(params.alpha, params.beta, n)
+            assert waves.normalize_B(params, n) == pytest.approx(want, rel=1e-11, abs=0), (params, n)
 
     def test_divergent_density_not_normalizable(self):
         # r^2 int |psi_0|^2 dp_r ~ r^(2c - 3) at r -> 0: no finite B for c <= 1
