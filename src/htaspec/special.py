@@ -9,6 +9,8 @@ on seeded samples.  The lane's
 Gauss-Laguerre nodes are built on the first Airy call, so ``grid`` never pays
 for them.  Complex gamma and Gamma(s, z) on Re z > 0 share one log-Gamma;
 Gamma(s, z) works over broadcast arrays, and a scalar call is a one-element array.
+Gamma(s, z) raises only for its arguments (DomainError); an element with no
+finite value is returned inf or NaN, and its callers decide what that means.
 """
 
 from __future__ import annotations
@@ -186,7 +188,9 @@ def gamma_complex(z: complex) -> complex:
 #     1979) of Gamma(e, z), e = s + n, then n recurrence steps with divisors
 #     e - 1, ..., e - n (the exponential-integral ladder when e = 0).
 # Each iterative route runs only on its unconverged elements and stops each
-# element by the scalar rule.
+# element by the scalar rule.  No route raises: an element whose prefactor
+# z^s e^-z or Gamma(s) leaves double range comes back inf or NaN, and one
+# still iterating at the step cap NaN, beside its neighbours' values.
 
 _TINY = 1e-300
 _POLE_RADIUS = 0.5
@@ -199,13 +203,6 @@ _EXPREL_TAYLOR = [1.0 / math.factorial(k + 1) for k in range(17, -1, -1)]
 _BERNOULLI = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510]
 _STIRLING = [b / ((2 * k) * (2 * k - 1)) for k, b in reversed(list(enumerate(_BERNOULLI, 1)))]
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _exp(x):
-    e = np.exp(x)
-    if not np.isfinite(e).all():
-        raise NumericError("upper_incomplete_gamma: exponential overflowed")
-    return e
 
 
 def _loggamma(s):
@@ -221,10 +218,7 @@ def _loggamma(s):
 
 
 def _gamma(s):
-    g = np.exp(_loggamma(s))
-    if not np.isfinite(g).all():
-        raise NumericError("upper_incomplete_gamma: Gamma(s) overflowed")
-    return g
+    return np.exp(_loggamma(s))
 
 
 @cache
@@ -248,15 +242,14 @@ def _exprel(x):
     return np.where(abs(x) < 0.5, np.polyval(_EXPREL_TAYLOR, x), (np.exp(x) - 1.0) / x)
 
 
-def _iterate(step, state, limit, what):
+def _iterate(step, state, limit):
     """Advance ``(done, value, state) = step(k, state)`` for k = 1, 2, ...
     on the elements not yet done, dropping each from the state once done.
 
-    ``state[0]``, ``state[1]`` are the elements' s and z.  An element's result
-    is its value at the step that marks it done.  Elements still running
-    after ``limit - 1`` steps raise NumericError.
+    An element's result is its value at the step that marks it done;
+    elements still running after ``limit - 1`` steps are left NaN.
     """
-    out = np.empty(len(state[0]), complex)
+    out = np.full(len(state[0]), complex(math.nan, math.nan))
     live = np.arange(len(out))
     for k in range(1, limit):
         done, value, state = step(k, state)
@@ -265,9 +258,8 @@ def _iterate(step, state, limit, what):
             keep = ~done
             live, value, state = live[keep], value[keep], tuple(a[keep] for a in state)
             if not live.size:
-                return out
-    s, z = complex(state[0][0]), complex(state[1][0])
-    raise NumericError(f"upper_incomplete_gamma: {what} stalled at s={s}, z={z}")
+                break
+    return out
 
 
 def _continued_fraction(s, z):
@@ -286,8 +278,8 @@ def _continued_fraction(s, z):
 
     b = z + 1.0 - s
     d = np.where(b != 0, 1.0 / b, 1.0 / _TINY)
-    h = _iterate(step, (s, z, b, np.full_like(b, 1.0 / _TINY), d, d), 700, "continued fraction")
-    return _exp(-z + s * np.log(z)) * h
+    h = _iterate(step, (s, z, b, np.full_like(b, 1.0 / _TINY), d, d), 700)
+    return np.exp(-z + s * np.log(z)) * h
 
 
 def _lower_series(s, z):
@@ -298,8 +290,8 @@ def _lower_series(s, z):
         total = total + term
         return abs(term) < 1e-17 * abs(total), total, (s, z, term, total)
 
-    total = _iterate(step, (s, z, 1.0 / s, 1.0 / s), 700, "series")
-    return _exp(-z + s * np.log(z)) * total
+    total = _iterate(step, (s, z, 1.0 / s, 1.0 / s), 700)
+    return np.exp(-z + s * np.log(z)) * total
 
 
 def _recur_down(a, z, val, steps):
@@ -308,7 +300,7 @@ def _recur_down(a, z, val, steps):
     for j in range(int(steps.max(initial=0))):
         m = steps > j
         a = np.where(m, a - 1.0, a)
-        val = np.where(m, (val - _exp(-z + a * lz)) / a, val)
+        val = np.where(m, (val - np.exp(-z + a * lz)) / a, val)
     return val
 
 
@@ -336,9 +328,9 @@ def _near_pole(s, z):
         total = total + term
         return abs(term) < 1e-17 * abs(total), total, (e, z, t, total)
 
-    tail = _iterate(step, (e, z, np.ones_like(e), np.zeros_like(e)), 700, "exponential-integral series")
+    tail = _iterate(step, (e, z, np.ones_like(e), np.zeros_like(e)), 700)
     p = np.polyval(_lngamma1p_poly(), e)
-    val = p * _exprel(e * p) - lz * _exprel(e * lz) - _exp(e * lz) * tail
+    val = p * _exprel(e * p) - lz * _exprel(e * lz) - np.exp(e * lz) * tail
     return _recur_down(e, z, val, n.astype(int))
 
 
@@ -362,10 +354,11 @@ def upper_incomplete_gamma(s, z):
     This is the domain the wave functions reach: their arguments are
     r (u - 2i p_r) and r (u - 4i p_r) with r > 0 and u > 0.  s and z
     broadcast against each other: scalars give a Python complex, arrays a
-    complex array of the broadcast shape.  A non-finite argument or
-    Re z <= 0 (z = 0 included) raises DomainError, a stalled iteration or an
-    overflowing intermediate NumericError, and a non-finite result
-    OverflowError; an array call raises if any element would.
+    complex array of the broadcast shape.  Only the arguments raise: a
+    non-finite s or z, or Re z <= 0 (z = 0 included), is a DomainError.  An
+    element with no finite value (an intermediate or the result past double
+    range, or an iteration that stalls) comes back inf or NaN, and the
+    other elements of the call keep their values.
 
     Against mpmath at 30 digits, over orders c - 2 - j and 2 - g of the
     bundled mesons with r in [1e-9, 1.5 r_max] and |p_r| up to about 1e6,
@@ -387,6 +380,4 @@ def upper_incomplete_gamma(s, z):
         raise DomainError(f"upper_incomplete_gamma: Re z must be > 0, got z={complex(z[left][0])}")
     with np.errstate(all="ignore"):
         out = _upper_gamma(s, z)
-    if not np.isfinite(out).all():
-        raise OverflowError("upper_incomplete_gamma: result overflowed double range")
     return complex(out[0]) if scalar else out.reshape(shape)

@@ -80,6 +80,7 @@ _BLOCK_CELLS = 1 << 12  # cells per psi_n call in grids and quadratures; bounds 
 # total_probability's rule: the smallest that tests/test_waves.py's
 # convergence table shows converged to 1e-12
 _PROB_R_NODES, _PROB_P_NODES = 50, 40
+_R_DOMAIN = "psi_n: r must be > 0, got {}"
 
 
 class WaveParams(namedtuple("WaveParams", "alpha beta gamma B variant")):
@@ -157,23 +158,35 @@ def psi_n(params: WaveParams, n: int, r, p_r):
     raises DomainError).
 
     r and p_r broadcast against each other: scalars give a complex, arrays a
-    complex array, with one Gamma(s, z) call per Rodrigues term.
+    complex array, with one Gamma(s, z) call per Rodrigues term.  Only what
+    no cell can take (see _check_index) and r <= 0 raise (DomainError); a
+    cell with no finite value (a term past double range, a stalled Gamma
+    iteration, a non-finite r or p_r) comes back inf or NaN, and the caller
+    decides what that means.
     """
     n = int(n)
     _check_index(params, n)
     r, p_r = np.asarray(r, float), np.asarray(p_r, float)
     if (r <= 0).any():
-        raise DomainError(f"psi_n: r must be > 0, got {r[r <= 0][0]}")
-    if params.variant is not Variant.REAL:
-        return _psi0_momentum_coupled(params, r, p_r)
-    u, c = params.u, params.c_order
-    w = u - 2j * p_r
-    acc = 0j
-    for j, coeff in enumerate(_rodrigues_coeffs(params, n)):
-        if coeff == 0:
-            continue
-        acc = acc + coeff * w ** (2.0 + j - c) * upper_incomplete_gamma(c - 2.0 - j, r * w)
-    return _value(params.B / math.pi * np.exp(-4j * p_r * r) * acc)
+        raise DomainError(_R_DOMAIN.format(r[r <= 0][0]))
+    with np.errstate(all="ignore"):
+        if params.variant is not Variant.REAL:
+            return _psi0_momentum_coupled(params, r, p_r)
+        u, c = params.u, params.c_order
+        w = u - 2j * p_r
+        acc = 0j
+        for j, coeff in enumerate(_rodrigues_coeffs(params, n)):
+            if coeff == 0:
+                continue
+            acc = acc + coeff * w ** (2.0 + j - c) * _gamma_or_nan(c - 2.0 - j, r * w)
+        return _value(params.B / math.pi * np.exp(-4j * p_r * r) * acc)
+
+
+def _gamma_or_nan(s, z):
+    # Gamma(s, z), and NaN where (s, z) leaves its domain: a non-finite r or
+    # p_r, or r |p_r| past double range
+    ok = np.isfinite(s) & np.isfinite(z) & (z.real > 0)
+    return np.where(ok, upper_incomplete_gamma(np.where(ok, s, 1.0), np.where(ok, z, 1.0)), math.nan)
 
 
 def _value(a):
@@ -196,17 +209,13 @@ def csch_reflection_gamma(g: complex) -> complex:
 def _psi0_momentum_coupled(params: WaveParams, r, p_r):
     # A-kernel exp((2 i p_r - u) A) A^(1 - g), g = (4 i p_r + beta_c)/(2u);
     # beta_c = -beta - 8 i p_r in terms of the stored real-variant beta.
-    # r and p_r broadcast as in psi_n.
+    # r and p_r broadcast as in psi_n.  Gamma(2 - g, rW) is entire in its
+    # order for Re(rW) > 0, so an integer 2 - g at p_r = 0 is no pole.
     u = params.u
-    p_r = np.asarray(p_r, float)
     beta_c = -params.beta - 8j * p_r
     g = (4j * p_r + beta_c) / (2.0 * u)
-    gr = np.round(g.real)
-    pole = (p_r == 0.0) & (abs(g - gr) < 1e-9) & (gr >= 2)
-    if pole.any():
-        raise DegenerateOrderError(f"momentum-coupled order 2-g = {complex(2 - g[pole][0])!r} is a gamma pole")
     big_w = u - 4j * p_r
-    return _value(params.B / math.pi * np.exp(-2j * p_r * r) * big_w ** (g - 2.0) * upper_incomplete_gamma(2.0 - g, r * big_w))
+    return _value(params.B / math.pi * np.exp(-2j * p_r * r) * big_w ** (g - 2.0) * _gamma_or_nan(2.0 - g, r * big_w))
 
 
 def half_transformed_kernel(params: WaveParams, n: int):
@@ -342,7 +351,8 @@ def total_probability(params: WaveParams, n: int) -> float:
     the whole of (-pi/2, pi/2), which truncates no momentum.  u/2 is the
     momentum scale of psi_n, whose p_r enters through r (u - 2 i p_r).  Real
     variant only; a density that does not integrate at r -> 0 raises
-    NonPhysicalParameters."""
+    NonPhysicalParameters, and a psi_n that is not finite at a rule node
+    NumericError."""
     # the momentum-coupled density needs W^(g-2) Gamma(2-g, rW) at the large
     # |p_r| of the tangent map, where Gamma overflows though the product is small
     if params.variant is not Variant.REAL:
@@ -372,6 +382,8 @@ def total_probability(params: WaveParams, n: int) -> float:
     for i in range(0, len(r), rows):
         rb = r[i : i + rows, None]
         val = psi_n(params, n, rb, p)
+        if not np.isfinite(val).all():
+            raise NumericError(f"total_probability: psi_{n} is not finite at a rule node")
         inner.append((val.real ** 2 + val.imag ** 2) * rb * rb @ wp)
     return 4.0 * math.pi * float(wr @ (np.concatenate(inner) * half))
 
@@ -401,53 +413,31 @@ def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
 
     Axes are (lo, hi, count) tuples or explicit ascending sequences.  An n
     that no cell can take (out of range, n > 0 on the momentum-coupled
-    variant, a degenerate gamma order) raises before any cell is evaluated;
-    other cell evaluation failures, and cells whose density overflows, are
-    recorded per cell (amplitude and density NaN), not raised.  Rows are
-    evaluated a block at a time, whole blocks per psi_n call.
+    variant, a degenerate gamma order) raises before any cell is evaluated.
+    Past that, a cell fails by its value, never by raising: the rows with
+    r <= 0, a prefix of the ascending axis, fail with psi_n's DomainError
+    text; the other rows take one psi_n call per block of rows, and each of
+    their cells whose density is not finite (|psi_n| past ~1e154, or psi_n
+    inf or NaN) fails with one NumericError text.  A failed cell's amplitude
+    and density are NaN, and cell_errors lists its (i, j, message) in
+    row-major order.
     """
     _check_index(params, int(n))
     rs = _axis_values(r_axis, "r")
     ps = _axis_values(p_axis, "p")
-    amp = np.empty((len(rs), len(ps)), dtype=complex)
-    errors: list[tuple[int, int, str]] = []
     r_col, p_row = np.array(rs)[:, None], np.array(ps)
+    first = int(np.count_nonzero(r_col <= 0))  # the rows before it have r <= 0
+    amp = np.full((len(rs), len(ps)), complex(math.nan, math.nan))
     rows = max(1, _BLOCK_CELLS // len(ps))
-    # psi_n's terms overflow far out in p_r; the non-finite guard below records those cells
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(rs), rows):
-            _fill_rows(params, n, r_col, p_row, lo, min(lo + rows, len(rs)), amp, errors)
+    for lo in range(first, len(rs), rows):
+        amp[lo : lo + rows] = psi_n(params, n, r_col[lo : lo + rows], p_row)
+    with np.errstate(over="ignore"):
         dens = np.abs(amp) ** 2
-    bad = ~np.isfinite(dens)  # |psi_n| past ~1e154 here, or a cell that raised
-    failed = {(i, j) for i, j, _ in errors}
-    overflowed = [(i, j, "NumericError: |psi_n|^2 is not finite (overflow)") for i, j in np.argwhere(bad).tolist() if (i, j) not in failed]
-    if overflowed:
-        amp[bad], dens[bad] = complex(math.nan, math.nan), math.nan
-        errors = sorted(errors + overflowed)
+    bad = ~np.isfinite(dens)
+    amp[bad], dens[bad] = complex(math.nan, math.nan), math.nan
+    errors = [(i, j, f"DomainError: {_R_DOMAIN.format(rs[i])}") for i in range(first) for j in range(len(ps))]
+    errors += [(first + i, j, "NumericError: |psi_n|^2 is not finite") for i, j in np.argwhere(bad[first:]).tolist()]
     return PhaseSpaceGrid(r_values=tuple(rs), p_values=tuple(ps), amplitudes=amp, densities=dens, cell_errors=tuple(errors))
-
-
-def _fill_rows(params, n, r_col, p_row, lo, hi, amp, errors):
-    # Rows lo:hi in one call; if it raises, halve the block down to single
-    # rows, then evaluate that row cell by cell so each failing cell records
-    # its own error, in row-major order.
-    try:
-        amp[lo:hi] = psi_n(params, n, r_col[lo:hi], p_row)
-        return
-    except Exception:  # recorded per cell below, never abort the grid
-        pass
-    if hi - lo > 1:
-        mid = (lo + hi) // 2
-        _fill_rows(params, n, r_col, p_row, lo, mid, amp, errors)
-        _fill_rows(params, n, r_col, p_row, mid, hi, amp, errors)
-        return
-    r = float(r_col[lo, 0])
-    for j, p in enumerate(p_row.tolist()):
-        try:
-            amp[lo, j] = psi_n(params, n, r, p)
-        except Exception as exc:
-            amp[lo, j] = complex(math.nan, math.nan)
-            errors.append((lo, j, f"{type(exc).__name__}: {exc}"))
 
 
 def _axis_values(axis, name: str) -> list[float]:
@@ -463,7 +453,7 @@ def _axis_values(axis, name: str) -> list[float]:
     vals = [float(v) for v in axis]
     if not vals:
         raise DomainError(f"{name} axis is empty")
-    if any(b <= a for a, b in zip(vals, vals[1:])):
+    if not all(a < b for a, b in zip(vals, vals[1:])):  # NaN is not ascending either
         raise DomainError(f"{name} axis must be strictly ascending")
     return vals
 

@@ -268,13 +268,14 @@ class TestGridScan:
         assert len(lines) == 10 and all(line.endswith(",nan,nan,nan") for line in lines[1:])
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "9 of 9 cells failed (nan in the CSV); first 5:"
-        assert err[1:] == [f"cell ({i},{j}): NumericError: |psi_n|^2 is not finite (overflow)" for i, j in
+        assert err[1:] == [f"cell ({i},{j}): NumericError: |psi_n|^2 is not finite" for i, j in
                            [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]]
 
     def test_grid_overflowing_terms_warn_nothing(self, tmp_path, capsys):
-        # far out in p_r, w ** (2 + j - c) in psi_n's terms passes 1e308; the
-        # cells are reported by the grid, not by numpy RuntimeWarnings (which,
-        # raised as errors here, would also replace the cells' NumericErrors)
+        # far out in p_r, w ** (2 + j - c) in psi_n's terms passes 1e308, and
+        # cell (1,1)'s continued fraction stalls; the cells are reported by
+        # the grid, not by numpy RuntimeWarnings (which, raised as errors
+        # here, would end the command)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run(
@@ -417,7 +418,8 @@ class TestCheck:
 
     def test_first_meson_not_normalizable(self, tmp_path, capsys):
         # bcbar's real7 1S (c = -27.4) is not normalizable: the probability
-        # line takes the next real7 meson, and prints what the bundled order does
+        # line takes the next real7 meson, and prints what the bundled order
+        # does; with bcbar alone the nu line, printed first, still shows
         assert run(["check"]) == 0
         bundled = capsys.readouterr().out
         doc = json.loads((files("htaspec") / "data" / "mesons.json").read_text())
@@ -427,7 +429,19 @@ class TestCheck:
             p.write_text(json.dumps({"mesons": [by_label[label] for label in order]}))
             assert run(["check", "--input", str(p)]) == code
             out, err = capsys.readouterr()
-            assert (out, "not normalizable" in err) == ((bundled, False) if code == 0 else ("", True))
+            want = bundled if code == 0 else bundled.splitlines(keepends=True)[0]
+            assert (out, "not normalizable" in err) == (want, code == 3)
+
+    def test_lines_print_as_each_suite_returns(self, monkeypatch, capsys):
+        # a suite that raises ends the command, but not the lines before it
+        def fail():
+            raise cli.NumericError("quadrature suite failed")
+
+        monkeypatch.setattr(cli, "_check_quadrature", lambda records: fail())
+        assert run(["check"]) == 5
+        out, err = capsys.readouterr()
+        assert out.startswith("PASS nu-vs-closed-form: residual=") and out.count("\n") == 1
+        assert err == "numeric failure: quadrature suite failed\n"
 
     def test_coarser_moment_quadrature_fails(self, monkeypatch, capsys):
         # half the panels and nodes leave residuals near 5e-10, far above

@@ -9,7 +9,7 @@ import pytest
 from conftest import parseval_b_oracle
 from htaspec import cli, core, waves
 from htaspec.core import CornellParams, MesonSystem, QuantumState, Variant
-from htaspec.errors import DegenerateOrderError, DomainError, HtaspecError, NonPhysicalParameters
+from htaspec.errors import DegenerateOrderError, DomainError, HtaspecError, NonPhysicalParameters, NumericError
 from htaspec.special import gamma_complex
 
 
@@ -136,6 +136,21 @@ class TestNormalization:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonPhysicalParameters, match="not normalizable"):
                 waves.total_probability(params, 0)
+
+    def test_non_finite_psi_at_a_rule_node_raises(self, params_1s, monkeypatch):
+        # the r -> 0 probe (two rows) reads as it is; a rule block with one
+        # non-finite cell raises rather than sum it
+        psi_n = waves.psi_n
+
+        def holed(params, n, r, p_r):
+            val = psi_n(params, n, r, p_r)
+            if len(r) > 2:
+                val[-1, -1] = complex(math.inf, 0.0)
+            return val
+
+        monkeypatch.setattr(waves, "psi_n", holed)
+        with pytest.raises(NumericError, match="psi_0 is not finite at a rule node"):
+            waves.total_probability(params_1s, 0)
 
     def test_integrable_density_near_the_edge(self):
         # c = n + 1.05 integrates, however slowly
@@ -298,8 +313,8 @@ class TestDensityGrid:
         assert math.isfinite(grid.amplitudes[1, 0].real)
 
     def test_failing_row_inside_a_block(self, params_1s):
-        # the block holding the bad rows falls back to single cells; the
-        # good rows of the same block keep their array values
+        # the r <= 0 rows fail with psi_n's DomainError text, and the other
+        # rows keep their values
         grid = waves.density_grid(params_1s, 0, [-0.5, 0.0, 0.7, 1.9], [-0.3, 0.0, 0.6])
         assert [(i, j) for i, j, _ in grid.cell_errors] == [(i, j) for i in (0, 1) for j in range(3)]
         assert all(msg.startswith("DomainError: psi_n: r must be > 0") for _, _, msg in grid.cell_errors)
@@ -322,6 +337,31 @@ class TestDensityGrid:
         assert np.isnan(grid.amplitudes[:2]).all() and np.isnan(grid.densities[:2]).all()
         assert np.isfinite(grid.densities[2]).all()
         assert grid.densities[2, 0] == abs(grid.amplitudes[2, 0]) ** 2
+
+    def test_arguments_past_double_range_fail_by_value(self, params_1s):
+        # 2 |p_r| past 1e308 leaves Gamma(s, z)'s z non-finite, and on complex5
+        # 8 |p_r| past it its s: psi_n returns NaN there, and the grid reports
+        # the cells like any other
+        assert cmath.isnan(waves.psi_n(params_1s, 0, 0.5, 1e308))
+        assert cmath.isnan(waves.psi_n(params_1s._replace(variant=Variant.COMPLEX), 0, 1e-3, 3e307))
+        grid = waves.density_grid(params_1s, 0, [0.5, 3.0], [0.0, 1e308])
+        assert [(i, j) for i, j, _ in grid.cell_errors] == [(0, 1), (1, 1)]
+        assert np.isfinite(grid.densities[:, 0]).all()
+
+    def test_one_psi_n_call_per_block(self, dataset, monkeypatch):
+        # an r = 0 row and 3,592 cells with no finite value cost no extra call:
+        # the other 59 rows take blocks of 4096 // 81 = 50 rows
+        sys_v = dataset["bbbar"].system(Variant.COMPLEX)
+        st = QuantumState.from_label("1S")
+        params = waves.wave_params(sys_v, st, core.level(sys_v, st, Variant.COMPLEX)[0], variant=Variant.COMPLEX)
+        calls, psi_n = [], waves.psi_n
+        monkeypatch.setattr(waves, "psi_n", lambda *args: calls.append(args[2].shape) or psi_n(*args))
+        r_axis = [0.0] + [1e-6 + (3.0 - 1e-6) * i / 59 for i in range(1, 60)]
+        grid = waves.density_grid(params, 0, r_axis, (-5000.0, 5000.0, 81))
+        assert calls == [(50, 1), (9, 1)]
+        messages = [msg for _, _, msg in grid.cell_errors]
+        assert messages[:81] == ["DomainError: psi_n: r must be > 0, got 0.0"] * 81
+        assert set(messages[81:]) == {"NumericError: |psi_n|^2 is not finite"} and len(messages) > 3000
 
     def test_peak_radius_trend(self, params_1s):
         grid = waves.density_grid(params_1s, 0, (0.02, 6.0, 500), (0.0, 1.0, 5))
@@ -394,6 +434,17 @@ class TestMomentumCoupledVariant:
             waves.normalize_B(params, 0)
         with pytest.raises(DomainError, match="real variant only"):
             waves.total_probability(params, 0)
+
+    def test_integer_order_at_rest_against_mpmath(self):
+        # g = -beta/(2u) = 3 at p_r = 0 makes the order 2 - g = -1, where
+        # Gamma(2 - g, rW) is finite: psi_0 = Gamma(-1, r)/pi here
+        mp = pytest.importorskip("mpmath")
+        params = waves.WaveParams(alpha=-1.0, beta=-6.0, gamma=-5.0, variant=Variant.COMPLEX)
+        with mp.workdps(30):
+            ref = float(mp.gammainc(-1, 1.04, mp.inf) / mp.pi)
+        assert abs(waves.psi_n(params, 0, 1.04, 0.0) - ref) <= 1e-13 * ref
+        grid = waves.density_grid(params, 0, [0.5, 1.04], [-0.1, 0.0, 0.1])
+        assert grid.cell_errors == () and grid.amplitudes[1, 1] == pytest.approx(waves.psi_n(params, 0, 1.04, 0.0), rel=1e-15)
 
     def test_excited_momentum_coupled_rejected(self, ccbar_complex):
         params = self.make_params(ccbar_complex)
