@@ -15,8 +15,9 @@ grid evaluates the polynomial n = k - 1 of --state kL, scaled (unless
 against a 2-D quadrature; a non-normalizable state exits 3 and writes nothing.
 
 Exit codes: 0 ok, 2 input error, 3 non-physical parameters, 4 fit failure,
-5 internal numeric failure.  Outputs are CSV with fixed float formatting and
-fixed ordering, so identical inputs give byte-identical files.
+5 internal numeric failure; a malformed --state (1F, 0S, X) exits 2, a state
+no wave function takes (grid's 8S) 3.  Outputs are CSV with fixed float
+formatting and fixed ordering, so identical inputs give byte-identical files.
 
 Each command compiles only the modules it runs: spectrum and scan load core
 and dataio, fit adds fitting, check --suite nu adds nu, grid adds waves, nu,
@@ -38,7 +39,6 @@ from itertools import islice
 from . import core, dataio
 from .core import QuantumState, Variant
 from .errors import (
-    DegenerateOrderError,
     DegenerateStateError,
     DomainError,
     FitFailedError,
@@ -91,6 +91,13 @@ def _precision(text: str) -> int:
     if digits < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {digits}")
     return digits
+
+
+def _state(text: str) -> QuantumState:
+    try:
+        return QuantumState.from_label(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _common_flags(p: argparse.ArgumentParser):
@@ -214,22 +221,21 @@ def cmd_grid(args) -> int:
     if len(records) != 1:
         raise InputError("grid needs exactly one meson (use --meson)")
     rec = records[0]
-    state = QuantumState.from_label(args.state)
     d = args.precision
     sys_v = rec.system(variant)
-    energy, _ = core.level(sys_v, state, variant)
-    params = waves.wave_params(sys_v, state, energy, variant=variant)
+    energy, _ = core.level(sys_v, args.state, variant)
+    params = waves.wave_params(sys_v, args.state, energy, variant=variant)
     if args.normalize:
-        params = params._replace(B=waves.normalize_B(params, state.n))
+        params = params._replace(B=waves.normalize_B(params, args.state.n))
     grid = waves.density_grid(
         params,
-        state.n,
+        args.state.n,
         (args.rmin, args.rmax, args.rsteps),
         (args.pmin, args.pmax, args.psteps),
     )
     os.makedirs(args.out, exist_ok=True)
     _write_csv(
-        os.path.join(args.out, f"{rec.label}_{args.state}_grid.csv"),
+        os.path.join(args.out, f"{rec.label}_{args.state.label}_grid.csv"),
         ["r", "p_r", "re", "im", "density"],
         _grid_lines(grid, d),
     )
@@ -264,11 +270,10 @@ def cmd_scan(args) -> int:
     if len(records) != 1:
         raise InputError("scan needs exactly one meson (use --meson)")
     rec = records[0]
-    state = QuantumState.from_label(args.state)
     os.makedirs(args.out, exist_ok=True)
     d = args.precision
     sys_v = rec.system(variant)
-    points = core.parameter_scan(sys_v, state, args.param, args.lo, args.hi, args.steps, variant)
+    points = core.parameter_scan(sys_v, args.state, args.param, args.lo, args.hi, args.steps, variant)
     rows = [
         [args.param, _fmt(pt.value, d), _fmt(pt.mass, d), str(pt.physical).lower(), pt.branch]
         for pt in points
@@ -373,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="phase-space wave-function grid CSV")
     _common_flags(p)
-    p.add_argument("--state", default="1S", help="spectroscopic level kL fixing the energy and the polynomial index n = k - 1 (default 1S)")
+    p.add_argument("--state", type=_state, default="1S", help="spectroscopic level kL fixing the energy and the polynomial index n = k - 1 (default 1S)")
     p.add_argument("--rmin", type=float, default=0.05)
     p.add_argument("--rmax", type=float, default=6.0)
     p.add_argument("--rsteps", type=int, default=120)
@@ -389,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--steps", type=int, default=201)
-    p.add_argument("--state", default="1S")
+    p.add_argument("--state", type=_state, default="1S")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("check", help="run the cross-validation oracles")
@@ -409,7 +414,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NonPhysicalParameters, DegenerateStateError, DegenerateOrderError, DomainError) as exc:
+    except (NonPhysicalParameters, DegenerateStateError, DomainError) as exc:
         print(f"non-physical parameters: {exc}", file=sys.stderr)
         return EXIT_NONPHYSICAL
     except (UnderdeterminedFitError, FitFailedError) as exc:

@@ -24,10 +24,6 @@ class DegenerateStateError(HtaspecError, ValueError):
     """Eigencondition denominator vanished for this (n, l)."""
 
 
-class DegenerateOrderError(HtaspecError, ValueError):
-    """Wave-function gamma order hit an integer branch degeneracy."""
-
-
 class ConsistencyError(HtaspecError, ArithmeticError):
     """An internal cross-check failed (e.g. no K makes the NU radicand a perfect square)."""
 

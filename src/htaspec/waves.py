@@ -20,11 +20,15 @@ incomplete gamma function,
 
     psi_n(r, p_r) = (B/pi) e^{-4 i p_r r} *
                     sum_j y_nj (u - 2 i p_r)^(2 + j - c)
-                          Gamma(c - 2 - j, r (u - 2 i p_r)),
+                          Gamma(c - 2 - j, r (u - 2 i p_r)).
 
-which is the closed form used everywhere, for every n.  psi_n_numeric
-evaluates the same transform by adaptive oscillatory quadrature and is the
-independent cross-check path.
+The momentum-coupled variant (complex5, n = 0 only) has no phase strip and
+the A-kernel exp((2 i p_r - u) A) A^(1 - g), g = (4 i p_r + beta_c)/(2u):
+the same transform gives the one term (B/pi) e^{-2 i p_r r} W^(g-2)
+Gamma(2 - g, r W), W = u - 4 i p_r.  So psi_n is one lane, where a variant
+picks a phase rate, a W and its (coefficient, power, order) terms, and an
+integer order is an ordinary point (Gamma(s, z) is entire in s).
+psi_n_numeric, with its own A-kernels, is the independent cross-check.
 
 By Parseval in p_r, 4 pi int |psi_n|^2 r^2 dr dp_r = (4/3) B^2 int_0^inf
 t^3 Omega_n(t)^2 dt, which an (n + 1)-node Gauss-Laguerre rule integrates
@@ -34,17 +38,6 @@ quadrature as its check.
 All branch powers are exp(power * principal log); correctness of the branch
 bookkeeping is adjudicated by the quadrature equivalence, not by matching
 any particular printed rearrangement of the formulas.
-
-The momentum-coupled variant (no phase strip) has A-kernel
-exp((2 i p_r - u) A) A^(1 - g), g = (4 i p_r + beta_c)/(2u); the same
-half-line transform gives
-
-    psi_0(r, p_r) = (B/pi) e^{-2 i p_r r} W^(g-2) Gamma(2 - g, r W),
-
-W = u - 4 i p_r.  Its complete-gamma part can equivalently be written with
-the reflection formula through a csch (see csch_reflection_gamma, which the
-tests check against Gamma; psi_0 itself does not use it).  This variant is
-quarantined behind WaveParams.variant.
 """
 
 from __future__ import annotations
@@ -58,8 +51,8 @@ import numpy as np
 
 from . import nu
 from .core import MesonSystem, QuantumState, Variant, real_constants
-from .errors import DegenerateOrderError, DomainError, NonPhysicalParameters, NumericError
-from .special import gamma_complex, gauss_laguerre, upper_incomplete_gamma
+from .errors import DomainError, NonPhysicalParameters, NumericError
+from .special import gauss_laguerre, upper_incomplete_gamma
 
 __all__ = [
     "WaveParams",
@@ -71,7 +64,6 @@ __all__ = [
     "density_grid",
     "peak_radius",
     "half_transformed_kernel",
-    "csch_reflection_gamma",
     "wave_params",
 ]
 
@@ -83,23 +75,24 @@ _PROB_R_NODES, _PROB_P_NODES = 50, 40
 _R_DOMAIN = "psi_n: r must be > 0, got {}"
 
 
-class WaveParams(namedtuple("WaveParams", "alpha beta gamma B variant")):
-    """alpha/beta/gamma at a fixed level energy, plus the normalization B.
+class WaveParams(namedtuple("WaveParams", "alpha beta B variant")):
+    """alpha and beta at a fixed level energy, plus the normalization B.
 
     alpha must be negative (bound state, E < C0 of core.cornell_quadratic);
-    alpha, beta and gamma are the real-variant constants (the
+    alpha and beta are the real-variant constants of core.real_constants,
+    whose gamma the wave function sees only through the level energy (the
     momentum-coupled variant derives its momentum-dependent constants from
     them at each p_r).
     """
 
     __slots__ = ()
 
-    def __new__(cls, alpha: float, beta: float, gamma: float, B: float = 1.0, variant: Variant = Variant.REAL):
+    def __new__(cls, alpha: float, beta: float, B: float = 1.0, variant: Variant = Variant.REAL):
         if not (alpha < 0):
             raise DomainError(f"WaveParams.alpha must be negative (bound state), got {alpha}")
         if not (math.isfinite(B) and B > 0):
             raise DomainError(f"WaveParams.B must be positive and finite, got {B}")
-        return super().__new__(cls, alpha, beta, gamma, B, variant)
+        return super().__new__(cls, alpha, beta, B, variant)
 
     # namedtuple's _make, behind _replace, skips __new__
     _make = classmethod(lambda cls, values: cls(*values))
@@ -116,51 +109,34 @@ class WaveParams(namedtuple("WaveParams", "alpha beta gamma B variant")):
 
 def wave_params(sys: MesonSystem, state: QuantumState, level_energy: float, variant: Variant | str = Variant.REAL) -> WaveParams:
     """Build WaveParams (B = 1) from a system and a level energy."""
-    alpha, beta, gamma = real_constants(sys, state, level_energy)
-    return WaveParams(alpha, beta, gamma, variant=Variant.parse(variant))
+    alpha, beta, _ = real_constants(sys, state, level_energy)
+    return WaveParams(alpha, beta, variant=Variant.parse(variant))
 
 
 def _check_index(params: WaveParams, n: int):
     # the checks of psi_n that hold for every cell alike
     if not 0 <= n <= _MAX_N:
         raise DomainError(f"psi_n: n must be in [0, {_MAX_N}], got {n}")
-    if params.variant is not Variant.REAL:
-        if n != 0:
-            raise DomainError("momentum-coupled variant is implemented for n = 0 only")
-        return
-    # Gamma orders are c - 2 - j, j = 0..n; integer c in [0, n + 2] makes a
-    # printed-form prefactor degenerate.  Guarded for all n (the closed sum
-    # itself is entire in the order, but the degeneracy is part of the
-    # contract and flags physically non-generic parameter hits).
-    c = params.c_order
-    k = round(c)
-    if abs(c - k) < 1e-9 and 0 <= k <= n + 2:
-        raise DegenerateOrderError(
-            f"gamma order beta/(2 sqrt(-alpha)) = {c!r} is integer-degenerate for n={n}"
-        )
+    if params.variant is not Variant.REAL and n != 0:
+        raise DomainError("momentum-coupled variant is implemented for n = 0 only")
 
 
 @lru_cache(maxsize=512)
 def _rodrigues_coeffs_cached(alpha: float, beta: float, n: int) -> tuple[complex, ...]:
+    # coefficients of y_n for the minus-branch weight exp(-2u/x) x^(-2c)
     u = math.sqrt(-alpha)
     c = beta / (2.0 * u)
     return nu.rodrigues_y(nu.ExpPowerForm(rate=-2.0 * u, power=-2.0 * c), n).coeffs
 
 
-def _rodrigues_coeffs(params: WaveParams, n: int) -> tuple[complex, ...]:
-    """Coefficients of y_n for the minus-branch weight exp(-2u/x) x^(-2c)."""
-    return _rodrigues_coeffs_cached(params.alpha, params.beta, n)
-
-
 def psi_n(params: WaveParams, n: int, r, p_r):
-    """Closed-form psi_n: the incomplete-gamma sum for the real variant, and
-    the momentum-coupled ground state for complex5 (n = 0 only; another n
-    raises DomainError).
+    """Closed-form psi_n of either variant (complex5: n = 0 only), the
+    incomplete-gamma sum of the module docstring.
 
     r and p_r broadcast against each other: scalars give a complex, arrays a
-    complex array, with one Gamma(s, z) call per Rodrigues term.  Only what
-    no cell can take (see _check_index) and r <= 0 raise (DomainError); a
-    cell with no finite value (a term past double range, a stalled Gamma
+    complex array, with one Gamma(s, z) call per term.  Only an n that no
+    cell can take (see _check_index) and r <= 0 raise (DomainError); a cell
+    with no finite value (a term past double range, a stalled Gamma
     iteration, a non-finite r or p_r) comes back inf or NaN, and the caller
     decides what that means.
     """
@@ -169,17 +145,20 @@ def psi_n(params: WaveParams, n: int, r, p_r):
     r, p_r = np.asarray(r, float), np.asarray(p_r, float)
     if (r <= 0).any():
         raise DomainError(_R_DOMAIN.format(r[r <= 0][0]))
+    u, c = params.u, params.c_order
     with np.errstate(all="ignore"):
-        if params.variant is not Variant.REAL:
-            return _psi0_momentum_coupled(params, r, p_r)
-        u, c = params.u, params.c_order
-        w = u - 2j * p_r
+        if params.variant is Variant.REAL:
+            rate, w = 4j, u - 2j * p_r
+            terms = [(y, 2.0 + j - c, c - 2.0 - j) for j, y in enumerate(_rodrigues_coeffs_cached(params.alpha, params.beta, n)) if y != 0]
+        else:
+            beta_c = -params.beta - 8j * p_r  # in terms of the stored real-variant beta
+            g = (4j * p_r + beta_c) / (2.0 * u)
+            rate, w = 2j, u - 4j * p_r
+            terms = [(1.0, g - 2.0, 2.0 - g)]
         acc = 0j
-        for j, coeff in enumerate(_rodrigues_coeffs(params, n)):
-            if coeff == 0:
-                continue
-            acc = acc + coeff * w ** (2.0 + j - c) * _gamma_or_nan(c - 2.0 - j, r * w)
-        return _value(params.B / math.pi * np.exp(-4j * p_r * r) * acc)
+        for coeff, power, order in terms:
+            acc = acc + coeff * w ** power * _gamma_or_nan(order, r * w)
+        return _value(params.B / math.pi * np.exp(-rate * p_r * r) * acc)
 
 
 def _gamma_or_nan(s, z):
@@ -194,42 +173,19 @@ def _value(a):
     return complex(a) if np.ndim(a) == 0 else a
 
 
-def csch_reflection_gamma(g: complex) -> complex:
-    """Gamma(2 - g) evaluated through the reflection formula with a csch:
-
-        Gamma(2 - g) = -i pi csch(i pi g) / Gamma(g - 1).
-
-    This is the csch structure of the momentum-coupled ground state's
-    complete-gamma part.
-    """
-    g = complex(g)
-    return -1j * math.pi / (cmath.sinh(1j * math.pi * g) * gamma_complex(g - 1.0))
-
-
-def _psi0_momentum_coupled(params: WaveParams, r, p_r):
-    # A-kernel exp((2 i p_r - u) A) A^(1 - g), g = (4 i p_r + beta_c)/(2u);
-    # beta_c = -beta - 8 i p_r in terms of the stored real-variant beta.
-    # r and p_r broadcast as in psi_n.  Gamma(2 - g, rW) is entire in its
-    # order for Re(rW) > 0, so an integer 2 - g at p_r = 0 is no pole.
-    u = params.u
-    beta_c = -params.beta - 8j * p_r
-    g = (4j * p_r + beta_c) / (2.0 * u)
-    big_w = u - 4j * p_r
-    return _value(params.B / math.pi * np.exp(-2j * p_r * r) * big_w ** (g - 2.0) * _gamma_or_nan(2.0 - g, r * big_w))
-
-
 def half_transformed_kernel(params: WaveParams, n: int):
     """Omega_n as a callable of the complex collective variable A.
 
     Omega_n(A) = exp(-uA) A^(c-3) y_n(1/A); with the level energy solving
-    the strict NU quantization condition it satisfies
+    the strict NU quantization condition it satisfies, gamma the third
+    constant of core.real_constants,
 
         Omega'' + 6 Omega'/A + (alpha + beta/A + gamma/A^2) Omega = 0.
     """
     if params.variant is not Variant.REAL:
         raise DomainError("half_transformed_kernel covers the real variant only")
     u, c = params.u, params.c_order
-    coeffs = _rodrigues_coeffs(params, int(n))
+    coeffs = _rodrigues_coeffs_cached(params.alpha, params.beta, int(n))
 
     def kernel(a: complex) -> complex:
         a = complex(a)
@@ -412,8 +368,8 @@ def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
     """Evaluate psi_n on the tensor grid r_axis x p_axis.
 
     Axes are (lo, hi, count) tuples or explicit ascending sequences.  An n
-    that no cell can take (out of range, n > 0 on the momentum-coupled
-    variant, a degenerate gamma order) raises before any cell is evaluated.
+    that no cell can take (out of range, or n > 0 on the momentum-coupled
+    variant) raises DomainError before any cell is evaluated.
     Past that, a cell fails by its value, never by raising: the rows with
     r <= 0, a prefix of the ascending axis, fail with psi_n's DomainError
     text; the other rows take one psi_n call per block of rows, and each of
@@ -466,10 +422,13 @@ def peak_radius(grid: PhaseSpaceGrid, p_index: int) -> float:
     largest there), so the physically meaningful peak location is that of
     the radial distribution r^2 |psi|^2, the same weight the normalization
     integral carries.  A maximum on the first or last radius is no resolved
-    peak and raises DomainError.
+    peak and raises DomainError, and a failed (NaN) cell in the column
+    NumericError.
     """
     col = grid.densities[:, p_index] * np.asarray(grid.r_values) ** 2
-    i = int(np.argmax(col))
+    i = int(np.argmax(col))  # the first NaN, if the column holds one
+    if math.isnan(col[i]):
+        raise NumericError(f"peak_radius: cell ({i},{p_index}) at r={grid.r_values[i]} failed; the column has no known peak")
     if i in (0, len(col) - 1):
         raise DomainError(
             f"peak_radius: the maximum of r^2 |psi|^2 at p_r={grid.p_values[p_index]} lies on the r-axis edge r={grid.r_values[i]}"

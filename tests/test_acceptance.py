@@ -198,7 +198,7 @@ class TestAcceptance:
         params = waves.wave_params(ccbar_real, st, core.energy_real(ccbar_real, st))
         b1 = waves.normalize_B(params, 0)
         b_dev = abs(b1 / parseval_b_oracle(params.alpha, params.beta, 0) - 1)
-        prob = waves.total_probability(waves.WaveParams(params.alpha, params.beta, params.gamma, b1), 0)
+        prob = waves.total_probability(params._replace(B=b1), 0)
         ok = worst < 1e-5 and b_dev < 1e-9 and abs(prob - 1) < 1e-3
         report(
             "criterion-10 closed-form vs transform oracle",

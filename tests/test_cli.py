@@ -330,6 +330,20 @@ class TestGridScan:
         assert capsys.readouterr().err.startswith("non-physical parameters: ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("label", ["1F", "0S", "X"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["grid", "--meson", "ccbar"], ["scan", "--meson", "ccbar", "--param", "a", "--lo", "1", "--hi", "2"]],
+        ids=["grid", "scan"],
+    )
+    def test_malformed_state_exits_2(self, tmp_path, capsys, argv, label):
+        # a label that names no state is an input error, not a non-physical one
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--state", label, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --state: " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_grid_complex_level_energy_exits_3(self, tmp_path, capsys):
         # the complex5 1S energy here is -0.3875 +- 0.0484i: grid follows the
         # level rule, as spectrum does, instead of gridding at Re E

@@ -19,7 +19,7 @@ def _values():
         MesonSystem(1.23, 1.23, _PARAMS, "ccbar"),
         QuantumState(1, 2),
         core.ScanPoint(0.5, 3.1, True, "+"),
-        waves.WaveParams(alpha=-1.0, beta=2.2, gamma=-5.0),
+        waves.WaveParams(alpha=-1.0, beta=2.2),
         confine1d.Confinement1DSystem(m=0.615, b=0.4069),
         dataio.ExperimentalLevel("1S", QuantumState(0), 3.097),
         nu.NUProblem(sigma_tilde=(-1.0, 2.0, -3.0), tau_tilde=(0, -4)),
@@ -48,8 +48,8 @@ def test_repr_keeps_the_keyword_form():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: waves.WaveParams(alpha=-1.0, beta=2.2, gamma=-5.0)._replace(B=-1.0),
-        lambda: waves.WaveParams(alpha=-1.0, beta=2.2, gamma=-5.0)._replace(alpha=0.5),
+        lambda: waves.WaveParams(alpha=-1.0, beta=2.2)._replace(B=-1.0),
+        lambda: waves.WaveParams(alpha=-1.0, beta=2.2)._replace(alpha=0.5),
         lambda: _PARAMS._replace(delta=0),
         lambda: _PARAMS._replace(a=math.nan),
         lambda: CornellParams._make([1.0, 0.4, 0.0]),
@@ -68,10 +68,10 @@ def test_replace_validates(build):
 
 
 def test_replace_keeps_type_and_other_fields():
-    p = waves.WaveParams(alpha=-1.0, beta=2.2, gamma=-5.0, variant=Variant.COMPLEX)
+    p = waves.WaveParams(alpha=-1.0, beta=2.2, variant=Variant.COMPLEX)
     q = p._replace(B=2.0)
     assert type(q) is waves.WaveParams
-    assert (q.alpha, q.beta, q.gamma, q.B, q.variant) == (-1.0, 2.2, -5.0, 2.0, Variant.COMPLEX)
+    assert (q.alpha, q.beta, q.B, q.variant) == (-1.0, 2.2, 2.0, Variant.COMPLEX)
     # _replace runs __new__, so NUProblem converts the new coefficients too
     assert nu.NUProblem((1, 2, 3), (0, -4))._replace(tau_tilde=[1]).tau_tilde == (1 + 0j, 0j)
 

@@ -9,8 +9,7 @@ import pytest
 from conftest import parseval_b_oracle
 from htaspec import cli, core, waves
 from htaspec.core import CornellParams, MesonSystem, QuantumState, Variant
-from htaspec.errors import DegenerateOrderError, DomainError, HtaspecError, NonPhysicalParameters, NumericError
-from htaspec.special import gamma_complex
+from htaspec.errors import DomainError, HtaspecError, NonPhysicalParameters, NumericError
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +31,11 @@ SAMPLE_POINTS = [(0.4, -0.8), (0.4, 0.3), (1.0, 0.0), (1.4, 0.7), (2.3, -0.2),
 class TestWaveParams:
     def test_bound_state_required(self):
         with pytest.raises(DomainError):
-            waves.WaveParams(alpha=0.5, beta=10.0, gamma=-1.0)
+            waves.WaveParams(alpha=0.5, beta=10.0)
 
     def test_positive_b_required(self):
         with pytest.raises(DomainError):
-            waves.WaveParams(alpha=-1.0, beta=10.0, gamma=-1.0, B=0.0)
+            waves.WaveParams(alpha=-1.0, beta=10.0, B=0.0)
 
     def test_derived_quantities(self, params_1s):
         assert params_1s.u == math.sqrt(-params_1s.alpha)
@@ -54,7 +53,7 @@ class TestClosedVsNumeric:
     def test_n1_rodrigues_bracket(self, params_2s):
         # the n = 1 Rodrigues polynomial is tau(x) = 2u + (2 - beta/u) x
         u, beta = params_2s.u, params_2s.beta
-        c0, c1 = waves._rodrigues_coeffs(params_2s, 1)
+        c0, c1 = waves._rodrigues_coeffs_cached(params_2s.alpha, params_2s.beta, 1)
         assert c0 == pytest.approx(2.0 * u, rel=1e-13)
         assert c1 == pytest.approx(2.0 - beta / u, rel=1e-13)
 
@@ -96,26 +95,38 @@ class TestClosedVsNumeric:
             waves.psi_n(params_1s, 7, 1.0, 0.0)
 
 
-class TestDegenerateOrderGuard:
-    def test_integer_order_detected(self):
-        # beta = 2 sqrt(-alpha) k makes the gamma order integer-degenerate
-        for k in (0, 1, 2):
-            params = waves.WaveParams(alpha=-1.0, beta=2.0 * k, gamma=-5.0)
-            with pytest.raises(DegenerateOrderError):
-                waves.psi_n(params, 0, 1.0, 0.1)
-        params = waves.WaveParams(alpha=-1.0, beta=6.0, gamma=-5.0)  # k = 3
-        with pytest.raises(DegenerateOrderError):
-            waves.psi_n(params, 1, 1.0, 0.1)
+class TestIntegerOrders:
+    def test_integer_orders_against_mpmath(self):
+        # c = k, k = 0..n + 2, puts an integer order c - 2 - j <= 0 in the sum;
+        # Gamma(s, z) is entire in s, so psi_n is an ordinary value there.
+        # The scale is the sum of the terms' magnitudes: at a node of psi_n
+        # (psi_1 near r = 2 for large p_r) the terms cancel and |psi_n| is
+        # none.  Rounding in the phases at r |p_r| = 5400 sets the floor (8.2e-13)
+        mp = pytest.importorskip("mpmath")
+        for n in range(4):
+            for k in range(n + 3):
+                params = waves.WaveParams(alpha=-1.0, beta=2.0 * k)
+                assert params.c_order == k
+                for r in (1e-3, 0.3, 2.0, 6.0):
+                    for p in (0.0, 1.5, 40.0, 900.0):
+                        with mp.workdps(30):
+                            w = 1 - 2j * mp.mpf(p)
+                            terms = [mp.binomial(n, j) * mp.rf(n + 1 - 2 * k, j) * 2 ** (n - j)
+                                     * w ** (2 + j - k) * mp.gammainc(k - 2 - j, r * w) for j in range(n + 1)]
+                            phase = mp.exp(-4j * mp.mpf(p) * r) / mp.pi
+                            want, scale = complex(phase * mp.fsum(terms)), float(sum(abs(t) for t in terms) / mp.pi)
+                        err = abs(waves.psi_n(params, n, r, p) - want) / scale
+                        assert err <= 1e-12, (n, k, r, p, err)
 
     def test_non_integer_order_passes(self):
-        params = waves.WaveParams(alpha=-1.0, beta=4.4, gamma=-5.0)
+        params = waves.WaveParams(alpha=-1.0, beta=4.4)
         assert math.isfinite(abs(waves.psi_n(params, 0, 1.0, 0.1)))
 
 
 class TestNormalization:
     def test_total_probability(self, params_1s):
         b_norm = waves.normalize_B(params_1s, 0)
-        normed = waves.WaveParams(params_1s.alpha, params_1s.beta, params_1s.gamma, b_norm)
+        normed = params_1s._replace(B=b_norm)
         assert waves.total_probability(normed, 0) == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("n, c", [(0, 0.6), (0, 0.95), (1, 1.9), (2, 2.95), (0, -27.4)])
@@ -125,7 +136,7 @@ class TestNormalization:
         # -27.4 (bcbar's 1S) inf.  The oracle decides without normalize_B
         monkeypatch.setattr(waves, "normalize_B", None)
         with pytest.raises(NonPhysicalParameters, match="not normalizable"):
-            waves.total_probability(waves.WaveParams(alpha=-1.0, beta=2.0 * c, gamma=-5.0), n)
+            waves.total_probability(waves.WaveParams(alpha=-1.0, beta=2.0 * c), n)
 
     def test_non_integrable_density_raises_without_warnings(self, bcbar_real):
         # bcbar's real7 1S (c = -27.4) overflows psi_n and its square at the
@@ -154,11 +165,11 @@ class TestNormalization:
 
     def test_integrable_density_near_the_edge(self):
         # c = n + 1.05 integrates, however slowly
-        assert math.isfinite(waves.total_probability(waves.WaveParams(alpha=-1.0, beta=2.1, gamma=-5.0), 0))
+        assert math.isfinite(waves.total_probability(waves.WaveParams(alpha=-1.0, beta=2.1), 0))
 
     def test_excited_state_normalization(self, params_2s):
         b_norm = waves.normalize_B(params_2s, 1)
-        normed = waves.WaveParams(params_2s.alpha, params_2s.beta, params_2s.gamma, b_norm)
+        normed = params_2s._replace(B=b_norm)
         assert waves.total_probability(normed, 1) == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize(
@@ -197,7 +208,7 @@ class TestNormalization:
         rng = random.Random(3)
         for _ in range(8):
             n, u = rng.randint(3, 6), rng.uniform(0.2, 8.0)
-            params = waves.WaveParams(alpha=-u * u, beta=2.0 * u * rng.uniform(n + 1.2, 25.0), gamma=-5.0)
+            params = waves.WaveParams(alpha=-u * u, beta=2.0 * u * rng.uniform(n + 1.2, 25.0))
             want = parseval_b_oracle(params.alpha, params.beta, n)
             assert waves.normalize_B(params, n) == pytest.approx(want, rel=1e-11, abs=0), (params, n)
 
@@ -205,9 +216,9 @@ class TestNormalization:
         # r^2 int |psi_0|^2 dp_r ~ r^(2c - 3) at r -> 0: no finite B for c <= 1
         for c in (0.6, 0.9, 0.99):
             with pytest.raises(NonPhysicalParameters, match="not normalizable"):
-                waves.normalize_B(waves.WaveParams(alpha=-1.0, beta=2.0 * c, gamma=-5.0), 0)
+                waves.normalize_B(waves.WaveParams(alpha=-1.0, beta=2.0 * c), 0)
         # c = 1.01: B = (4/3 Gamma(0.02) / 2^0.02)^(-1/2)
-        params = waves.WaveParams(alpha=-1.0, beta=2.02, gamma=-5.0)
+        params = waves.WaveParams(alpha=-1.0, beta=2.02)
         assert waves.normalize_B(params, 0) == pytest.approx(0.12402, abs=1e-5)
 
     def test_grid_of_non_normalizable_state_exits_3(self, tmp_path, capsys):
@@ -369,6 +380,15 @@ class TestDensityGrid:
         assert all(b >= a for a, b in zip(peaks, peaks[1:]))
         assert peaks[-1] > peaks[0]
 
+    def test_peak_radius_of_a_column_with_a_failed_cell_raises(self, params_1s):
+        # np.argmax takes NaN for the maximum: one failed cell at r = 4.90
+        # would be returned as the peak in place of 0.874
+        grid = waves.density_grid(params_1s, 0, (0.02, 6.0, 50), (0.0, 1.0, 3))
+        assert waves.peak_radius(grid, 0) == pytest.approx(0.874, abs=1e-3)
+        grid.densities[40, 0] = math.nan
+        with pytest.raises(NumericError, match=r"cell \(40,0\) at r=4.90"):
+            waves.peak_radius(grid, 0)
+        assert waves.peak_radius(grid, 1) > 0.874
 
     def test_peak_radius_on_axis_edge_rejected(self, bcbar_real):
         # bcbar's c = beta/(2u) is about -27: r^2 |psi|^2 grows toward r -> 0
@@ -388,7 +408,7 @@ class TestAnsatzConsistency:
         beta, gamma = 31.5973, -26.2183
         roots = np.roots([4 * (gamma - 6), -2 * beta, beta**2])
         u = next(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0)
-        params = waves.WaveParams(alpha=-(u**2), beta=beta, gamma=gamma)
+        params = waves.WaveParams(alpha=-(u**2), beta=beta)
         kernel = waves.half_transformed_kernel(params, 0)
         for pbar in (0.0, 0.6):
             for r in (0.6, 1.1, 2.0):
@@ -412,8 +432,7 @@ class TestMomentumCoupledVariant:
     def make_params(self, ccbar_complex):
         st = QuantumState.from_label("1S")
         e = core.energy_complex(ccbar_complex, st, 0.0).real
-        alpha, beta, gamma = core.real_constants(ccbar_complex, st, e)
-        return waves.WaveParams(alpha, beta, gamma, variant=Variant.COMPLEX)
+        return waves.wave_params(ccbar_complex, st, e, variant=Variant.COMPLEX)
 
     def test_against_numeric_transform(self, ccbar_complex):
         params = self.make_params(ccbar_complex)
@@ -421,12 +440,6 @@ class TestMomentumCoupledVariant:
             closed = waves.psi_n(params, 0, r, p)
             numeric = waves.psi_n_numeric(params, 0, r, p)
             assert abs(closed - numeric) <= 1e-5 * abs(closed)
-
-    def test_csch_reflection_identity(self):
-        # the complete-gamma part of the momentum-coupled ground state in
-        # its csch form equals the plain reflection value
-        for g in (2.7 + 0.4j, 3.3 - 1.1j, 0.4 + 2.0j):
-            assert waves.csch_reflection_gamma(g) == pytest.approx(gamma_complex(2.0 - g), rel=1e-11)
 
     def test_normalization_rejected(self, ccbar_complex):
         params = self.make_params(ccbar_complex)
@@ -439,7 +452,7 @@ class TestMomentumCoupledVariant:
         # g = -beta/(2u) = 3 at p_r = 0 makes the order 2 - g = -1, where
         # Gamma(2 - g, rW) is finite: psi_0 = Gamma(-1, r)/pi here
         mp = pytest.importorskip("mpmath")
-        params = waves.WaveParams(alpha=-1.0, beta=-6.0, gamma=-5.0, variant=Variant.COMPLEX)
+        params = waves.WaveParams(alpha=-1.0, beta=-6.0, variant=Variant.COMPLEX)
         with mp.workdps(30):
             ref = float(mp.gammainc(-1, 1.04, mp.inf) / mp.pi)
         assert abs(waves.psi_n(params, 0, 1.04, 0.0) - ref) <= 1e-13 * ref
