@@ -21,16 +21,31 @@ formatting and fixed ordering, so identical inputs give byte-identical files.
 
 Each command compiles only the modules it runs: spectrum and scan load core
 and dataio, fit adds fitting, check --suite nu adds nu, grid adds waves, nu,
-special and numpy, and check's quadrature (moment) suite adds waves, nu,
-special, confine1d and numpy (confine1d, special and numpy).  No command
-imports scipy or dataclasses: with no bytecode cache, `import htaspec.cli`
-took 46 ms while the value types were dataclasses and takes 21 ms now
-(-X importtime, median of 7, 2-vCPU host).
+special, gridsplit and numpy, and check's quadrature (moment) suite adds
+waves, nu, special, confine1d and numpy (confine1d, special and numpy).  No
+command imports scipy or dataclasses: with no bytecode cache, `import
+htaspec.cli` took 46 ms while the value types were dataclasses and takes 21
+ms now (-X importtime, median of 7, 2-vCPU host).
+
+grid splits its rows into contiguous slices, one per usable CPU (gridsplit):
+it computes the first slice, and a forked worker computes and formats each
+other one and sends its cell errors and CSV lines through a pipe.  The CSV,
+the report and the exit code are those of one slice, and every worker is
+reaped on every exit path.  Only a process with one OS thread is forked (on
+Linux, one entry in /proc/self/task; elsewhere grid takes one slice), and
+OpenBLAS starts a thread pool when numpy is imported, so main sets
+OPENBLAS_NUM_THREADS=1 when it is unset and numpy is not loaded yet (the
+largest LAPACK calls here are eigenproblems of at most 50 x 50).  main also
+registers gc.freeze with atexit, so the interpreter's shutdown collections
+skip the heap: a script's exit after importing grid's modules fell from 26
+to 8 ms (median of 21, 2-vCPU host).
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import os
 import sys
@@ -68,13 +83,23 @@ def _fmt(value, digits: int) -> str:
     return value if isinstance(value, str) else f"%.{digits}g" % value
 
 
+def _make_out_dir(path: str):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write output: {exc}") from None
+
+
 def _write_csv(path: str, header: list[str], lines):
     """Write the header and the CSV lines (given without newlines), _CSV_BLOCK lines per write."""
     lines = iter(lines)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        while block := list(islice(lines, _CSV_BLOCK)):
-            fh.write("\n".join(block) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            while block := list(islice(lines, _CSV_BLOCK)):
+                fh.write("\n".join(block) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write output: {exc}") from None
 
 
 def _select_mesons(args) -> list[dataio.MesonRecord]:
@@ -126,7 +151,7 @@ def cmd_spectrum(args) -> int:
             if st not in masses:
                 masses[st] = core.mass_spectrum_detailed(sys_v, st, variant)
         spectra.append((rec, levels, masses))
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     for rec, levels, masses in spectra:
         refs = [rec.reference_masses(lv.label) for lv in levels]
         ref_names = sorted({name for r in refs for name in r})
@@ -197,7 +222,7 @@ def cmd_fit(args) -> int:
             )
         except (UnderdeterminedFitError, FitFailedError) as exc:
             failures.append(f"{rec.label}: {exc}")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     _write_csv(
         os.path.join(args.out, "fitted_params.csv"),
         ["meson", "a", "b", "delta", "residual_rms", "converged"],
@@ -209,7 +234,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    from . import waves
+    from . import gridsplit, waves
 
     variant = Variant.parse(args.variant)
     for name, lo, hi, steps in (("r", args.rmin, args.rmax, args.rsteps), ("p", args.pmin, args.pmax, args.psteps)):
@@ -221,27 +246,23 @@ def cmd_grid(args) -> int:
     if len(records) != 1:
         raise InputError("grid needs exactly one meson (use --meson)")
     rec = records[0]
-    d = args.precision
+    n, d = args.state.n, args.precision
     sys_v = rec.system(variant)
     energy, _ = core.level(sys_v, args.state, variant)
     params = waves.wave_params(sys_v, args.state, energy, variant=variant)
     if args.normalize:
-        params = params._replace(B=waves.normalize_B(params, args.state.n))
-    grid = waves.density_grid(
-        params,
-        args.state.n,
-        (args.rmin, args.rmax, args.rsteps),
-        (args.pmin, args.pmax, args.psteps),
-    )
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out, f"{rec.label}_{args.state.label}_grid.csv"),
-        ["r", "p_r", "re", "im", "density"],
-        _grid_lines(grid, d),
-    )
-    if grid.cell_errors:
-        shown = grid.cell_errors[:5]  # bounded: a grid can fail in thousands of cells
-        print(f"{len(grid.cell_errors)} of {grid.amplitudes.size} cells failed (nan in the CSV); first {len(shown)}:", file=sys.stderr)
+        params = params._replace(B=waves.normalize_B(params, n))
+    r_axis, p_axis = (args.rmin, args.rmax, args.rsteps), (args.pmin, args.pmax, args.psteps)
+    with gridsplit.evaluate(params, n, r_axis, p_axis, d) as (lines, errors):
+        _make_out_dir(args.out)
+        _write_csv(
+            os.path.join(args.out, f"{rec.label}_{args.state.label}_grid.csv"),
+            ["r", "p_r", "re", "im", "density"],
+            lines,
+        )
+    if errors:
+        shown = errors[:5]  # bounded: a grid can fail in thousands of cells
+        print(f"{len(errors)} of {args.rsteps * args.psteps} cells failed (nan in the CSV); first {len(shown)}:", file=sys.stderr)
         for i, j, msg in shown:
             print(f"cell ({i},{j}): {msg}", file=sys.stderr)
     return EXIT_OK
@@ -270,7 +291,7 @@ def cmd_scan(args) -> int:
     if len(records) != 1:
         raise InputError("scan needs exactly one meson (use --meson)")
     rec = records[0]
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     d = args.precision
     sys_v = rec.system(variant)
     points = core.parameter_scan(sys_v, args.state, args.param, args.lo, args.hi, args.steps, variant)
@@ -407,6 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS starts a thread pool when numpy is imported, and grid
+        # forks only a one-thread process; the largest LAPACK calls here are
+        # eigenproblems of at most 50 x 50, which the pool does not speed up
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # the interpreter's shutdown collections then skip the heap; no output
+    # waits on them: every CSV is closed by its with block, and the standard
+    # streams are flushed either way
+    atexit.unregister(gc.freeze)  # registered once, however often main runs
+    atexit.register(gc.freeze)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

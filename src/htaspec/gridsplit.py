@@ -1,0 +1,133 @@
+"""The grid command's rows across the usable CPUs.
+
+evaluate cuts a grid's r axis into contiguous slices, computes the first
+one and forks a worker for each other one, which computes its rows with
+waves.density_grid, formats them and sends them back through a pipe.  Only
+grid imports this module, so no other command compiles it.
+
+A worker sends, pickled, its slice's cell errors (or the exception
+density_grid raised) as soon as it has them, then the number of its blocks
+of CSV lines and each block.  It formats every line before it sends the
+first, so it formats while the parent formats its own slice.  Each message
+is one pickle, so a worker that ends early leaves the parent a short read.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+from contextlib import contextmanager
+from itertools import chain, islice
+
+from . import cli, waves
+from .errors import NumericError
+
+
+@contextmanager
+def evaluate(params: waves.WaveParams, n: int, r_axis: tuple, p_axis: tuple, digits: int):
+    """Yield (lines, cell_errors) of the grid r_axis x p_axis, both axes
+    (lo, hi, count): its CSV lines without the header, row by row, and
+    density_grid's cell errors over the whole grid.  Both are those of one
+    density_grid call; every worker is reaped when the block exits, however
+    it exits.
+    """
+    waves._check_index(params, n)  # an n no cell takes raises before any fork
+    rs = waves._axis_values(r_axis, "r")
+    slices = _row_slices(rs, p_axis[2])
+    workers = []  # (first row, pid, pipe) of each slice after the first
+    try:
+        for lo, hi in slices[1:]:
+            workers.append((lo, *_fork_slice(params, n, rs[lo:hi], p_axis, digits)))
+        # one slice takes the axis as given: its values need not be strictly ascending
+        grid = waves.density_grid(params, n, r_axis if len(slices) == 1 else rs[: slices[0][1]], p_axis)
+        errors = list(grid.cell_errors)
+        for lo, _, pipe in workers:
+            head = _received(pipe)  # the worker's cell errors, or the exception it raised
+            if isinstance(head, BaseException):
+                raise head
+            errors += [(lo + i, j, msg) for i, j, msg in head]
+        yield chain(cli._grid_lines(grid, digits), *(_received_lines(pipe) for _, _, pipe in workers)), errors
+    finally:
+        # every pipe first: a worker still writing gets EPIPE and exits once
+        # the later workers, which hold copies of its read end, have exited
+        for _, _, pipe in workers:
+            pipe.close()
+        for _, pid, _ in workers:
+            os.waitpid(pid, 0)
+
+
+def _row_slices(rs: list[float], psteps: int) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) row ranges of a grid: one per usable CPU, none
+    under one psi_n block of cells, each cut on a boundary of
+    density_grid's psi_n blocks (which start at the first row with r > 0),
+    so that each slice makes the very psi_n calls the whole grid makes.
+
+    One slice unless the process can be forked: a child forked from a
+    process with a second thread can deadlock (Python 3.12 warns), so the
+    process must have one OS thread (on Linux, one entry in
+    /proc/self/task; elsewhere the grid takes one slice).  The r values must
+    also be strictly ascending, as density_grid asks of explicit rows.
+    """
+    whole = [(0, len(rs))]
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:
+            return whole
+        cpus = len(os.sched_getaffinity(0))
+    except OSError:
+        return whole
+    if not all(a < b for a, b in zip(rs, rs[1:])):
+        return whole
+    rows = max(1, waves._BLOCK_CELLS // psteps)
+    first = next((i for i, r in enumerate(rs) if r > 0), len(rs))
+    blocks = -(-(len(rs) - first) // rows)
+    count = min(cpus, len(rs) * psteps // waves._BLOCK_CELLS, blocks)
+    if count < 2:
+        return whole
+    cuts = [0, *(first + k * blocks // count * rows for k in range(1, count)), len(rs)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _fork_slice(params: waves.WaveParams, n: int, r_rows: list[float], p_axis: tuple, digits: int):
+    """Fork a worker for the grid rows at r_rows; its (pid, pipe).
+
+    The worker leaves by os._exit: no exit handler or stream flush of the
+    parent runs twice.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    code = 1
+    try:
+        os.close(read)
+        with open(write, "wb") as pipe:
+            try:
+                grid = waves.density_grid(params, n, r_rows, p_axis)
+            except Exception as exc:
+                pickle.dump(exc, pipe)
+            else:
+                pickle.dump(grid.cell_errors, pipe)
+                pipe.flush()  # the parent waits for this before it writes anything
+                lines = cli._grid_lines(grid, digits)
+                blocks = ["\n".join(block) for block in iter(lambda: list(islice(lines, cli._CSV_BLOCK)), [])]
+                pickle.dump(len(blocks), pipe)
+                for block in blocks:
+                    pickle.dump(block, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(pipe):
+    # a worker's next message; one that ended early left it unsent
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise NumericError("a grid worker ended before sending all of its rows") from None
+
+
+def _received_lines(pipe):
+    # a worker's CSV lines, read after its cell errors
+    for _ in range(_received(pipe)):
+        yield from _received(pipe).split("\n")

@@ -476,6 +476,34 @@ class TestCheck:
         assert exc.value.code == 2
 
 
+class TestUnwritableOutput:
+    # --out names a file, or a path under one: the directory cannot be made
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["spectrum", "--meson", "ccbar"], "FILE"),
+            (["fit", "--meson", "ccbar", "--seed-from-paper"], "FILE/sub"),
+            (["grid", "--meson", "ccbar", "--rsteps", "4", "--psteps", "3"], "FILE/sub"),
+            (["scan", "--meson", "ccbar", "--param", "b", "--lo", "0.3", "--hi", "0.5", "--steps", "5"], "FILE"),
+        ],
+        ids=["spectrum", "fit", "grid", "scan"],
+    )
+    def test_out_dir_that_cannot_be_made_exits_2(self, tmp_path, capsys, argv, out):
+        (tmp_path / "FILE").write_text("")
+        assert run([*argv, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot write output: [Errno ") and err.count("\n") == 1
+        assert (tmp_path / "FILE").read_text() == ""
+
+    def test_csv_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        # a directory stands where the CSV goes
+        (tmp_path / "ccbar_scan_b.csv").mkdir()
+        argv = ["scan", "--meson", "ccbar", "--param", "b", "--lo", "0.3", "--hi", "0.5", "--steps", "5"]
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot write output: [Errno ") and err.count("\n") == 1
+
+
 class TestHelp:
     @pytest.mark.parametrize("sub", ["spectrum", "fit", "grid", "scan", "check"])
     def test_help_exits_zero(self, sub):

@@ -1,0 +1,231 @@
+"""grid across CPUs: a grid cut into row slices, each past the first
+evaluated and formatted in a forked worker, writes the bytes of the one-slice
+grid, and no worker outlives the command on any exit path.
+
+Each command runs in a fresh interpreter under ``-W error`` with
+OPENBLAS_NUM_THREADS unset (the default a user has), so that it can fork;
+the expected CSV and report are built here from waves.density_grid over the
+whole axes.  os.fork is wrapped by the test script, not by the program, to
+count the workers.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from htaspec import cli, core, dataio, waves
+from htaspec.core import QuantumState, Variant
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+SCRIPT = """
+import os, sys
+report, argv = sys.argv[1], sys.argv[2:]
+forks = []
+_fork = os.fork
+def fork():
+    pid = _fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = fork
+{setup}
+from htaspec.cli import main
+rc = main(argv)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "child"
+except ChildProcessError:
+    left = "none"
+with open(report, "w") as fh:
+    fh.write(f"{{len(forks)}} {{left}}")
+sys.exit(rc)
+"""
+
+# the next test's worker fails: density_grid raises for a slice that does not start at row 0
+FAIL_PAST_ROW_0 = """
+from htaspec import waves
+from htaspec.errors import NumericError
+_density_grid = waves.density_grid
+def density_grid(params, n, r_axis, p_axis):
+    if not isinstance(r_axis, tuple) and r_axis[0] > 0.05:
+        raise NumericError("injected failure")
+    return _density_grid(params, n, r_axis, p_axis)
+waves.density_grid = density_grid
+"""
+
+
+def run_grid(tmp_path, argv, setup="", env=None):
+    """(exit code, stdout, stderr, workers forked, children left) of one
+    command in a fresh interpreter."""
+    report = tmp_path / "report"
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", SCRIPT.format(setup=setup), str(report), *argv],
+        cwd=tmp_path, env=dict(base, **(env or {})), capture_output=True, text=True, timeout=120,
+    )
+    forks, left = report.read_text().split() if report.exists() else (None, None)
+    return proc.returncode, proc.stdout, proc.stderr, forks and int(forks), left
+
+
+def axis(argv, name, default):
+    return type(default)(argv[argv.index(name) + 1]) if name in argv else default
+
+
+def expected(argv):
+    """(CSV text, stderr) of the grid, from density_grid over the whole axes."""
+    rec = {r.label: r for r in dataio.load_dataset()}[argv[argv.index("--meson") + 1]]
+    variant = Variant.parse(axis(argv, "--variant", "real7"))
+    state = QuantumState.from_label(axis(argv, "--state", "1S"))
+    sys_v = rec.system(variant)
+    energy, _ = core.level(sys_v, state, variant)
+    params = waves.wave_params(sys_v, state, energy, variant=variant)
+    if "--no-normalize" not in argv:
+        params = params._replace(B=waves.normalize_B(params, state.n))
+    grid = waves.density_grid(
+        params,
+        state.n,
+        (axis(argv, "--rmin", 0.05), axis(argv, "--rmax", 6.0), axis(argv, "--rsteps", 120)),
+        (axis(argv, "--pmin", -1.0), axis(argv, "--pmax", 1.0), axis(argv, "--psteps", 41)),
+    )
+    text = "r,p_r,re,im,density\n" + "".join(f"{line}\n" for line in cli._grid_lines(grid, 17))
+    err = ""
+    if grid.cell_errors:
+        shown = grid.cell_errors[:5]
+        err = f"{len(grid.cell_errors)} of {grid.amplitudes.size} cells failed (nan in the CSV); first {len(shown)}:\n"
+        err += "".join(f"cell ({i},{j}): {msg}\n" for i, j, msg in shown)
+    return text, err, grid.amplitudes.size
+
+
+GRIDS = {
+    # the benchmark's five grid shapes
+    "ccbar-1S-120x41": ["--meson", "ccbar", "--rsteps", "120", "--psteps", "41", "--no-normalize"],
+    "bbbar-2S-160x81": ["--meson", "bbbar", "--state", "2S", "--rsteps", "160", "--psteps", "81", "--no-normalize"],
+    "bcbar-3S-200x101": ["--meson", "bcbar", "--state", "3S", "--rsteps", "200", "--psteps", "101", "--no-normalize"],
+    "bbbar-complex5-120x41": ["--meson", "bbbar", "--variant", "complex5", "--rsteps", "120", "--psteps", "41", "--no-normalize"],
+    "ccbar-1S-320x301": ["--meson", "ccbar", "--rsteps", "320", "--psteps", "301", "--no-normalize"],
+    "normalized": ["--meson", "ccbar", "--state", "2S", "--rsteps", "160", "--psteps", "81"],
+    # the first 34 rows have r <= 0 and fail with psi_n's DomainError text
+    "r-through-zero": ["--meson", "ccbar", "--rmin", "-1", "--rmax", "5", "--rsteps", "200", "--psteps", "101", "--no-normalize"],
+    # every cell fails
+    "all-cells-fail": ["--meson", "bcbar", "--no-normalize", "--rsteps", "100", "--psteps", "101", "--pmin", "1e11", "--pmax", "2e11"],
+}
+
+
+@pytest.mark.parametrize("flags", list(GRIDS.values()), ids=list(GRIDS))
+def test_split_grid_matches_one_slice(tmp_path, flags):
+    argv = ["grid", *flags, "--out", "out"]
+    text, err, cells = expected(argv)
+    rc, out, stderr, forks, left = run_grid(tmp_path, argv)
+    assert (rc, out, stderr) == (0, "", err)
+    csv = next((tmp_path / "out").iterdir())
+    assert csv.read_text() == text
+    assert left == "none"
+    # one slice per usable CPU, none smaller than one psi_n block
+    if CPUS > 1 and cells >= 2 * waves._BLOCK_CELLS:
+        assert 1 <= forks < CPUS
+    else:
+        assert forks == 0
+
+
+def test_repeated_r_values_take_one_slice(tmp_path):
+    # an interval this narrow repeats r values, which density_grid takes from
+    # (lo, hi, count) but rejects as explicit rows: the grid is not cut
+    flags = ["--meson", "ccbar", "--rmin", "1", "--rmax", "1.0000000000000002", "--rsteps", "100", "--psteps", "101"]
+    argv = ["grid", *flags, "--out", "out"]
+    text, err, _ = expected(argv)
+    rc, out, stderr, forks, left = run_grid(tmp_path, argv)
+    assert (rc, out, stderr, forks, left) == (0, "", err, 0, "none")
+    assert next((tmp_path / "out").iterdir()).read_text() == text
+
+
+def test_index_no_cell_takes_forks_nothing(tmp_path):
+    argv = ["grid", *GRIDS["ccbar-1S-320x301"], "--state", "8S", "--out", "out"]
+    rc, out, stderr, forks, left = run_grid(tmp_path, argv)
+    assert (rc, out, stderr, forks, left) == (3, "", "non-physical parameters: psi_n: n must be in [0, 6], got 7\n", 0, "none")
+
+
+def test_numpy_loaded_first_takes_one_slice(tmp_path):
+    # OpenBLAS's pool is running by then: the process is not forked
+    argv = ["grid", *GRIDS["bbbar-2S-160x81"], "--out", "out"]
+    text, err, _ = expected(argv)
+    rc, out, stderr, forks, left = run_grid(tmp_path, argv, setup="import numpy")
+    assert (rc, out, stderr, forks, left) == (0, "", err, 0, "none")
+    assert next((tmp_path / "out").iterdir()).read_text() == text
+
+
+# grid sees four usable CPUs, whatever the host has
+FOUR_CPUS = "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}"
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="grid splits only where /proc/self/task counts threads")
+
+
+@linux_only
+def test_four_slices_match_one_slice(tmp_path):
+    argv = ["grid", *GRIDS["ccbar-1S-320x301"], "--out", "out"]
+    text, err, _ = expected(argv)
+    rc, out, stderr, forks, left = run_grid(tmp_path, argv, FOUR_CPUS)
+    assert (rc, out, stderr, forks, left) == (0, "", err, 3, "none")
+    assert next((tmp_path / "out").iterdir()).read_text() == text
+
+
+@linux_only
+def test_four_slices_reaped_when_the_output_cannot_be_written(tmp_path):
+    # each worker is left holding more rows than a pipe buffers
+    (tmp_path / "FILE").write_text("")
+    argv = ["grid", *GRIDS["ccbar-1S-320x301"], "--out", "FILE/sub"]
+    rc, out, stderr, forks, left = run_grid(tmp_path, argv, FOUR_CPUS)
+    assert (rc, out, forks, left) == (2, "", 3, "none")
+    assert stderr.startswith("input error: cannot write output: ") and stderr.count("\n") == 1
+
+
+# rows with r > 3 fail: no failed cell of a 320-row grid lies in its first slice
+NAN_PAST_R3 = """
+import math
+from htaspec import waves
+_density_grid = waves.density_grid
+def density_grid(params, n, r_axis, p_axis):
+    grid = _density_grid(params, n, r_axis, p_axis)
+    rows = [i for i, r in enumerate(grid.r_values) if r > 3.0]
+    grid.amplitudes[rows], grid.densities[rows] = complex(math.nan, math.nan), math.nan
+    grid.cell_errors += tuple((i, j, "NumericError: injected") for i in rows for j in range(len(grid.p_values)))
+    return grid
+waves.density_grid = density_grid
+"""
+
+
+@linux_only
+def test_worker_cell_errors_keep_their_grid_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(waves, "density_grid", waves.density_grid)  # undone after the test
+    exec(NAN_PAST_R3, {})
+    argv = ["grid", *GRIDS["ccbar-1S-320x301"], "--out", "out"]
+    text, err, _ = expected(argv)
+    assert err.splitlines()[1] == "cell (159,0): NumericError: injected"
+    # the patch imports numpy before main, so OpenBLAS is held to one thread here
+    rc, out, stderr, forks, left = run_grid(tmp_path, argv, FOUR_CPUS + NAN_PAST_R3, {"OPENBLAS_NUM_THREADS": "1"})
+    assert (rc, out, stderr, forks, left) == (0, "", err, 3, "none")
+    assert next((tmp_path / "out").iterdir()).read_text() == text
+
+
+@pytest.mark.skipif(CPUS < 2, reason="one usable CPU: grid forks no worker")
+def test_failing_worker_is_reaped(tmp_path):
+    # the patch imports numpy before main, so OpenBLAS is held to one thread here
+    argv = ["grid", *GRIDS["ccbar-1S-320x301"], "--out", "out"]
+    rc, out, stderr, forks, left = run_grid(tmp_path, argv, FAIL_PAST_ROW_0, {"OPENBLAS_NUM_THREADS": "1"})
+    assert (rc, out, stderr) == (5, "", "numeric failure: injected failure\n")
+    assert forks >= 1 and left == "none"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(CPUS < 2, reason="one usable CPU: grid forks no worker")
+def test_worker_is_reaped_when_the_output_cannot_be_written(tmp_path):
+    (tmp_path / "FILE").write_text("")
+    argv = ["grid", *GRIDS["ccbar-1S-320x301"], "--out", "FILE/sub"]
+    rc, out, stderr, forks, left = run_grid(tmp_path, argv)
+    assert (rc, out) == (2, "")
+    assert stderr.startswith("input error: cannot write output: ") and stderr.count("\n") == 1
+    assert forks >= 1 and left == "none"

@@ -103,6 +103,35 @@ def test_grid_loads_no_dataclasses(tmp_path):
     assert loaded_after(run_main(_GRID, 0), tmp_path, ("dataclasses",)) == set()
 
 
+def test_heap_frozen_once_at_exit(tmp_path):
+    # main registers gc.freeze with atexit once, however often it runs, so
+    # the shutdown collections skip the heap; the first handler registered runs last
+    code = """
+import atexit, gc
+calls = []
+atexit.register(lambda: print("FREEZES", len(calls), gc.get_freeze_count() > 0))
+freeze = gc.freeze
+gc.freeze = lambda: (calls.append(1), freeze())
+from htaspec.cli import main
+for _ in range(2):
+    assert main(["scan", "--meson", "ccbar", "--param", "b", "--lo", "0.3", "--hi", "0.5", "--steps", "5", "--out", "out"]) == 0
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "FREEZES 1 True\n")
+
+
+def test_grid_loads_no_process_pool(tmp_path):
+    # a grid large enough to split across CPUs forks its workers itself
+    argv = ["grid", "--meson", "ccbar", "--rsteps", "160", "--psteps", "81", "--no-normalize", "--out", "out"]
+    assert loaded_after(run_main(argv, 0), tmp_path, ("multiprocessing", "concurrent", "subprocess")) == set()
+
+
+@pytest.mark.parametrize("argv, rc", [_SPECTRUM, _SCAN, _FIT], ids=["spectrum", "scan", "fit"])
+def test_only_grid_compiles_gridsplit(tmp_path, argv, rc):
+    assert "htaspec.gridsplit" not in loaded_after(run_main(argv, rc), tmp_path, ("htaspec",))
+
+
 @pytest.mark.parametrize("suite", ["nu", "quadrature", "moment", "all"])
 def test_check_loads_only_scipy_special(tmp_path, suite):
     # the root-solve (Brent) and the Airy quadratures (Gauss-Legendre) are
