@@ -13,6 +13,8 @@ check takes only --input, --suite and --out (it writes no file).
 grid evaluates the polynomial n = k - 1 of --state kL, scaled (unless
 --no-normalize) by the closed-form B of waves.normalize_B, which check tests
 against a 2-D quadrature; a non-normalizable state exits 3 and writes nothing.
+An axis must give at least one value, strictly ascending: an empty interval,
+or one too narrow for its steps to be distinct floats, exits 2 with no file.
 
 Exit codes: 0 ok, 2 input error, 3 non-physical parameters, 4 fit failure,
 5 internal numeric failure; a malformed --state (1F, 0S, X) exits 2, a state
@@ -234,14 +236,15 @@ def cmd_fit(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    # both axes are built and checked once, before any data is read: a bad one exits 2
     from . import gridsplit, waves
 
     variant = Variant.parse(args.variant)
-    for name, lo, hi, steps in (("r", args.rmin, args.rmax, args.rsteps), ("p", args.pmin, args.pmax, args.psteps)):
-        if steps < 1:
-            raise InputError(f"{name} axis needs at least 1 point")
-        if steps > 1 and not lo < hi:
-            raise InputError(f"empty {name} axis interval [{lo}, {hi}]")
+    try:
+        rs = waves._axis_values((args.rmin, args.rmax, args.rsteps), "r")
+        ps = waves._axis_values((args.pmin, args.pmax, args.psteps), "p")
+    except DomainError as exc:
+        raise InputError(str(exc)) from None
     records = _select_mesons(args)
     if len(records) != 1:
         raise InputError("grid needs exactly one meson (use --meson)")
@@ -252,8 +255,7 @@ def cmd_grid(args) -> int:
     params = waves.wave_params(sys_v, args.state, energy, variant=variant)
     if args.normalize:
         params = params._replace(B=waves.normalize_B(params, n))
-    r_axis, p_axis = (args.rmin, args.rmax, args.rsteps), (args.pmin, args.pmax, args.psteps)
-    with gridsplit.evaluate(params, n, r_axis, p_axis, d) as (lines, errors):
+    with gridsplit.evaluate(params, n, rs, ps, d) as (lines, errors):
         _make_out_dir(args.out)
         _write_csv(
             os.path.join(args.out, f"{rec.label}_{args.state.label}_grid.csv"),

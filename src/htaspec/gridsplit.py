@@ -1,9 +1,11 @@
 """The grid command's rows across the usable CPUs.
 
-evaluate cuts a grid's r axis into contiguous slices, computes the first
+evaluate cuts a grid's r values into contiguous slices, computes the first
 one and forks a worker for each other one, which computes its rows with
-waves.density_grid, formats them and sends them back through a pipe.  Only
-grid imports this module, so no other command compiles it.
+waves.density_grid, formats them and sends them back through a pipe.  A
+cell's value does not depend on which rows share its psi_n call, so a cut
+may fall on any row and the slices give the bytes of one call.  Only grid
+imports this module, so no other command compiles it.
 
 A worker sends, pickled, its slice's cell errors (or the exception
 density_grid raised) as soon as it has them, then the number of its blocks
@@ -24,22 +26,20 @@ from .errors import NumericError
 
 
 @contextmanager
-def evaluate(params: waves.WaveParams, n: int, r_axis: tuple, p_axis: tuple, digits: int):
-    """Yield (lines, cell_errors) of the grid r_axis x p_axis, both axes
-    (lo, hi, count): its CSV lines without the header, row by row, and
-    density_grid's cell errors over the whole grid.  Both are those of one
-    density_grid call; every worker is reaped when the block exits, however
-    it exits.
+def evaluate(params: waves.WaveParams, n: int, rs: list[float], ps: list[float], digits: int):
+    """Yield (lines, cell_errors) of the grid rs x ps, axis values checked by
+    waves._axis_values: its CSV lines without the header, row by row, and
+    density_grid's cell errors over the whole grid.  Both are those
+    of one density_grid call; every worker is reaped when the block exits,
+    however it exits.
     """
     waves._check_index(params, n)  # an n no cell takes raises before any fork
-    rs = waves._axis_values(r_axis, "r")
-    slices = _row_slices(rs, p_axis[2])
+    slices = _row_slices(len(rs), len(ps))
     workers = []  # (first row, pid, pipe) of each slice after the first
     try:
         for lo, hi in slices[1:]:
-            workers.append((lo, *_fork_slice(params, n, rs[lo:hi], p_axis, digits)))
-        # one slice takes the axis as given: its values need not be strictly ascending
-        grid = waves.density_grid(params, n, r_axis if len(slices) == 1 else rs[: slices[0][1]], p_axis)
+            workers.append((lo, *_fork_slice(params, n, rs[lo:hi], ps, digits)))
+        grid = waves.density_grid(params, n, rs[: slices[0][1]], ps)
         errors = list(grid.cell_errors)
         for lo, _, pipe in workers:
             head = _received(pipe)  # the worker's cell errors, or the exception it raised
@@ -56,38 +56,28 @@ def evaluate(params: waves.WaveParams, n: int, r_axis: tuple, p_axis: tuple, dig
             os.waitpid(pid, 0)
 
 
-def _row_slices(rs: list[float], psteps: int) -> list[tuple[int, int]]:
-    """Contiguous (lo, hi) row ranges of a grid: one per usable CPU, none
-    under one psi_n block of cells, each cut on a boundary of
-    density_grid's psi_n blocks (which start at the first row with r > 0),
-    so that each slice makes the very psi_n calls the whole grid makes.
+def _row_slices(rows: int, cols: int) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) row ranges of a rows x cols grid, as even as the
+    rows allow: one per usable CPU, and at most one per row and per psi_n
+    block of cells.  A cut may fall on any row, inside a psi_n block or in the r <= 0
+    prefix: every cell's value is elementwise arithmetic on its own r and
+    p_r, whichever rows share its psi_n call.
 
     One slice unless the process can be forked: a child forked from a
     process with a second thread can deadlock (Python 3.12 warns), so the
     process must have one OS thread (on Linux, one entry in
-    /proc/self/task; elsewhere the grid takes one slice).  The r values must
-    also be strictly ascending, as density_grid asks of explicit rows.
+    /proc/self/task; elsewhere the grid takes one slice).
     """
-    whole = [(0, len(rs))]
     try:
-        if len(os.listdir("/proc/self/task")) != 1:
-            return whole
-        cpus = len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0)) if len(os.listdir("/proc/self/task")) == 1 else 1
     except OSError:
-        return whole
-    if not all(a < b for a, b in zip(rs, rs[1:])):
-        return whole
-    rows = max(1, waves._BLOCK_CELLS // psteps)
-    first = next((i for i, r in enumerate(rs) if r > 0), len(rs))
-    blocks = -(-(len(rs) - first) // rows)
-    count = min(cpus, len(rs) * psteps // waves._BLOCK_CELLS, blocks)
-    if count < 2:
-        return whole
-    cuts = [0, *(first + k * blocks // count * rows for k in range(1, count)), len(rs)]
+        cpus = 1
+    count = max(1, min(cpus, rows, rows * cols // waves._BLOCK_CELLS))
+    cuts = [k * rows // count for k in range(count + 1)]
     return list(zip(cuts, cuts[1:]))
 
 
-def _fork_slice(params: waves.WaveParams, n: int, r_rows: list[float], p_axis: tuple, digits: int):
+def _fork_slice(params: waves.WaveParams, n: int, r_rows: list[float], ps: list[float], digits: int):
     """Fork a worker for the grid rows at r_rows; its (pid, pipe).
 
     The worker leaves by os._exit: no exit handler or stream flush of the
@@ -103,7 +93,7 @@ def _fork_slice(params: waves.WaveParams, n: int, r_rows: list[float], p_axis: t
         os.close(read)
         with open(write, "wb") as pipe:
             try:
-                grid = waves.density_grid(params, n, r_rows, p_axis)
+                grid = waves.density_grid(params, n, r_rows, ps)
             except Exception as exc:
                 pickle.dump(exc, pipe)
             else:

@@ -2,12 +2,11 @@
 complex gamma, complex upper incomplete gamma, and generalized
 Gauss-Laguerre rules (gauss_laguerre, which normalize_B also uses).
 
-Ai and Ai' (alone, or both by airy_ai_pair) map a scalar to a float and an
-array to an array, in one pass of the Airy lane that raises if any element
-would; against mpmath their error is at most 1.2 times scipy.special.airy's
-on seeded samples.  The lane's
-Gauss-Laguerre nodes are built on the first Airy call, so ``grid`` never pays
-for them.  Complex gamma and Gamma(s, z) on Re z > 0 share one log-Gamma;
+Ai (airy_ai) and the pair (Ai, Ai') (airy_ai_pair) map a scalar to a float
+and an array to an array, in one pass of the Airy lane that raises if any
+element would; against mpmath their error is at most 1.2 times
+scipy.special.airy's on seeded samples.  The lane's Gauss-Laguerre nodes
+are built on the first Airy call, so ``grid`` never pays for them.  Complex gamma and Gamma(s, z) on Re z > 0 share one log-Gamma;
 Gamma(s, z) works over broadcast arrays, and a scalar call is a one-element array.
 Gamma(s, z) raises only for its arguments (DomainError); an element with no
 finite value is returned inf or NaN, and its callers decide what that means.
@@ -25,7 +24,6 @@ from .errors import DomainError, NumericError
 
 __all__ = [
     "airy_ai",
-    "airy_ai_prime",
     "airy_ai_pair",
     "airy_ai_zero",
     "gauss_laguerre",
@@ -118,11 +116,6 @@ def _airy(x, name):
 def airy_ai(x):
     """Airy function Ai(x), real argument."""
     return _airy(x, "airy_ai")[0]
-
-
-def airy_ai_prime(x):
-    """Derivative Ai'(x), real argument."""
-    return _airy(x, "airy_ai_prime")[1]
 
 
 def airy_ai_pair(x):

@@ -367,7 +367,8 @@ class PhaseSpaceGrid:
 def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
     """Evaluate psi_n on the tensor grid r_axis x p_axis.
 
-    Axes are (lo, hi, count) tuples or explicit ascending sequences.  An n
+    Axes are (lo, hi, count) tuples or explicit sequences; both forms must
+    give at least one value, strictly ascending, or raise DomainError.  An n
     that no cell can take (out of range, or n > 0 on the momentum-coupled
     variant) raises DomainError before any cell is evaluated.
     Past that, a cell fails by its value, never by raising: the rows with
@@ -399,16 +400,11 @@ def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
 def _axis_values(axis, name: str) -> list[float]:
     if isinstance(axis, tuple) and len(axis) == 3 and isinstance(axis[2], int):
         lo, hi, count = axis
-        if count < 1:
-            raise DomainError(f"{name} axis needs at least 1 point")
-        if count == 1:
-            return [float(lo)]
-        if not lo < hi:
-            raise DomainError(f"{name} axis interval is empty: [{lo}, {hi}]")
-        return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    vals = [float(v) for v in axis]
+        vals = [float(lo)] if count == 1 else [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    else:
+        vals = [float(v) for v in axis]
     if not vals:
-        raise DomainError(f"{name} axis is empty")
+        raise DomainError(f"{name} axis needs at least 1 point")
     if not all(a < b for a, b in zip(vals, vals[1:])):  # NaN is not ascending either
         raise DomainError(f"{name} axis must be strictly ascending")
     return vals

@@ -6,14 +6,17 @@ Each command runs in a fresh interpreter under ``-W error`` with
 OPENBLAS_NUM_THREADS unset (the default a user has), so that it can fork;
 the expected CSV and report are built here from waves.density_grid over the
 whole axes.  os.fork is wrapped by the test script, not by the program, to
-count the workers.
+count the workers.  The last test cuts grids at random rows in process: any
+cut gives the one-call grid bit for bit.
 """
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from htaspec import cli, core, dataio, waves
@@ -133,15 +136,13 @@ def test_split_grid_matches_one_slice(tmp_path, flags):
         assert forks == 0
 
 
-def test_repeated_r_values_take_one_slice(tmp_path):
-    # an interval this narrow repeats r values, which density_grid takes from
-    # (lo, hi, count) but rejects as explicit rows: the grid is not cut
-    flags = ["--meson", "ccbar", "--rmin", "1", "--rmax", "1.0000000000000002", "--rsteps", "100", "--psteps", "101"]
-    argv = ["grid", *flags, "--out", "out"]
-    text, err, _ = expected(argv)
-    rc, out, stderr, forks, left = run_grid(tmp_path, argv)
-    assert (rc, out, stderr, forks, left) == (0, "", err, 0, "none")
-    assert next((tmp_path / "out").iterdir()).read_text() == text
+def test_narrow_r_interval_exits_2(tmp_path):
+    # five points from 1 to its next float repeat r = 1: the axis is not
+    # strictly ascending, and nothing is written
+    flags = ["--meson", "ccbar", "--rmin", "1", "--rmax", "1.0000000000000002", "--rsteps", "5", "--psteps", "2"]
+    rc, out, stderr, forks, left = run_grid(tmp_path, ["grid", *flags, "--out", "out"])
+    assert (rc, out, stderr, forks, left) == (2, "", "input error: r axis must be strictly ascending\n", 0, "none")
+    assert not (tmp_path / "out").exists()
 
 
 def test_index_no_cell_takes_forks_nothing(tmp_path):
@@ -170,6 +171,16 @@ def test_four_slices_match_one_slice(tmp_path):
     text, err, _ = expected(argv)
     rc, out, stderr, forks, left = run_grid(tmp_path, argv, FOUR_CPUS)
     assert (rc, out, stderr, forks, left) == (0, "", err, 3, "none")
+    assert next((tmp_path / "out").iterdir()).read_text() == text
+
+
+@linux_only
+def test_no_more_slices_than_rows(tmp_path):
+    # 2 rows of 10,000 cells hold four psi_n blocks but give two slices
+    argv = ["grid", "--meson", "ccbar", "--rsteps", "2", "--psteps", "10000", "--no-normalize", "--out", "out"]
+    text, err, _ = expected(argv)
+    rc, out, stderr, forks, left = run_grid(tmp_path, argv, FOUR_CPUS)
+    assert (rc, out, stderr, forks, left) == (0, "", err, 1, "none")
     assert next((tmp_path / "out").iterdir()).read_text() == text
 
 
@@ -229,3 +240,39 @@ def test_worker_is_reaped_when_the_output_cannot_be_written(tmp_path):
     assert (rc, out) == (2, "")
     assert stderr.startswith("input error: cannot write output: ") and stderr.count("\n") == 1
     assert forks >= 1 and left == "none"
+
+
+# (meson, variant, state, r axis, p axis) of grids cut at random rows in process
+CUT_GRIDS = {
+    "real7-n0": ("ccbar", "real7", "1S", (0.05, 6.0, 120), (-1.0, 1.0, 101)),
+    "real7-n1": ("ccbar", "real7", "2S", (0.05, 6.0, 120), (-1.0, 1.0, 101)),
+    "real7-n2": ("bbbar", "real7", "3S", (0.05, 6.0, 120), (-1.0, 1.0, 101)),
+    "complex5": ("bbbar", "complex5", "1S", (0.05, 6.0, 120), (-1.0, 1.0, 41)),
+    "r-through-zero": ("ccbar", "real7", "1S", (-1.0, 5.0, 200), (-1.0, 1.0, 101)),
+    "all-cells-fail": ("bcbar", "real7", "1S", (0.05, 6.0, 100), (1e11, 2e11, 101)),
+}
+
+
+@pytest.mark.parametrize("name", list(CUT_GRIDS))
+def test_any_row_cut_gives_the_one_call_grid(name):
+    # every cell is elementwise arithmetic on its own r and p_r, so slices cut
+    # anywhere, inside a psi_n block or the r <= 0 prefix, give the one-call
+    # grid bit for bit
+    meson, variant, label, r_axis, p_axis = CUT_GRIDS[name]
+    rec = {r.label: r for r in dataio.load_dataset()}[meson]
+    variant, state = Variant.parse(variant), QuantumState.from_label(label)
+    sys_v = rec.system(variant)
+    params = waves.wave_params(sys_v, state, core.level(sys_v, state, variant)[0], variant=variant)
+    rs, ps = waves._axis_values(r_axis, "r"), waves._axis_values(p_axis, "p")
+    whole = waves.density_grid(params, state.n, rs, ps)
+    block = waves._BLOCK_CELLS // len(ps)
+    first = sum(r <= 0 for r in rs)
+    fixed = {first // 2, first + block // 2} - {0}  # inside the prefix and inside a block
+    rng = random.Random(f"cut:{name}")
+    for cuts in [sorted(fixed), *(sorted(rng.sample(range(1, len(rs)), rng.randint(1, 4))) for _ in range(6))]:
+        bounds = [0, *cuts, len(rs)]
+        parts = [waves.density_grid(params, state.n, rs[lo:hi], ps) for lo, hi in zip(bounds, bounds[1:])]
+        np.testing.assert_array_equal(np.concatenate([g.amplitudes for g in parts]).view(float), whole.amplitudes.view(float))
+        np.testing.assert_array_equal(np.concatenate([g.densities for g in parts]), whole.densities)
+        shifted = [(lo + i, j, msg) for lo, g in zip(bounds, parts) for i, j, msg in g.cell_errors]
+        assert shifted == list(whole.cell_errors), cuts

@@ -316,6 +316,19 @@ class TestDensityGrid:
         with pytest.raises(DomainError):
             waves.density_grid(params_1s, 0, [1.0, 0.5], [0.0, 1.0])
 
+    def test_narrow_interval_fails_as_its_values_do(self, params_1s):
+        # five points from 1 to its next float repeat r = 1: (lo, hi, count)
+        # and the same values given explicitly fail the one axis check alike
+        hi = math.nextafter(1.0, 2.0)
+        values = [1.0 + (hi - 1.0) * i / 4 for i in range(5)]
+        assert len(set(values)) < 5
+        messages = []
+        for r_axis in ((1.0, hi, 5), values):
+            with pytest.raises(DomainError) as exc:
+                waves.density_grid(params_1s, 0, r_axis, (0.0, 1.0, 2))
+            messages.append(str(exc.value))
+        assert messages == ["r axis must be strictly ascending"] * 2
+
     def test_cell_errors_recorded_not_raised(self, params_1s):
         # r = 0 cells fail individually and are recorded as NaN
         grid = waves.density_grid(params_1s, 0, [0.0, 1.0], [0.0])
