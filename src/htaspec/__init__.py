@@ -10,7 +10,7 @@ Subpackages by role:
 * ``confine1d``  -- 1D linear-confinement Airy solution and normalization
 * ``waves``      -- phase-space wave functions, normalization, density grids
 * ``gridsplit``  -- the grid command's rows across CPUs, by forked workers
-* ``fitting``    -- Nelder-Mead parameter fits against measured levels
+* ``fitting``    -- least-squares (Levenberg-Marquardt) parameter fits
 * ``dataio``     -- JSON dataset schema and the bundled meson tables
 * ``cli``        -- the ``htaspec`` command-line tool
 """

@@ -13,8 +13,9 @@ check takes only --input, --suite and --out (it writes no file).
 grid evaluates the polynomial n = k - 1 of --state kL, scaled (unless
 --no-normalize) by the closed-form B of waves.normalize_B, which check tests
 against a 2-D quadrature; a non-normalizable state exits 3 and writes nothing.
-An axis must give at least one value, strictly ascending: an empty interval,
-or one too narrow for its steps to be distinct floats, exits 2 with no file.
+grid's axes and scan's values share one rule: strictly ascending, from at
+least one value (scan: two).  An empty or non-finite interval, or one too
+narrow for its steps to be distinct floats, exits 2 with no file.
 
 Exit codes: 0 ok, 2 input error, 3 non-physical parameters, 4 fit failure,
 5 internal numeric failure; a malformed --state (1F, 0S, X) exits 2, a state
@@ -241,8 +242,8 @@ def cmd_grid(args) -> int:
 
     variant = Variant.parse(args.variant)
     try:
-        rs = waves._axis_values((args.rmin, args.rmax, args.rsteps), "r")
-        ps = waves._axis_values((args.pmin, args.pmax, args.psteps), "p")
+        rs = core._axis_values((args.rmin, args.rmax, args.rsteps), "r")
+        ps = core._axis_values((args.pmin, args.pmax, args.psteps), "p")
     except DomainError as exc:
         raise InputError(str(exc)) from None
     records = _select_mesons(args)
@@ -285,18 +286,17 @@ def _grid_lines(grid, digits: int):
 
 def cmd_scan(args) -> int:
     variant = Variant.parse(args.variant)
-    if not (args.lo < args.hi):
-        raise InputError(f"empty scan interval [{args.lo}, {args.hi}]")
-    if args.steps < 2:
-        raise InputError(f"scan needs at least 2 steps, got {args.steps}")
     records = _select_mesons(args)
     if len(records) != 1:
         raise InputError("scan needs exactly one meson (use --meson)")
     rec = records[0]
-    _make_out_dir(args.out)
     d = args.precision
     sys_v = rec.system(variant)
-    points = core.parameter_scan(sys_v, args.state, args.param, args.lo, args.hi, args.steps, variant)
+    try:  # the steps and the interval are checked here, by grid's axis rule
+        points = core.parameter_scan(sys_v, args.state, args.param, args.lo, args.hi, args.steps, variant)
+    except DomainError as exc:
+        raise InputError(str(exc)) from None
+    _make_out_dir(args.out)
     rows = [
         [args.param, _fmt(pt.value, d), _fmt(pt.mass, d), str(pt.physical).lower(), pt.branch]
         for pt in points

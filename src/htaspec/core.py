@@ -480,6 +480,20 @@ def mass_spectrum(sys: MesonSystem, state: QuantumState, variant: Variant | str 
     return mass_spectrum_detailed(sys, state, variant)[0]
 
 
+def _axis_values(axis, name: str) -> list[float]:
+    """Axis values from (lo, hi, count) or explicit values: at least one, strictly ascending."""
+    if isinstance(axis, tuple) and len(axis) == 3 and isinstance(axis[2], int):
+        lo, hi, count = axis
+        vals = [float(lo)] if count == 1 else [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    else:
+        vals = [float(v) for v in axis]
+    if not vals:
+        raise DomainError(f"{name} axis needs at least 1 point")
+    if not all(a < b for a, b in zip(vals, vals[1:])):  # NaN is not ascending either
+        raise DomainError(f"{name} axis must be strictly ascending")
+    return vals
+
+
 # mass is NaN at a non-physical point
 ScanPoint = namedtuple("ScanPoint", "value mass physical branch", defaults=("",))
 
@@ -493,7 +507,9 @@ def parameter_scan(
     steps: int,
     variant: Variant | str = Variant.REAL,
 ) -> list[ScanPoint]:
-    """Masses over a monotone grid of one Cornell parameter.
+    """Masses over steps >= 2 values of one Cornell parameter from lo to hi,
+    built and checked by _axis_values (the grid axes' rule): values that are
+    not strictly ascending raise DomainError.
 
     Non-physical points are kept in the output, flagged, with mass = NaN.
     """
@@ -502,11 +518,8 @@ def parameter_scan(
     steps = int(steps)
     if steps < 2:
         raise DomainError(f"scan needs at least 2 steps, got {steps}")
-    if not (lo < hi):
-        raise DomainError(f"empty scan interval [{lo}, {hi}]")
     out = []
-    for i in range(steps):
-        v = lo + (hi - lo) * i / (steps - 1)
+    for v in _axis_values((lo, hi, steps), param):
         kw = {"a": sys.params.a, "b": sys.params.b, "delta": sys.params.delta}
         kw[param] = v
         try:

@@ -28,7 +28,7 @@ from .errors import NumericError
 @contextmanager
 def evaluate(params: waves.WaveParams, n: int, rs: list[float], ps: list[float], digits: int):
     """Yield (lines, cell_errors) of the grid rs x ps, axis values checked by
-    waves._axis_values: its CSV lines without the header, row by row, and
+    core._axis_values: its CSV lines without the header, row by row, and
     density_grid's cell errors over the whole grid.  Both are those
     of one density_grid call; every worker is reaped when the block exits,
     however it exits.

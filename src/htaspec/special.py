@@ -172,8 +172,11 @@ def gamma_complex(z: complex) -> complex:
 
 # Gamma(s, z) on Re z > 0, per element, by route:
 #   * Legendre's continued fraction, by the modified Lentz scheme (Thompson &
-#     Barnett, J. Comput. Phys. 64, 1986), once |z| clears 1.5 and Re s + 1;
-#   * below that, the Kummer series for the lower function at an order
+#     Barnett, J. Comput. Phys. 64, 1986), once |z| clears 1.5 and Re s + 1,
+#     unless Im s shares Im z's sign and |Im s| >= 1.1 |z|: a seeded mpmath
+#     sweep (|z| up to 1e3) found the fraction wrong there from about
+#     |Im s| = 1.2 |z| on, and the series right from |Im s| = |z| on;
+#   * otherwise the Kummer series for the lower function at an order
 #     lifted to Re s >= 1, then the downward order recurrence
 #     Gamma(s, z) = (Gamma(s+1, z) - z^s e^-z) / s;
 #   * orders within _POLE_RADIUS of a non-positive integer -n, where that
@@ -328,7 +331,8 @@ def _near_pole(s, z):
 
 
 def _upper_gamma(s, z):
-    fraction = abs(z) >= np.maximum(1.5, s.real + 1.0)
+    az = abs(z)
+    fraction = (az >= np.maximum(1.5, s.real + 1.0)) & ((s.imag * z.imag <= 0) | (abs(s.imag) < 1.1 * az))
     pole = ~fraction & (s.real <= 0.5) & (abs(s - np.round(s.real)) <= _POLE_RADIUS)
     out = np.empty(s.shape, complex)
     for mask, route in (
@@ -358,7 +362,9 @@ def upper_incomplete_gamma(s, z):
     the worst relative errors measured are 1.7e-13 on the continued
     fraction, 1.4e-13 on the near-pole route and 6.4e-14 on the series.
     Orders near the poles, s = -n + eps e^(i theta) with n = 0..4 and
-    eps in [1e-300, 1e-3] at |z| <= 1.4, stay within 6e-15.
+    eps in [1e-300, 1e-3] at |z| <= 1.4, stay within 6e-15.  On 4,500
+    seeded points with Re s in [-8, 12], |Im s| <= 60, |z| in [1.5, 100]
+    and |arg z| < 1.55, Im s and Im z of either sign, the worst is 6.5e-14.
     """
     scalar = np.ndim(s) == 0 and np.ndim(z) == 0
     s, z = np.broadcast_arrays(np.asarray(s, complex), np.asarray(z, complex))

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import nu
-from .core import MesonSystem, QuantumState, Variant, real_constants
+from .core import MesonSystem, QuantumState, Variant, _axis_values, real_constants
 from .errors import DomainError, NonPhysicalParameters, NumericError
 from .special import gauss_laguerre, upper_incomplete_gamma
 
@@ -395,19 +395,6 @@ def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
     errors = [(i, j, f"DomainError: {_R_DOMAIN.format(rs[i])}") for i in range(first) for j in range(len(ps))]
     errors += [(first + i, j, "NumericError: |psi_n|^2 is not finite") for i, j in np.argwhere(bad[first:]).tolist()]
     return PhaseSpaceGrid(r_values=tuple(rs), p_values=tuple(ps), amplitudes=amp, densities=dens, cell_errors=tuple(errors))
-
-
-def _axis_values(axis, name: str) -> list[float]:
-    if isinstance(axis, tuple) and len(axis) == 3 and isinstance(axis[2], int):
-        lo, hi, count = axis
-        vals = [float(lo)] if count == 1 else [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    else:
-        vals = [float(v) for v in axis]
-    if not vals:
-        raise DomainError(f"{name} axis needs at least 1 point")
-    if not all(a < b for a, b in zip(vals, vals[1:])):  # NaN is not ascending either
-        raise DomainError(f"{name} axis must be strictly ascending")
-    return vals
 
 
 def peak_radius(grid: PhaseSpaceGrid, p_index: int) -> float:

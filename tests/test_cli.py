@@ -411,6 +411,19 @@ class TestGridScan:
     def test_scan_bad_interval_exits_2(self, tmp_path):
         assert run(["scan", "--meson", "ccbar", "--param", "a", "--lo", "2", "--hi", "1", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "param, lo, hi, steps",
+        [("a", "1", "1.0000000000000002", "5"), ("b", "0", "inf", "3")],
+        ids=["repeated-values", "infinite-interval"],
+    )
+    def test_scan_takes_grids_axis_rule(self, tmp_path, capsys, param, lo, hi, steps):
+        # values that repeat, or are nan and inf, are no scan: one line, exit 2, no CSV
+        out = tmp_path / "out"
+        argv = ["scan", "--meson", "ccbar", "--param", param, "--lo", lo, "--hi", hi, "--steps", steps]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: {param} axis must be strictly ascending\n"
+        assert not out.exists()
+
 
 class TestCheck:
     def test_nu_suite_passes(self, capsys):

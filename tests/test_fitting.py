@@ -74,20 +74,46 @@ class TestResidual:
         assert fitting.residual(sys_v, levels) < 1e-3
 
 
-class TestNelderMead:
-    def test_quadratic_bowl(self):
-        f = lambda x: (x[0] - 1.5) ** 2 + 3 * (x[1] + 0.5) ** 2 + 1.0
-        x, fval, converged, n_eval = fitting.nelder_mead(f, [0.0, 0.0])
-        assert converged
-        assert x[0] == pytest.approx(1.5, abs=1e-6)
-        assert x[1] == pytest.approx(-0.5, abs=1e-6)
-        assert fval == pytest.approx(1.0, abs=1e-12)
-        assert n_eval > 0
+class TestLevenbergMarquardt:
+    @staticmethod
+    def rosenbrock(x):
+        # zero residual at (1, 1, 3), reached through Rosenbrock's curved valley
+        return [10.0 * (x[1] - x[0] ** 2), 1.0 - x[0], x[2] - 3.0]
 
-    def test_iteration_cap_flags_unconverged(self):
-        f = lambda x: abs(x[0]) + abs(x[1])
-        _, _, converged, _ = fitting.nelder_mead(f, [5.0, 5.0], max_iter=3)
+    def test_minimum_reached_to_rounding(self):
+        x, r, converged, n_eval = fitting._levenberg_marquardt(self.rosenbrock, [-1.2, 1.0, 0.0])
+        assert converged
+        assert x == pytest.approx([1.0, 1.0, 3.0], abs=1e-14)
+        assert max(map(abs, r)) < 1e-14
+        assert r == self.rosenbrock(x)
+        assert n_eval > 7  # the seed, one Jacobian (6) and at least one trial
+
+    def test_inadmissible_seed_comes_back_unconverged(self):
+        admissible = lambda x: None if x[0] <= 0 else self.rosenbrock(x)
+        assert fitting._levenberg_marquardt(admissible, [-1.2, 1.0, 0.0]) == ([-1.2, 1.0, 0.0], None, False, 1)
+
+    def test_inadmissible_steps_are_rejected(self):
+        # the least-squares minimum x0 = 0 lies where x0 <= 0.5 is inadmissible:
+        # trial steps across the boundary are rejected, and the fit stops
+        # unconverged at it, where no central difference can be taken
+        seen = []
+        line = lambda x: seen.append(x) or (None if x[0] <= 0.5 else [x[0], x[1] - 1.0, x[2] - 3.0])
+        x, r, converged, n_eval = fitting._levenberg_marquardt(line, [2.0, 0.0, 0.0])
         assert not converged
+        assert any(p[0] <= 0.5 for p in seen)
+        assert 0.5 < x[0] < 0.5001
+        assert r == [x[0], x[1] - 1.0, x[2] - 3.0]
+        assert n_eval == len(seen)
+
+    def test_step_cap_flags_unconverged(self, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAX_STEPS", 2)
+        _, _, converged, n_eval = fitting._levenberg_marquardt(self.rosenbrock, [-1.2, 1.0, 0.0])
+        assert not converged
+        assert n_eval <= 1 + 2 * (6 + 1)
+        truth = MesonSystem(1.23, 1.23, CornellParams(-1.5, 0.45, 0.52), "test")
+        result = fitting.fit(truth, synthetic_levels(truth), seeds=[CornellParams(-1.2, 0.5, 0.6)])
+        assert not result.converged
+        assert result.residual_rms > 1e-7
 
 
 class TestFit:
@@ -177,13 +203,16 @@ class TestFit:
         sys_v = rec.system(Variant.REAL)
         levels = rec.experimental_levels(Variant.REAL)
         calls = []
-        orig = fitting.residual
-        monkeypatch.setattr(fitting, "residual", lambda *a: calls.append(a) or orig(*a))
+        orig = fitting._level_errors
+        monkeypatch.setattr(fitting, "_level_errors", lambda *a: calls.append(a) or orig(*a))
         result = fitting.fit(sys_v, levels)
-        # every residual comes from a Nelder-Mead objective call, none after
+        # every scoring is one of the solver's residual evaluations, none after
         assert 0 < len(calls) <= result.n_eval
         sys_fit = MesonSystem(sys_v.m_q, sys_v.m_qbar, result.params, sys_v.label)
-        assert result.residual_rms == orig(sys_fit, levels)
+        calls.clear()
+        # residual reads the same per-level function, and agrees to the bit
+        assert result.residual_rms == fitting.residual(sys_fit, levels)
+        assert len(calls) == 1
 
     def test_branch_choices_recorded(self, dataset):
         rec = dataset["ccbar"]

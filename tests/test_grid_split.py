@@ -263,7 +263,7 @@ def test_any_row_cut_gives_the_one_call_grid(name):
     variant, state = Variant.parse(variant), QuantumState.from_label(label)
     sys_v = rec.system(variant)
     params = waves.wave_params(sys_v, state, core.level(sys_v, state, variant)[0], variant=variant)
-    rs, ps = waves._axis_values(r_axis, "r"), waves._axis_values(p_axis, "p")
+    rs, ps = core._axis_values(r_axis, "r"), core._axis_values(p_axis, "p")
     whole = waves.density_grid(params, state.n, rs, ps)
     block = waves._BLOCK_CELLS // len(ps)
     first = sum(r <= 0 for r in rs)

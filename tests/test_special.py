@@ -287,6 +287,27 @@ class TestUpperIncompleteGamma:
                         worst = max(worst, abs(got - ref) / abs(ref))
         assert worst <= 1e-12
 
+    def test_same_sign_imaginary_parts_point(self):
+        # Im s and Im z share a sign and |Im s| = 5.4 |z|: the continued
+        # fraction gave 7.25e-24+3.69e-24i here
+        mp = pytest.importorskip("mpmath")
+        s, z = complex(6.542, -47.84), complex(1.592, -8.784)
+        with mp.workdps(40):
+            ref = complex(mp.gammainc(mp.mpc(s), mp.mpc(z), mp.inf))
+        assert special.upper_incomplete_gamma(s, z) == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_same_sign_quadrant_vs_mpmath(self):
+        # a seeded draw where Im s and Im z share a sign, either side of the
+        # switch from the continued fraction to the series at |Im s| = 1.1 |z|
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        z = np.exp(rng.uniform(math.log(1.5), math.log(60.0), 300) + 1j * rng.uniform(-1.55, 1.55, 300))
+        s = rng.uniform(-8.0, 12.0, 300) + 1j * np.sign(z.imag) * rng.uniform(0.0, 3.0, 300) * abs(z)
+        with mp.workdps(40):
+            ref = np.array([complex(mp.gammainc(mp.mpc(a), mp.mpc(b), mp.inf)) for a, b in zip(s, z)])
+        got = special.upper_incomplete_gamma(s, z)
+        assert np.all(abs(got - ref) <= 1e-12 * abs(ref))
+
     def test_mixed_route_array(self):
         # one call whose elements take every route, against mpmath, beside
         # two elements with no finite value
