@@ -13,9 +13,10 @@ check takes only --input, --suite and --out (it writes no file).
 grid evaluates the polynomial n = k - 1 of --state kL, scaled (unless
 --no-normalize) by the closed-form B of waves.normalize_B, which check tests
 against a 2-D quadrature; a non-normalizable state exits 3 and writes nothing.
-grid's axes and scan's values share one rule: strictly ascending, from at
-least one value (scan: two).  An empty or non-finite interval, or one too
-narrow for its steps to be distinct floats, exits 2 with no file.
+grid's axes and scan's values share one rule: strictly ascending and
+finite, from at least one value (scan: two).  An empty or non-finite
+interval, one too narrow for its steps to be distinct floats, or one whose
+values overflow to inf, exits 2 with no file.
 
 Exit codes: 0 ok, 2 input error, 3 non-physical parameters, 4 fit failure,
 5 internal numeric failure; a malformed --state (1F, 0S, X) exits 2, a state

@@ -481,7 +481,8 @@ def mass_spectrum(sys: MesonSystem, state: QuantumState, variant: Variant | str 
 
 
 def _axis_values(axis, name: str) -> list[float]:
-    """Axis values from (lo, hi, count) or explicit values: at least one, strictly ascending."""
+    """Axis values from (lo, hi, count) or explicit values: at least one,
+    strictly ascending and finite ((hi - lo) i can overflow for finite ends)."""
     if isinstance(axis, tuple) and len(axis) == 3 and isinstance(axis[2], int):
         lo, hi, count = axis
         vals = [float(lo)] if count == 1 else [lo + (hi - lo) * i / (count - 1) for i in range(count)]
@@ -491,6 +492,8 @@ def _axis_values(axis, name: str) -> list[float]:
         raise DomainError(f"{name} axis needs at least 1 point")
     if not all(a < b for a, b in zip(vals, vals[1:])):  # NaN is not ascending either
         raise DomainError(f"{name} axis must be strictly ascending")
+    if not (math.isfinite(vals[0]) and math.isfinite(vals[-1])):  # ascending: the ends bound the rest
+        raise DomainError(f"{name} axis must be finite")
     return vals
 
 

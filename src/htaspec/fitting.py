@@ -7,8 +7,9 @@ the masses are bimodal in a, hence seeds in both a-sign basins.  It steps
 only to points where every fit level has a bound state; residual, the
 unweighted RMS, gives a level without one a flat 10 GeV instead.  Both read
 one scoring loop, which builds the system's level rule (core.level_rule)
-once per evaluation.  The bundled complex5 fit takes 618 evaluations,
-where the Nelder-Mead simplex it replaced took 12,414.
+once per evaluation; fit builds no rule outside it, and returns the best
+seed's RMS as scored there.  The bundled complex5 fit takes 618
+evaluations, where the Nelder-Mead simplex it replaced took 12,414.
 """
 
 from __future__ import annotations
@@ -18,16 +19,14 @@ from collections import namedtuple
 from functools import reduce
 from operator import add, mul
 
-from .core import CornellParams, MesonSystem, Variant, cornell_quadratic, level_rule, mass_spectrum_detailed
+from .core import CornellParams, MesonSystem, Variant, cornell_quadratic, level_rule
 from .dataio import ExperimentalLevel
 from .errors import DegenerateStateError, DomainError, FitFailedError, NonPhysicalParameters, UnderdeterminedFitError
 
 __all__ = [
     "ExperimentalLevel",
-    "LevelResult",
     "FitResult",
     "residual",
-    "per_level_results",
     "fit",
     "default_seeds",
 ]
@@ -38,25 +37,11 @@ _XTOL = 1e-10  # the step test, relative to each parameter
 _H = 6e-6  # central-difference step, relative: about eps^(1/3)
 
 
-# one row of a fit: model_mass is NaN where the model has no bound state,
-# error (model - exp) is None unless both masses exist
-LevelResult = namedtuple("LevelResult", "label model_mass exp_mass error branch included", defaults=(True,))
-
-
-class FitResult(namedtuple("FitResult", "params residual_rms per_level converged n_eval", defaults=(0,))):
-    """Fitted parameters, their RMS residual, one LevelResult per level, whether
+class FitResult(namedtuple("FitResult", "params residual_rms converged n_eval")):
+    """Fitted parameters, their RMS residual (residual() there, to the bit), whether
     the best seed passed the step test, and the residual evaluations of all seeds."""
 
     __slots__ = ()
-
-    def recomputed_rms(self) -> float:
-        """Independent recomputation of residual_rms from per_level rows."""
-        rows = [lr for lr in self.per_level if lr.included]
-        errs = [lr.error for lr in rows if lr.error is not None and math.isfinite(lr.model_mass)]
-        penal = [lr for lr in rows if lr.exp_mass is not None and not math.isfinite(lr.model_mass)]
-        total = math.fsum(e * e for e in errs) + _PENALTY_GEV ** 2 * len(penal)
-        count = len(errs) + len(penal)
-        return math.sqrt(total / count) if count else math.nan
 
 
 def _usable(levels) -> list[ExperimentalLevel]:
@@ -93,19 +78,6 @@ def residual(sys: MesonSystem, levels, variant: Variant | str = Variant.REAL) ->
     variant = Variant.parse(variant)
     errors = _level_errors(sys, _usable(levels), variant)
     return _rms([_PENALTY_GEV if math.isnan(e) else e for e in errors])
-
-
-def per_level_results(sys: MesonSystem, levels, variant: Variant | str = Variant.REAL) -> tuple[LevelResult, ...]:
-    variant = Variant.parse(variant)
-    out = []
-    for lv in levels:
-        try:
-            model, branch = mass_spectrum_detailed(sys, lv.state, variant)
-        except (NonPhysicalParameters, DegenerateStateError, DomainError):
-            model, branch = math.nan, ""
-        err = model - lv.mass if (lv.mass is not None and math.isfinite(model)) else None
-        out.append(LevelResult(lv.label, model, lv.mass, err, branch, included=lv.usable))
-    return tuple(out)
 
 
 def _solve(m, v):
@@ -233,7 +205,4 @@ def fit(
     if best is None:
         raise FitFailedError("every seed ended non-physical; no fit result")
     x, rms, converged = best
-    params = CornellParams(*x)
-    sys_fit = MesonSystem(m_q, m_qbar, params, label)
-    # rms is residual(sys_fit, levels, variant), not recomputed
-    return FitResult(params, rms, per_level_results(sys_fit, levels, variant), converged, total_eval)
+    return FitResult(CornellParams(*x), rms, converged, total_eval)

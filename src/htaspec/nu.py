@@ -25,10 +25,11 @@ the principal root of h1^2 - st2).  Then pi = h +- (l0 + l1 s),
 tau = tau_t + 2 pi, lambda = K + pi', and the polynomial index rule is
 lambda_n = -n tau' - n(n-1).
 
-solve, the one entry point, returns K, pi, tau and lambda.  phi and rho
-are built on request (phi_descriptor, rho_descriptor) as closed-form
-descriptors exp(rate/s) * s^power, the family sigma = s^2 produces; its
-Rodrigues polynomials y_n = (1/rho) d^n/ds^n (s^2n rho) are generalized
+solve, the one entry point, returns K, pi, tau and lambda.  phi (phi'/phi
+= pi/s^2) and the weight rho ((s^2 rho)' = tau rho) are exp(rate/s) *
+s^power in the family sigma = s^2 produces (ExpPowerForm): phi has rate
+-pi0 and power pi1, rho rate -tau0 and power tau1 - 2.  The Rodrigues
+polynomials y_n = (1/rho) d^n/ds^n (s^2n rho) of such a rho are generalized
 Bessel polynomials, which rodrigues_y writes in closed form.
 
 Polynomials are ascending coefficient tuples: (c0, c1, c2) is c0 + c1 s
@@ -49,8 +50,6 @@ __all__ = [
     "ExpPowerForm",
     "RodriguesPolynomial",
     "lambda_n",
-    "phi_descriptor",
-    "rho_descriptor",
     "rodrigues_y",
     "solve",
 ]
@@ -111,16 +110,6 @@ def lambda_n(tau: tuple[complex, complex], n: int) -> complex:
     if n < 0:
         raise DomainError(f"lambda_n: n must be >= 0, got {n}")
     return -n * tau[1] - n * (n - 1)
-
-
-def phi_descriptor(pi: tuple[complex, complex]) -> ExpPowerForm:
-    """phi with phi'/phi = pi/s^2, as exp(rate/s) * s^power."""
-    return ExpPowerForm(rate=-pi[0], power=pi[1])
-
-
-def rho_descriptor(tau: tuple[complex, complex]) -> ExpPowerForm:
-    """Weight rho solving (s^2 rho)' = tau rho, as exp(rate/s) * s^power."""
-    return ExpPowerForm(rate=-tau[0], power=tau[1] - 2)
 
 
 def rodrigues_y(rho: ExpPowerForm, n: int) -> RodriguesPolynomial:

@@ -143,7 +143,7 @@ class TestSpectrum:
         assert "'noparams' has no stored parameters for real7" in captured.err
 
     def test_each_mass_computed_once(self, tmp_path, monkeypatch):
-        from htaspec import core, fitting
+        from htaspec import core
 
         states = []
         orig = core.mass_spectrum_detailed
@@ -152,9 +152,7 @@ class TestSpectrum:
             states.append(state)
             return orig(sys_v, state, variant)
 
-        # counted under each name a caller can look it up by
         monkeypatch.setattr(core, "mass_spectrum_detailed", counting)
-        monkeypatch.setattr(fitting, "mass_spectrum_detailed", counting)
         assert run(["spectrum", "--meson", "ccbar", "--out", str(tmp_path)]) == 0
         # 7 levels, all among the 22 distinct figure states (18 + 16 - 12 shared)
         assert len(states) == len(set(states)) == 22
@@ -422,6 +420,23 @@ class TestGridScan:
         argv = ["scan", "--meson", "ccbar", "--param", param, "--lo", lo, "--hi", hi, "--steps", steps]
         assert run([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"input error: {param} axis must be strictly ascending\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, axis",
+        [
+            (["scan", "--param", "b", "--lo", "0", "--hi", "1.7e308", "--steps", "3"], "b"),
+            (["grid", "--no-normalize", "--rmin", "1", "--rmax", "1.7e308", "--rsteps", "3", "--psteps", "1"], "r"),
+            (["grid", "--no-normalize", "--rmin", "inf", "--rsteps", "1", "--psteps", "1"], "r"),
+        ],
+        ids=["scan-overflow", "grid-overflow", "grid-inf-point"],
+    )
+    def test_axis_past_double_range_exits_2(self, tmp_path, capsys, argv, axis):
+        # finite ends 1.7e308 apart put the last value at inf, and one value
+        # may be inf itself: one line, exit 2, no CSV
+        out = tmp_path / "out"
+        assert run([*argv, "--meson", "ccbar", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"input error: {axis} axis must be finite\n"
         assert not out.exists()
 
 
