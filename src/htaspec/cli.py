@@ -7,7 +7,8 @@
     htaspec check    [--input F] [--suite nu|quadrature|moment|all]
 
 spectrum, fit, grid and scan take --input F, --variant V, --out D, --meson L
-and --precision D (significant digits of CSV floats, default 17; D >= 1).
+and --precision D (significant digits of CSV floats, default 17; D from 1
+to 2**31 - 1, the largest precision "%" takes).
 check takes only --input, --suite and --out (it writes no file).
 
 grid evaluates the polynomial n = k - 1 of --state kL, scaled (unless
@@ -33,16 +34,18 @@ ms now (-X importtime, median of 7, 2-vCPU host).
 
 grid splits its rows into contiguous slices, one per usable CPU (gridsplit):
 it computes the first slice, and a forked worker computes and formats each
-other one and sends its cell errors and CSV lines through a pipe.  The CSV,
-the report and the exit code are those of one slice, and every worker is
-reaped on every exit path.  Only a process with one OS thread is forked (on
-Linux, one entry in /proc/self/task; elsewhere grid takes one slice), and
-OpenBLAS starts a thread pool when numpy is imported, so main sets
-OPENBLAS_NUM_THREADS=1 when it is unset and numpy is not loaded yet (the
-largest LAPACK calls here are eigenproblems of at most 50 x 50).  main also
-registers gc.freeze with atexit, so the interpreter's shutdown collections
-skip the heap: a script's exit after importing grid's modules fell from 26
-to 8 ms (median of 21, 2-vCPU host).
+other one and sends its cell errors and then its CSV text, one item per r
+row, through a pipe; _write_csv writes each item as it comes.  The CSV, the
+report and the exit code are those of one slice, every worker is reaped on
+every exit path, and a grid that fails while writing leaves no CSV.  Only a
+process with one OS thread is forked (on Linux, one entry in
+/proc/self/task; elsewhere grid takes one slice), and OpenBLAS starts a
+thread pool when numpy is imported, so main sets OPENBLAS_NUM_THREADS=1 when
+it is unset and numpy is not loaded yet (the largest LAPACK calls here are
+eigenproblems of at most 50 x 50).  main also registers gc.freeze with
+atexit, so the interpreter's shutdown collections skip the heap: a script's
+exit after importing grid's modules fell from 26 to 8 ms (median of 21,
+2-vCPU host).
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ import gc
 import math
 import os
 import sys
-from itertools import islice
 
 from . import core, dataio
 from .core import QuantumState, Variant
@@ -76,7 +78,6 @@ EXIT_NUMERIC = 5
 
 _FIG1_STATES = [(n, l) for l in (0, 1, 2) for n in range(6)]
 _FIG2_STATES = [(n, l) for n in (0, 1, 2, 3) for l in range(4)]
-_CSV_BLOCK = 1024
 
 
 def _fmt(value, digits: int) -> str:
@@ -95,13 +96,18 @@ def _make_out_dir(path: str):
 
 
 def _write_csv(path: str, header: list[str], lines):
-    """Write the header and the CSV lines (given without newlines), _CSV_BLOCK lines per write."""
-    lines = iter(lines)
+    """Write the header, then each item of lines (CSV text without its last
+    newline) and a newline; if that raises, the file is removed."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            while block := list(islice(lines, _CSV_BLOCK)):
-                fh.write("\n".join(block) + "\n")
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+        try:
+            with fh:
+                fh.write(",".join(header) + "\n")
+                for line in lines:
+                    fh.write(line + "\n")
+        except BaseException:
+            os.remove(path)  # a failed command leaves no CSV
+            raise
     except OSError as exc:
         raise InputError(f"cannot write output: {exc}") from None
 
@@ -116,9 +122,10 @@ def _select_mesons(args) -> list[dataio.MesonRecord]:
 
 
 def _precision(text: str) -> int:
+    # "%" reads a precision as a C int and refuses a larger one
     digits = int(text)
-    if digits < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {digits}")
+    if not 1 <= digits <= 2**31 - 1:
+        raise argparse.ArgumentTypeError(f"must be from 1 to {2**31 - 1}, got {digits}")
     return digits
 
 
@@ -257,12 +264,12 @@ def cmd_grid(args) -> int:
     params = waves.wave_params(sys_v, args.state, energy, variant=variant)
     if args.normalize:
         params = params._replace(B=waves.normalize_B(params, n))
-    with gridsplit.evaluate(params, n, rs, ps, d) as (lines, errors):
+    with gridsplit.evaluate(params, n, rs, ps, d) as (rows, errors):
         _make_out_dir(args.out)
         _write_csv(
             os.path.join(args.out, f"{rec.label}_{args.state.label}_grid.csv"),
             ["r", "p_r", "re", "im", "density"],
-            lines,
+            rows,
         )
     if errors:
         shown = errors[:5]  # bounded: a grid can fail in thousands of cells
@@ -270,19 +277,6 @@ def cmd_grid(args) -> int:
         for i, j, msg in shown:
             print(f"cell ({i},{j}): {msg}", file=sys.stderr)
     return EXIT_OK
-
-
-def _grid_lines(grid, digits: int):
-    # each p_r string formatted once per grid and each r string once per row;
-    # the cells are fed from Python-float columns one r row at a time.  "%g"
-    # renders NaN as "nan", as _fmt does
-    f = f"%.{digits}g"
-    cell = ",".join([f] * 3)
-    ps = [f"{f % p}," for p in grid.p_values]
-    for r, amp, dens in zip(grid.r_values, grid.amplitudes, grid.densities):
-        head = f"{f % r},"
-        for p, values in zip(ps, zip(amp.real.tolist(), amp.imag.tolist(), dens.tolist())):
-            yield head + p + cell % values
 
 
 def cmd_scan(args) -> int:

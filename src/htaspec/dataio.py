@@ -3,8 +3,8 @@
 Input schema (JSON):
 
     {"mesons": [
-        {"label": str,
-         "m_q": GeV, "m_qbar": GeV,
+        {"label": str,                                                # non-empty, no path separator or NUL
+         "m_q": GeV, "m_qbar": GeV,                                   # finite numbers, as a, b, delta
          "params": {"real7": {"a","b","delta"}, "complex5": {...}},   # optional per variant
          "fit_levels": {"real7": ["1S", ...], ...},                   # optional; level labels,
                                                                       # default: those with data
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from collections import namedtuple
 from importlib import resources
 
@@ -126,16 +128,22 @@ def _parse_params(raw, where: str) -> dict[Variant, CornellParams]:
     out = {}
     for token, p in (raw or {}).items():
         variant = _variant(token, where)
-        try:
-            out[variant] = CornellParams(float(p["a"]), float(p["b"]), float(p["delta"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{where}: bad {token} parameter block: {exc}") from None
+        if not isinstance(p, dict):
+            raise InputError(f"{where}: bad {token} parameter block: {p!r} is not an object")
+        out[variant] = CornellParams(*(_number(p.get(key), f"{where}: {token} {key}") for key in CornellParams._fields))
     return out
 
 
 def _number_or_null(value) -> bool:
-    # exact types: JSON true/false arrive as bools, a subclass of int
-    return value is None or (type(value) in (int, float) and math.isfinite(value))
+    # exact types: JSON true/false arrive as bools, a subclass of int; an
+    # integer past double range, like inf and NaN, is not a finite double
+    return value is None or (type(value) in (int, float) and abs(value) <= sys.float_info.max)
+
+
+def _number(value, what: str) -> float:
+    if value is None or not _number_or_null(value):
+        raise InputError(f"{what} is {value!r}, not a finite number")
+    return float(value)
 
 
 def load_dataset(source: str | None = None) -> list[MesonRecord]:
@@ -158,13 +166,13 @@ def load_dataset(source: str | None = None) -> list[MesonRecord]:
         raise InputError(f"{origin}: expected a top-level object with a non-empty 'mesons' list")
     records = []
     for raw in doc["mesons"]:
-        try:
-            label = raw["label"]
-            m_q = float(raw["m_q"])
-            m_qbar = float(raw["m_qbar"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{origin}: malformed meson entry: {exc}") from None
+        if not isinstance(raw, dict):
+            raise InputError(f"{origin}: each meson must be an object")
+        label = raw.get("label")  # it names the meson's output files
+        if not isinstance(label, str) or not label or os.path.basename(label) != label or "\0" in label:
+            raise InputError(f"{origin}: meson label {label!r} must be non-empty text with no path separator or NUL")
         where = f"{origin}: meson {label!r}"
+        m_q, m_qbar = _number(raw.get("m_q"), f"{where}: m_q"), _number(raw.get("m_qbar"), f"{where}: m_qbar")
         if not (m_q > 0 and m_qbar > 0):
             raise InputError(f"{where}: quark masses must be positive")
         levels = raw.get("levels") or []

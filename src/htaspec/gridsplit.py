@@ -7,11 +7,12 @@ cell's value does not depend on which rows share its psi_n call, so a cut
 may fall on any row and the slices give the bytes of one call.  Only grid
 imports this module, so no other command compiles it.
 
-A worker sends, pickled, its slice's cell errors (or the exception
-density_grid raised) as soon as it has them, then the number of its blocks
-of CSV lines and each block.  It formats every line before it sends the
-first, so it formats while the parent formats its own slice.  Each message
-is one pickle, so a worker that ends early leaves the parent a short read.
+A worker sends, pickled, its head (its slice's cell errors, or the exception
+density_grid raised) as soon as it has it, then one message per r row: the
+row's CSV lines joined by "\n", the item that goes unchanged to the file.  It
+formats every row before it sends the first, so it formats while the parent
+formats its own slice.  Each message is one pickle, so a worker that ends
+early leaves the parent a short read.
 """
 
 from __future__ import annotations
@@ -19,34 +20,34 @@ from __future__ import annotations
 import os
 import pickle
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import chain
 
-from . import cli, waves
+from . import waves
 from .errors import NumericError
 
 
 @contextmanager
 def evaluate(params: waves.WaveParams, n: int, rs: list[float], ps: list[float], digits: int):
-    """Yield (lines, cell_errors) of the grid rs x ps, axis values checked by
-    core._axis_values: its CSV lines without the header, row by row, and
-    density_grid's cell errors over the whole grid.  Both are those
-    of one density_grid call; every worker is reaped when the block exits,
-    however it exits.
+    """Yield (rows, cell_errors) of the grid rs x ps, axis values checked by
+    core._axis_values: the CSV text of each r row (_grid_rows), without the
+    header, and density_grid's cell errors over the whole grid.  Both are
+    those of one density_grid call; every worker is reaped when the block
+    exits, however it exits.
     """
     waves._check_index(params, n)  # an n no cell takes raises before any fork
     slices = _row_slices(len(rs), len(ps))
-    workers = []  # (first row, pid, pipe) of each slice after the first
+    workers = []  # ((lo, hi), pid, pipe) of each slice after the first
     try:
         for lo, hi in slices[1:]:
-            workers.append((lo, *_fork_slice(params, n, rs[lo:hi], ps, digits)))
+            workers.append(((lo, hi), *_fork_slice(params, n, rs[lo:hi], ps, digits)))
         grid = waves.density_grid(params, n, rs[: slices[0][1]], ps)
         errors = list(grid.cell_errors)
-        for lo, _, pipe in workers:
+        for (lo, _), _, pipe in workers:
             head = _received(pipe)  # the worker's cell errors, or the exception it raised
             if isinstance(head, BaseException):
                 raise head
             errors += [(lo + i, j, msg) for i, j, msg in head]
-        yield chain(cli._grid_lines(grid, digits), *(_received_lines(pipe) for _, _, pipe in workers)), errors
+        yield chain(_grid_rows(grid, digits), *(_received_rows(pipe, hi - lo) for (lo, hi), _, pipe in workers)), errors
     finally:
         # every pipe first: a worker still writing gets EPIPE and exits once
         # the later workers, which hold copies of its read end, have exited
@@ -99,11 +100,8 @@ def _fork_slice(params: waves.WaveParams, n: int, r_rows: list[float], ps: list[
             else:
                 pickle.dump(grid.cell_errors, pipe)
                 pipe.flush()  # the parent waits for this before it writes anything
-                lines = cli._grid_lines(grid, digits)
-                blocks = ["\n".join(block) for block in iter(lambda: list(islice(lines, cli._CSV_BLOCK)), [])]
-                pickle.dump(len(blocks), pipe)
-                for block in blocks:
-                    pickle.dump(block, pipe)
+                for row in list(_grid_rows(grid, digits)):  # every row formatted before the first is sent
+                    pickle.dump(row, pipe)
         code = 0
     finally:
         os._exit(code)
@@ -117,7 +115,20 @@ def _received(pipe):
         raise NumericError("a grid worker ended before sending all of its rows") from None
 
 
-def _received_lines(pipe):
-    # a worker's CSV lines, read after its cell errors
-    for _ in range(_received(pipe)):
-        yield from _received(pipe).split("\n")
+def _received_rows(pipe, count):
+    # a worker's rows, read after its head; a function binds its own pipe,
+    # where a generator expression over the workers would read the last one's
+    for _ in range(count):
+        yield _received(pipe)
+
+
+def _grid_rows(grid, digits: int):
+    # each r row's CSV lines joined by "\n"; each p_r string formatted once
+    # per grid and each r string once per row, the cells fed from Python-float
+    # columns.  "%g" renders NaN as "nan", as cli._fmt does
+    f = f"%.{digits}g"
+    cell = ",".join([f] * 3)
+    ps = [f"{f % p}," for p in grid.p_values]
+    for r, amp, dens in zip(grid.r_values, grid.amplitudes, grid.densities):
+        head = f"{f % r},"
+        yield "\n".join([head + p + cell % values for p, values in zip(ps, zip(amp.real.tolist(), amp.imag.tolist(), dens.tolist()))])

@@ -58,9 +58,13 @@ class TestSpectrum:
             ["spectrum", "--meson", "ccbar", "--precision", "-1"],
             ["grid", "--meson", "ccbar", "--precision", "-2"],
             ["scan", "--meson", "ccbar", "--param", "a", "--lo", "1", "--hi", "2", "--precision", "0"],
+            # past the largest precision "%" takes
+            ["spectrum", "--meson", "ccbar", "--precision", "2147483648"],
+            ["grid", "--meson", "ccbar", "--no-normalize", "--precision", "2147483648"],
+            ["scan", "--meson", "ccbar", "--param", "a", "--lo", "1", "--hi", "2", "--precision", str(10**30)],
         ],
     )
-    def test_precision_below_one_exits_2(self, tmp_path, argv):
+    def test_precision_out_of_range_exits_2(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2

@@ -112,12 +112,24 @@ class TestValidation:
             {"levels": [{"label": "1S", "exp_mass": 3.0, "include_in_fit": 0}]},
             {"levels": [{"label": "1S", "exp_mass": 3.0}, {"label": "1P", "exp_mass": 3.5}], "fit_levels": {"real7": ["1S", "1p"]}},
             {"fit_levels": {"real7": ["1S", ["1S"]]}},
+            {"m_q": True},
+            {"m_qbar": "1.23"},
+            {"m_q": 10**400},
+            {"params": {"real7": {"a": "-1.68", "b": 0.5, "delta": 0.5}}},
+            {"params": {"real7": {"a": -1.0, "b": True, "delta": 0.5}}},
+            {"params": {"real7": {"a": -1.0, "b": 0.5, "delta": float("nan")}}},
+            {"label": "../escaped"},
+            {"label": ""},
+            {"label": 5},
+            {"label": "cc\u0000bar"},
         ],
         ids=["params-variant", "fit-levels-variant", "level-not-object", "params-not-object",
              "fit-levels-not-list", "reference-masses-not-object", "duplicate-level-label",
              "reference-mass-text", "reference-mass-bool", "reference-mass-list", "this-work-text",
              "this-work-infinite", "exp-mass-bool", "include-in-fit-text", "include-in-fit-number",
-             "fit-levels-unknown-label", "fit-levels-not-label"],
+             "fit-levels-unknown-label", "fit-levels-not-label", "m-q-bool", "m-qbar-text",
+             "m-q-past-double-range", "a-text", "b-bool", "delta-nan", "label-path", "label-empty",
+             "label-number", "label-nul"],
     )
     def test_malformed_shape_is_input_error(self, tmp_path, entry):
         doc = {"mesons": [{"label": "x", "m_q": 1.0, "m_qbar": 1.0, "levels": [{"label": "1S", "exp_mass": 3.0}], **entry}]}

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htaspec import cli, core, dataio, waves
+from htaspec import core, dataio, gridsplit, waves
 from htaspec.core import QuantumState, Variant
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -96,7 +96,7 @@ def expected(argv):
         (axis(argv, "--rmin", 0.05), axis(argv, "--rmax", 6.0), axis(argv, "--rsteps", 120)),
         (axis(argv, "--pmin", -1.0), axis(argv, "--pmax", 1.0), axis(argv, "--psteps", 41)),
     )
-    text = "r,p_r,re,im,density\n" + "".join(f"{line}\n" for line in cli._grid_lines(grid, 17))
+    text = "r,p_r,re,im,density\n" + "".join(f"{row}\n" for row in gridsplit._grid_rows(grid, axis(argv, "--precision", 17)))
     err = ""
     if grid.cell_errors:
         shown = grid.cell_errors[:5]
@@ -112,6 +112,8 @@ GRIDS = {
     "bcbar-3S-200x101": ["--meson", "bcbar", "--state", "3S", "--rsteps", "200", "--psteps", "101", "--no-normalize"],
     "bbbar-complex5-120x41": ["--meson", "bbbar", "--variant", "complex5", "--rsteps", "120", "--psteps", "41", "--no-normalize"],
     "ccbar-1S-320x301": ["--meson", "ccbar", "--rsteps", "320", "--psteps", "301", "--no-normalize"],
+    # a worker's formatting at other digits
+    "ccbar-1S-320x301-precision-6": ["--meson", "ccbar", "--rsteps", "320", "--psteps", "301", "--no-normalize", "--precision", "6"],
     "normalized": ["--meson", "ccbar", "--state", "2S", "--rsteps", "160", "--psteps", "81"],
     # the first 34 rows have r <= 0 and fail with psi_n's DomainError text
     "r-through-zero": ["--meson", "ccbar", "--rmin", "-1", "--rmax", "5", "--rsteps", "200", "--psteps", "101", "--no-normalize"],
@@ -230,6 +232,32 @@ def test_failing_worker_is_reaped(tmp_path):
     assert (rc, out, stderr) == (5, "", "numeric failure: injected failure\n")
     assert forks >= 1 and left == "none"
     assert not (tmp_path / "out").exists()
+
+
+# the next test's workers fail while formatting, after they have sent their cell errors
+FAIL_FORMATTING_PAST_ROW_0 = """
+from htaspec import waves
+class Unformattable:
+    def __iter__(self):
+        raise MemoryError
+_density_grid = waves.density_grid
+def density_grid(params, n, r_axis, p_axis):
+    grid = _density_grid(params, n, r_axis, p_axis)
+    if not isinstance(r_axis, tuple) and r_axis[0] > 0.05:
+        grid.densities = Unformattable()
+    return grid
+waves.density_grid = density_grid
+"""
+
+
+@linux_only
+def test_worker_failing_after_its_cell_errors_leaves_no_csv(tmp_path):
+    # the parent has written its own rows when it finds a worker's missing
+    argv = ["grid", *GRIDS["ccbar-1S-320x301"], "--out", "out"]
+    rc, out, stderr, forks, left = run_grid(tmp_path, argv, FOUR_CPUS + FAIL_FORMATTING_PAST_ROW_0, {"OPENBLAS_NUM_THREADS": "1"})
+    assert (rc, out, stderr) == (5, "", "numeric failure: a grid worker ended before sending all of its rows\n")
+    assert (forks, left) == (3, "none")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.skipif(CPUS < 2, reason="one usable CPU: grid forks no worker")
