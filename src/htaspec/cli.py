@@ -29,8 +29,7 @@ and dataio, fit adds fitting, check --suite nu adds nu, grid adds waves, nu,
 special, gridsplit and numpy, and check's quadrature (moment) suite adds
 waves, nu, special, confine1d and numpy (confine1d, special and numpy).  No
 command imports scipy or dataclasses: with no bytecode cache, `import
-htaspec.cli` took 46 ms while the value types were dataclasses and takes 21
-ms now (-X importtime, median of 7, 2-vCPU host).
+htaspec.cli` takes 34 ms over a bare interpreter (median of 15, 2-vCPU host).
 
 grid splits its rows into contiguous slices, one per usable CPU (gridsplit):
 it computes the first slice, and a forked worker computes and formats each

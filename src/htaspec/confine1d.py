@@ -56,11 +56,11 @@ _GL_PANELS, _GL_NODES = 8, 32
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 
 
-def _gauss_legendre(f, a: float, b: float) -> float:
-    """int_a^b f(t) dt, with f called once on the array of all nodes."""
+def _gauss_legendre(a: float, b: float):
+    """(t, w): the nodes on [a, b] and their weights, so int_a^b f(t) dt is f(t) @ w."""
     h = (b - a) / _GL_PANELS
     t = (a + h * (np.arange(_GL_PANELS)[:, None] + (_GL_X + 1.0) / 2.0)).ravel()
-    return float(f(t) @ np.tile(_GL_W * (h / 2.0), _GL_PANELS))
+    return t, np.tile(_GL_W * (h / 2.0), _GL_PANELS)
 
 
 class Confinement1DSystem(namedtuple("Confinement1DSystem", "m b")):
@@ -126,7 +126,8 @@ def _norm_integral(sys: Confinement1DSystem, e0: float, arg_cut: float) -> float
     """
     m, w = sys.m, sys.omega ** (-1.0 / 3.0)
     p_max = math.sqrt(max(2.0 * m * (arg_cut / w + e0), 0.0)) + 1e-12
-    val = _gauss_legendre(lambda p: _airy_r2_moment((p * p / (2.0 * m) - e0) * w) / (sys.b * w) ** 3, 0.0, p_max)
+    p, wts = _gauss_legendre(0.0, p_max)
+    val = float(_airy_r2_moment((p * p / (2.0 * m) - e0) * w) / (sys.b * w) ** 3 @ wts)
     if not math.isfinite(val) or val <= 0:
         raise NumericError(f"normalization quadrature failed (value {val})")
     return 2.0 * val  # even in p_r
@@ -135,8 +136,8 @@ def _norm_integral(sys: Confinement1DSystem, e0: float, arg_cut: float) -> float
 def _airy_half_moment(x0: float) -> float:
     """I(x0) = int_{x0}^inf (t - x0)^(5/2) Ai(t)^2 dt = int_0^inf 2 s^6 Ai(x0 + s^2)^2 ds,
     cut where the Airy argument passes max(15, x0 + 1) + 25, as in _airy_moment."""
-    s_max = math.sqrt(max(_ARG_CUT - x0, 1.0) + 25.0)
-    return _gauss_legendre(lambda s: 2.0 * s ** 6 * special.airy_ai(x0 + s * s) ** 2, 0.0, s_max)
+    s, w = _gauss_legendre(0.0, math.sqrt(max(_ARG_CUT - x0, 1.0) + 25.0))
+    return float(2.0 * s ** 6 * special.airy_ai(x0 + s * s) ** 2 @ w)
 
 
 def normalize_1d(sys: Confinement1DSystem, e0: float) -> float:
@@ -152,35 +153,30 @@ def normalize_1d(sys: Confinement1DSystem, e0: float) -> float:
     return math.sqrt(15.0 / (8.0 * math.pi * i_x0)) * (sys.m * sys.b) ** (1.0 / 3.0)
 
 
-def _airy_moment(n: int, x: float) -> float:
-    """J_n(x) = int_0^inf t^n Ai^2(t + x) dt by Gauss-Legendre quadrature
-    up to t = max(15 - x, 1) + 25, where Ai^2(t + x) is below 1e-140."""
-    return _gauss_legendre(lambda t: t ** n * special.airy_ai(t + x) ** 2, 0.0, max(_ARG_CUT - x, 1.0) + 25.0)
+def _airy_moment(n: int, x: float) -> tuple[float, float, float]:
+    """(J_n(x), J_{n-1}(x), J''_{n-1}(x)) from one Airy pass, J_n(x) = int_0^inf t^n Ai^2(t + x) dt
+    cut at t = max(15 - x, 1) + 25, where Ai^2(t + x) is below 1e-140; J'' is exact
+    under the integral by (Ai^2)'' = 2 Ai'^2 + 2 (t+x) Ai^2 (the Airy equation)."""
+    t, w = _gauss_legendre(0.0, max(_ARG_CUT - x, 1.0) + 25.0)
+    ai, aip = special.airy_ai_pair(t + x)
+    ai2, t_prev = ai ** 2, t ** (n - 1)
+    return float(t ** n * ai2 @ w), float(t_prev * ai2 @ w), float(t_prev * 2.0 * (aip ** 2 + (t + x) * ai2) @ w)
 
 
 def moment_identity_check(x: float, n: int) -> float:
     """Relative residual of the Airy moment recursion
 
-        J_n(x) = n/(2n+1) * [ (1/2) d^2/dx^2 - 2x ] J_{n-1}(x),
+        J_n(x) = n/(2n+1) * [ (1/2) d^2/dx^2 - 2x ] J_{n-1}(x)
 
-    J_n(x) = int_0^inf t^n Ai^2(t+x) dt.  The second derivative is taken
-    exactly under the integral via (Ai^2)'' = 2 Ai'^2 + 2 (t+x) Ai^2 (the
-    Airy equation), which keeps the residual at quadrature accuracy; the
-    test suite cross-checks against plain finite differences in x.
+    (_airy_moment); the exact J'' keeps it at quadrature accuracy, and the
+    tests cross-check it against finite differences in x.
     """
     n = int(n)
     if n < 1:
         raise DomainError(f"moment_identity_check: n must be >= 1, got {n}")
-    lhs = _airy_moment(n, x)
-
-    def d2_integrand(t):
-        ai, aip = special.airy_ai_pair(t + x)
-        return t ** (n - 1) * 2.0 * (aip ** 2 + (t + x) * ai ** 2)
-
-    d2 = _gauss_legendre(d2_integrand, 0.0, max(_ARG_CUT - x, 1.0) + 25.0)
-    rhs = n / (2.0 * n + 1.0) * (0.5 * d2 - 2.0 * x * _airy_moment(n - 1, x))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale
+    lhs, j_prev, d2 = _airy_moment(n, x)
+    rhs = n / (2.0 * n + 1.0) * (0.5 * d2 - 2.0 * x * j_prev)
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
 def time_factor(sys: Confinement1DSystem, r: float, p: float, t: float, c1: float = 1.0) -> complex:

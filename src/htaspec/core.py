@@ -397,22 +397,22 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
 _SCAN_STRIDE = 10
 
 
-def _first_sign_change(f, xs):
-    """(x_lo, x_hi) around the first sign change of f along xs, or None.
-    f is evaluated at every _SCAN_STRIDE-th point and at the last one, and
-    the points between are walked only inside the first coarse cell whose
-    ends differ in sign."""
-    lo, f_lo = 0, f(xs[0])
-    for hi in [*range(_SCAN_STRIDE, len(xs) - 1, _SCAN_STRIDE), len(xs) - 1]:
-        f_hi = f(xs[hi])
-        if (f_hi < 0) != (f_lo < 0):
-            for i in range(lo + 1, hi):
-                f_i = f(xs[i])
+def _first_sign_change(f, x, lo: int, hi: int):
+    """(x(i), x(j)) around the first sign change of f(x(k)) for k = lo..hi, or None.
+    f is evaluated at every _SCAN_STRIDE-th index from lo and at hi, and the
+    indices between are walked only inside the first coarse cell whose ends
+    differ in sign; x is called only at the indices visited."""
+    f_lo = f(x(lo))
+    for j in [*range(lo + _SCAN_STRIDE, hi, _SCAN_STRIDE), hi]:
+        f_j = f(x(j))
+        if (f_j < 0) != (f_lo < 0):
+            for i in range(lo + 1, j):
+                f_i = f(x(i))
                 if (f_i < 0) != (f_lo < 0):
-                    return xs[lo], xs[i]
+                    return x(lo), x(i)
                 lo, f_lo = i, f_i
-            return xs[lo], xs[hi]
-        lo, f_lo = hi, f_hi
+            return x(lo), x(j)
+        lo, f_lo = j, f_j
     return None
 
 
@@ -456,13 +456,13 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     scale = abs(beta) * (2 * nu_idx + 2) / max(4.0 * cden, 1e-9)
     u_hi = 4.0 * (scale + abs(beta) + 1.0)
 
-    def grid(lo: int, hi: int) -> list[float]:
+    def point(i: int) -> float:
         # geometric u points, ascending: i = 0 is 1e-6 u_hi and i = 400 is u_hi
-        return [u_hi * (1e-6) ** (1 - i / 400.0) for i in range(lo, hi + 1)]
+        return u_hi * (1e-6) ** (1 - i / 400.0)
 
-    bracket = _first_sign_change(residual, grid(0, 400))
+    bracket = _first_sign_change(residual, point, 0, 400)
     if bracket is None and scale > 0:
-        bracket = _first_sign_change(residual, grid(-int(400.0 * math.log(u_hi / scale) / math.log(1e6)), 0))
+        bracket = _first_sign_change(residual, point, -int(400.0 * math.log(u_hi / scale) / math.log(1e6)), 0)
     if bracket is None:
         raise NonPhysicalParameters(f"no root of the NU quantization condition for {state.label}", value=None)
     u = _brentq(residual, *bracket, xtol=1e-18 * bracket[0], rtol=1e-15)

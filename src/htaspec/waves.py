@@ -139,6 +139,9 @@ def psi_n(params: WaveParams, n: int, r, p_r):
     with no finite value (a term past double range, a stalled Gamma
     iteration, a non-finite r or p_r) comes back inf or NaN, and the caller
     decides what that means.
+
+    For n >= 4 the terms cancel: the error, ~1e-15 of their summed magnitudes,
+    reaches ~1e-10 of |psi_n|, and 2.4e-9 near a node of bbbar 6S (vs mpmath).
     """
     n = int(n)
     _check_index(params, n)

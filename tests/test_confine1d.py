@@ -211,7 +211,19 @@ def test_check_takes_ai_and_aip_from_one_lane_pass(monkeypatch):
     orig = special._airy_lane
     monkeypatch.setattr(special, "_airy_lane", lambda x: calls.append(np.size(x)) or orig(x))
     assert cli.main(["check", "--suite", "all"]) == 0
-    assert len(calls) <= 25
+    # 25 while each moment identity took J_n, J_{n-1} and the d2 integral
+    # from three passes over one node set
+    assert len(calls) <= 13
+
+
+def test_moment_suite_makes_one_lane_pass_per_identity(monkeypatch):
+    # 18 passes (three per identity) before J_n, J_{n-1} and the d2 integral
+    # shared one evaluation of the nodes
+    calls = []
+    orig = special._airy_lane
+    monkeypatch.setattr(special, "_airy_lane", lambda x: calls.append(np.size(x)) or orig(x))
+    assert cli.main(["check", "--suite", "moment"]) == 0
+    assert len(calls) == 6
 
 
 class TestMomentIdentity:
@@ -221,7 +233,7 @@ class TestMomentIdentity:
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             want = mp.quad(lambda t: t**n * mp.airyai(t + x) ** 2, [0, 2, 5, 10, 20, 40])
-        assert c1._airy_moment(n, x) == pytest.approx(float(want), rel=1e-12)
+        assert c1._airy_moment(n, x)[0] == pytest.approx(float(want), rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.0])
@@ -241,6 +253,33 @@ class TestMomentIdentity:
             d2 = (moment(0, x + h) - 2 * moment(0, x) + moment(0, x - h)) / h**2
             rhs = (1.0 / 3.0) * (0.5 * d2 - 2 * x * moment(0, x))
             assert moment(1, x) == pytest.approx(rhs, rel=1e-5)
+
+    def test_equals_three_quadratures(self):
+        # the residual from J_n, J_{n-1} and the d2 integral each taken by its
+        # own 8-panel 32-point Gauss-Legendre sum, bit for bit
+        gx, gw = np.polynomial.legendre.leggauss(32)
+
+        def quad(f, b):
+            h = b / 8
+            t = (h * (np.arange(8)[:, None] + (gx + 1.0) / 2.0)).ravel()
+            return float(f(t) @ np.tile(gw * (h / 2.0), 8))
+
+        def residual(x, n):
+            b = max(15.0 - x, 1.0) + 25.0
+            lhs = quad(lambda t: t**n * special.airy_ai(t + x) ** 2, b)
+            j_prev = quad(lambda t: t ** (n - 1) * special.airy_ai(t + x) ** 2, b)
+
+            def d2_integrand(t):
+                ai, aip = special.airy_ai_pair(t + x)
+                return t ** (n - 1) * 2.0 * (aip**2 + (t + x) * ai**2)
+
+            rhs = n / (2.0 * n + 1.0) * (0.5 * quad(d2_integrand, b) - 2.0 * x * j_prev)
+            return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+        rng = np.random.default_rng(36)
+        for x in [0.0, 1.0, 2.0, *rng.uniform(-10.0, 14.0, 30)]:
+            for n in (1, 2, 3):
+                assert c1.moment_identity_check(float(x), n) == residual(float(x), n), (x, n)
 
     def test_n_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -95,6 +95,19 @@ class TestClosedVsNumeric:
             waves.psi_n(params_1s, 7, 1.0, 0.0)
 
 
+def mpmath_psi_sum(mp, params, n, r, p):
+    """(psi_n, sum of the terms' magnitudes / pi) at B = 1 by the module
+    docstring's incomplete-gamma sum, summed in mpmath at 30 digits from
+    params' u and c, with y_nj = C(n, j) (n + 1 - 2c)_j (2u)^(n-j)."""
+    with mp.workdps(30):
+        u, c = mp.mpf(params.u), mp.mpf(params.c_order)
+        w = u - 2j * mp.mpf(p)
+        terms = [mp.binomial(n, j) * mp.rf(n + 1 - 2 * c, j) * (2 * u) ** (n - j)
+                 * w ** (2 + j - c) * mp.gammainc(c - 2 - j, r * w) for j in range(n + 1)]
+        phase = mp.exp(-4j * mp.mpf(p) * r) / mp.pi
+        return complex(phase * mp.fsum(terms)), float(sum(abs(t) for t in terms) / mp.pi)
+
+
 class TestIntegerOrders:
     def test_integer_orders_against_mpmath(self):
         # c = k, k = 0..n + 2, puts an integer order c - 2 - j <= 0 in the sum;
@@ -109,14 +122,26 @@ class TestIntegerOrders:
                 assert params.c_order == k
                 for r in (1e-3, 0.3, 2.0, 6.0):
                     for p in (0.0, 1.5, 40.0, 900.0):
-                        with mp.workdps(30):
-                            w = 1 - 2j * mp.mpf(p)
-                            terms = [mp.binomial(n, j) * mp.rf(n + 1 - 2 * k, j) * 2 ** (n - j)
-                                     * w ** (2 + j - k) * mp.gammainc(k - 2 - j, r * w) for j in range(n + 1)]
-                            phase = mp.exp(-4j * mp.mpf(p) * r) / mp.pi
-                            want, scale = complex(phase * mp.fsum(terms)), float(sum(abs(t) for t in terms) / mp.pi)
+                        want, scale = mpmath_psi_sum(mp, params, n, r, p)
                         err = abs(waves.psi_n(params, n, r, p) - want) / scale
                         assert err <= 1e-12, (n, k, r, p, err)
+
+    @pytest.mark.parametrize("label", ["ccbar", "bbbar"])
+    def test_bundled_high_states_against_mpmath(self, dataset, label):
+        # 4S-7S (n = 3..6) on 40 cells of grid's default axes: the terms
+        # cancel, so the error is taken over the sum of their magnitudes
+        # (measured <= 1.7e-15; over |psi_n| it reaches 4.8e-10 near a node)
+        mp = pytest.importorskip("mpmath")
+        sys_v = dataset[label].system(Variant.REAL)
+        rs, ps = core._axis_values((0.05, 6.0, 120), "r"), core._axis_values((-1.0, 1.0, 41), "p")
+        for k in range(4, 8):
+            st = QuantumState.from_label(f"{k}S")
+            params = waves.wave_params(sys_v, st, core.energy_real(sys_v, st))
+            for r in rs[::15]:
+                for p in ps[::10]:
+                    want, scale = mpmath_psi_sum(mp, params, st.n, r, p)
+                    err = abs(waves.psi_n(params, st.n, r, p) - want) / scale
+                    assert err <= 1e-13, (label, st.label, r, p, err)
 
     def test_non_integer_order_passes(self):
         params = waves.WaveParams(alpha=-1.0, beta=4.4)
