@@ -36,15 +36,12 @@ it computes the first slice, and a forked worker computes and formats each
 other one and sends its cell errors and then its CSV text, one item per r
 row, through a pipe; _write_csv writes each item as it comes.  The CSV, the
 report and the exit code are those of one slice, every worker is reaped on
-every exit path, and a grid that fails while writing leaves no CSV.  Only a
-process with one OS thread is forked (on Linux, one entry in
-/proc/self/task; elsewhere grid takes one slice), and OpenBLAS starts a
-thread pool when numpy is imported, so main sets OPENBLAS_NUM_THREADS=1 when
-it is unset and numpy is not loaded yet (the largest LAPACK calls here are
-eigenproblems of at most 50 x 50).  main also registers gc.freeze with
-atexit, so the interpreter's shutdown collections skip the heap: a script's
-exit after importing grid's modules fell from 26 to 8 ms (median of 21,
-2-vCPU host).
+every exit path, and a grid that fails while writing leaves no CSV; only a
+one-thread process is forked (gridsplit).  _write_csv makes the --out
+directory when it writes the first CSV, so a command that fails first
+creates nothing.  main registers gc.freeze with atexit, so the
+interpreter's shutdown collections skip the heap: a script's exit after
+importing grid's modules fell from 26 to 8 ms (median of 21, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -87,17 +84,12 @@ def _fmt(value, digits: int) -> str:
     return value if isinstance(value, str) else f"%.{digits}g" % value
 
 
-def _make_out_dir(path: str):
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot write output: {exc}") from None
-
-
 def _write_csv(path: str, header: list[str], lines):
-    """Write the header, then each item of lines (CSV text without its last
-    newline) and a newline; if that raises, the file is removed."""
+    """Make path's directory, then write the header, then each item of lines
+    (CSV text without its last newline) and a newline; if that raises, the
+    file is removed."""
     try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         fh = open(path, "w", encoding="utf-8", newline="\n")
         try:
             with fh:
@@ -122,10 +114,13 @@ def _select_mesons(args) -> list[dataio.MesonRecord]:
 
 def _precision(text: str) -> int:
     # "%" reads a precision as a C int and refuses a larger one
-    digits = int(text)
-    if not 1 <= digits <= 2**31 - 1:
-        raise argparse.ArgumentTypeError(f"must be from 1 to {2**31 - 1}, got {digits}")
-    return digits
+    try:
+        digits = int(text)
+        if 1 <= digits <= 2**31 - 1:
+            return digits
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer from 1 to {2**31 - 1}, got {text!r}")
 
 
 def _state(text: str) -> QuantumState:
@@ -161,13 +156,11 @@ def cmd_spectrum(args) -> int:
             if st not in masses:
                 masses[st] = core.mass_spectrum_detailed(sys_v, st, variant)
         spectra.append((rec, levels, masses))
-    _make_out_dir(args.out)
     for rec, levels, masses in spectra:
         refs = [rec.reference_masses(lv.label) for lv in levels]
         ref_names = sorted({name for r in refs for name in r})
         columns = ["label", "model", "measured", *ref_names]
         rows = [(lv.label, masses[lv.state][0], lv.mass, *map(r.get, ref_names)) for lv, r in zip(levels, refs)]
-        _print_table(f"== {rec.label} ({variant.value}) ==", columns, rows)
         _write_csv(
             os.path.join(args.out, f"{rec.label}_comparison.csv"),
             columns,
@@ -191,6 +184,8 @@ def cmd_spectrum(args) -> int:
             ["n", "l", "mass"],
             [f"{n},{l},{_fmt(masses[QuantumState(n, l)][0], d)}" for n, l in _FIG2_STATES],
         )
+        # after its CSVs: an --out that cannot be made prints no table
+        _print_table(f"== {rec.label} ({variant.value}) ==", columns, rows)
     return EXIT_OK
 
 
@@ -232,7 +227,6 @@ def cmd_fit(args) -> int:
             )
         except (UnderdeterminedFitError, FitFailedError) as exc:
             failures.append(f"{rec.label}: {exc}")
-    _make_out_dir(args.out)
     _write_csv(
         os.path.join(args.out, "fitted_params.csv"),
         ["meson", "a", "b", "delta", "residual_rms", "converged"],
@@ -264,7 +258,6 @@ def cmd_grid(args) -> int:
     if args.normalize:
         params = params._replace(B=waves.normalize_B(params, n))
     with gridsplit.evaluate(params, n, rs, ps, d) as (rows, errors):
-        _make_out_dir(args.out)
         _write_csv(
             os.path.join(args.out, f"{rec.label}_{args.state.label}_grid.csv"),
             ["r", "p_r", "re", "im", "density"],
@@ -290,7 +283,6 @@ def cmd_scan(args) -> int:
         points = core.parameter_scan(sys_v, args.state, args.param, args.lo, args.hi, args.steps, variant)
     except DomainError as exc:
         raise InputError(str(exc)) from None
-    _make_out_dir(args.out)
     rows = [
         [args.param, _fmt(pt.value, d), _fmt(pt.mass, d), str(pt.physical).lower(), pt.branch]
         for pt in points
@@ -424,11 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if "numpy" not in sys.modules:
-        # OpenBLAS starts a thread pool when numpy is imported, and grid
-        # forks only a one-thread process; the largest LAPACK calls here are
-        # eigenproblems of at most 50 x 50, which the pool does not speed up
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # the interpreter's shutdown collections then skip the heap; no output
     # waits on them: every CSV is closed by its with block, and the standard
     # streams are flushed either way

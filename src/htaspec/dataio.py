@@ -35,9 +35,7 @@ from importlib import resources
 from .core import CornellParams, MesonSystem, QuantumState, Variant
 from .errors import DomainError, InputError
 
-__all__ = ["ExperimentalLevel", "MesonRecord", "load_dataset", "builtin_dataset_text", "DEFAULT_DATASET"]
-
-DEFAULT_DATASET = "builtin:mesons"
+__all__ = ["ExperimentalLevel", "MesonRecord", "load_dataset", "builtin_dataset_text"]
 
 
 class ExperimentalLevel(namedtuple("ExperimentalLevel", "label state mass include_in_fit")):
@@ -148,9 +146,9 @@ def _number(value, what: str) -> float:
 
 def load_dataset(source: str | None = None) -> list[MesonRecord]:
     """Parse a dataset path (or the bundled one when source is None)."""
-    if source is None or source == DEFAULT_DATASET:
+    if source is None:
         text = builtin_dataset_text()
-        origin = DEFAULT_DATASET
+        origin = "bundled dataset"
     else:
         try:
             with open(source, "r", encoding="utf-8") as fh:

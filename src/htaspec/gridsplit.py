@@ -13,14 +13,25 @@ row's CSV lines joined by "\n", the item that goes unchanged to the file.  It
 formats every row before it sends the first, so it formats while the parent
 formats its own slice.  Each message is one pickle, so a worker that ends
 early leaves the parent a short read.
+
+Only a process with one OS thread is forked (_row_slices), and OpenBLAS
+starts a thread pool when numpy is imported, so this module sets
+OPENBLAS_NUM_THREADS=1, before it imports waves and numpy, when the variable
+is unset and numpy is not loaded yet: the largest LAPACK calls here are
+eigenproblems of at most 50 x 50, which the pool does not speed up.  A
+program that loaded numpy first keeps its pool, and its grids take one slice.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import sys
 from contextlib import contextmanager
 from itertools import chain
+
+if "numpy" not in sys.modules:  # before waves imports it
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import waves
 from .errors import NumericError

@@ -62,13 +62,18 @@ class TestSpectrum:
             ["spectrum", "--meson", "ccbar", "--precision", "2147483648"],
             ["grid", "--meson", "ccbar", "--no-normalize", "--precision", "2147483648"],
             ["scan", "--meson", "ccbar", "--param", "a", "--lo", "1", "--hi", "2", "--precision", str(10**30)],
+            # not an integer: the range message, not argparse's, which names the private type function
+            ["grid", "--meson", "ccbar", "--precision", "x"],
+            ["grid", "--meson", "ccbar", "--precision", "1.5"],
         ],
     )
-    def test_precision_out_of_range_exits_2(self, tmp_path, argv):
+    def test_precision_out_of_range_exits_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
         assert not os.listdir(tmp_path)
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument --precision: must be an integer from 1 to 2147483647, got {argv[-1]!r}\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -523,7 +528,8 @@ class TestUnwritableOutput:
     def test_out_dir_that_cannot_be_made_exits_2(self, tmp_path, capsys, argv, out):
         (tmp_path / "FILE").write_text("")
         assert run([*argv, "--out", str(tmp_path / out)]) == 2
-        err = capsys.readouterr().err
+        stdout, err = capsys.readouterr()
+        assert stdout == ""  # spectrum prints no table before its first CSV
         assert err.startswith("input error: cannot write output: [Errno ") and err.count("\n") == 1
         assert (tmp_path / "FILE").read_text() == ""
 

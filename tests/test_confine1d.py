@@ -153,8 +153,10 @@ class TestNormalization:
 
 def _nested_norm_integral(sys, e0, arg_cut):
     """Reference for _norm_integral: adaptive quadrature over r inside one
-    over p_r, both truncated where the Airy argument reaches arg_cut."""
+    over p_r, both truncated where the Airy argument reaches arg_cut.  Ai is
+    scipy's, one scalar at a time, not the lane under test."""
     from scipy.integrate import quad
+    from scipy.special import airy
 
     m, b = sys.m, sys.b
     w = sys.omega ** (-1.0 / 3.0)
@@ -164,7 +166,7 @@ def _nested_norm_integral(sys, e0, arg_cut):
         hi = (arg_cut / w + e0 - p * p / (2.0 * m)) / b
         if hi <= 0:
             return 0.0
-        f = lambda r: special.airy_ai((p * p / (2.0 * m) + b * r - e0) * w) ** 2 * r * r
+        f = lambda r: airy((p * p / (2.0 * m) + b * r - e0) * w)[0] ** 2 * r * r
         return quad(f, 0.0, hi, limit=200, epsabs=1e-13, epsrel=1e-11)[0]
 
     return 2.0 * quad(inner, 0.0, p_max, limit=200, epsabs=1e-12, epsrel=1e-9)[0]

@@ -47,6 +47,12 @@ class TestValidation:
         with pytest.raises(InputError):
             dataio.load_dataset("/nonexistent/path.json")
 
+    def test_builtin_name_is_a_path(self, tmp_path, monkeypatch):
+        # only None names the bundled data; any text is a file path
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(InputError):
+            dataio.load_dataset("builtin:mesons")
+
     def test_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

@@ -168,6 +168,19 @@ linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="gr
 
 
 @linux_only
+@pytest.mark.skipif(CPUS < 2, reason="one usable CPU: grid forks no worker")
+def test_importing_gridsplit_first_leaves_one_thread():
+    # a library caller that imports gridsplit before numpy gets a split grid:
+    # the module sets OpenBLAS's thread count before it loads numpy
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    code = "import os, htaspec.gridsplit as g; print(len(os.listdir('/proc/self/task')), len(g._row_slices(320, 301)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    threads, slices = map(int, proc.stdout.split())
+    assert threads == 1 and slices >= 2
+
+
+@linux_only
 def test_four_slices_match_one_slice(tmp_path):
     argv = ["grid", *GRIDS["ccbar-1S-320x301"], "--out", "out"]
     text, err, _ = expected(argv)
