@@ -146,21 +146,17 @@ def cmd_spectrum(args) -> int:
     spectra = []
     for rec in _select_mesons(args):
         sys_v = rec.system(variant)
-        # every level in file order; which of them a fit selects plays no part here
-        levels = [
-            dataio.ExperimentalLevel(lv["label"], QuantumState.from_label(lv["label"]), lv.get("exp_mass"))
-            for lv in rec.levels
-        ]
         masses = {}
-        for st in [lv.state for lv in levels] + [QuantumState(n, l) for n, l in _FIG1_STATES + _FIG2_STATES]:
+        for st in [lv.state for lv in rec.levels] + [QuantumState(n, l) for n, l in _FIG1_STATES + _FIG2_STATES]:
             if st not in masses:
                 masses[st] = core.mass_spectrum_detailed(sys_v, st, variant)
-        spectra.append((rec, levels, masses))
-    for rec, levels, masses in spectra:
-        refs = [rec.reference_masses(lv.label) for lv in levels]
+        spectra.append((rec, masses))
+    for rec, masses in spectra:
+        # every level in file order; which of them a fit selects plays no part here
+        refs = [rec.references[lv.label] for lv in rec.levels]
         ref_names = sorted({name for r in refs for name in r})
         columns = ["label", "model", "measured", *ref_names]
-        rows = [(lv.label, masses[lv.state][0], lv.mass, *map(r.get, ref_names)) for lv, r in zip(levels, refs)]
+        rows = [(lv.label, masses[lv.state][0], lv.mass, *map(r.get, ref_names)) for lv, r in zip(rec.levels, refs)]
         _write_csv(
             os.path.join(args.out, f"{rec.label}_comparison.csv"),
             columns,
@@ -171,7 +167,7 @@ def cmd_spectrum(args) -> int:
             ["label", "n", "l", "model_mass", "exp_mass", "branch"],
             [
                 f"{lv.label},{lv.state.n},{lv.state.l},{_fmt(masses[lv.state][0], d)},{_fmt(lv.mass, d)},{masses[lv.state][1]}"
-                for lv in levels
+                for lv in rec.levels
             ],
         )
         _write_csv(
@@ -243,8 +239,8 @@ def cmd_grid(args) -> int:
 
     variant = Variant.parse(args.variant)
     try:
-        rs = core._axis_values((args.rmin, args.rmax, args.rsteps), "r")
-        ps = core._axis_values((args.pmin, args.pmax, args.psteps), "p")
+        rs = core._axis_interval(args.rmin, args.rmax, args.rsteps, "r")
+        ps = core._axis_interval(args.pmin, args.pmax, args.psteps, "p")
     except DomainError as exc:
         raise InputError(str(exc)) from None
     records = _select_mesons(args)

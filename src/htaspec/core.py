@@ -480,14 +480,16 @@ def mass_spectrum(sys: MesonSystem, state: QuantumState, variant: Variant | str 
     return mass_spectrum_detailed(sys, state, variant)[0]
 
 
-def _axis_values(axis, name: str) -> list[float]:
-    """Axis values from (lo, hi, count) or explicit values: at least one,
-    strictly ascending and finite ((hi - lo) i can overflow for finite ends)."""
-    if isinstance(axis, tuple) and len(axis) == 3 and isinstance(axis[2], int):
-        lo, hi, count = axis
-        vals = [float(lo)] if count == 1 else [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-    else:
-        vals = [float(v) for v in axis]
+def _axis_interval(lo: float, hi: float, count: int, name: str) -> list[float]:
+    """count values evenly spaced from lo to hi (lo alone for count 1), under
+    _axis_values' rule: (hi - lo) i can overflow for finite ends, and a
+    narrow interval can repeat a float."""
+    return _axis_values([float(lo)] if count == 1 else [lo + (hi - lo) * i / (count - 1) for i in range(count)], name)
+
+
+def _axis_values(values, name: str) -> list[float]:
+    """The values as floats: at least one, strictly ascending and finite."""
+    vals = [float(v) for v in values]
     if not vals:
         raise DomainError(f"{name} axis needs at least 1 point")
     if not all(a < b for a, b in zip(vals, vals[1:])):  # NaN is not ascending either
@@ -511,8 +513,8 @@ def parameter_scan(
     variant: Variant | str = Variant.REAL,
 ) -> list[ScanPoint]:
     """Masses over steps >= 2 values of one Cornell parameter from lo to hi,
-    built and checked by _axis_values (the grid axes' rule): values that are
-    not strictly ascending raise DomainError.
+    built and checked by _axis_interval (the grid axes' rule): values that
+    are not strictly ascending raise DomainError.
 
     Non-physical points are kept in the output, flagged, with mass = NaN.
     """
@@ -522,7 +524,7 @@ def parameter_scan(
     if steps < 2:
         raise DomainError(f"scan needs at least 2 steps, got {steps}")
     out = []
-    for v in _axis_values((lo, hi, steps), param):
+    for v in _axis_interval(lo, hi, steps, param):
         kw = {"a": sys.params.a, "b": sys.params.b, "delta": sys.params.delta}
         kw[param] = v
         try:

@@ -12,7 +12,8 @@ Input schema (JSON):
             {"label": "1S",                                           # unique within the meson
              "exp_mass": GeV or null,
              "include_in_fit": true/false,                            # optional override
-             "this_work": {"real7": GeV or null, ...},                # optional, reference output
+             "this_work": {"real7": GeV or null, ...},                # optional, the paper's masses; keyed by
+                                                                      # variant token, an unknown one an input error
              "reference_masses": {model_name: GeV or null, ...}}      # optional comparison data
          ]}
     ]}
@@ -39,11 +40,14 @@ __all__ = ["ExperimentalLevel", "MesonRecord", "load_dataset", "builtin_dataset_
 
 
 class ExperimentalLevel(namedtuple("ExperimentalLevel", "label state mass include_in_fit")):
-    """One spectroscopic level: label, quantum numbers, measured mass."""
+    """One spectroscopic level: label, quantum numbers, measured mass (None
+    when unmeasured) and whether a fit uses it.  A level of a MesonRecord
+    carries the file's include_in_fit, or None where the file leaves the
+    choice to fit_levels; experimental_levels resolves it."""
 
     __slots__ = ()
 
-    def __new__(cls, label: str, state: QuantumState, mass: float | None, include_in_fit: bool = True):
+    def __new__(cls, label: str, state: QuantumState, mass: float | None, include_in_fit: bool | None = True):
         if mass is not None and not math.isfinite(mass):
             raise DomainError(f"level {label}: mass must be finite or None")
         return super().__new__(cls, label, state, mass, include_in_fit)
@@ -56,10 +60,12 @@ class ExperimentalLevel(namedtuple("ExperimentalLevel", "label state mass includ
         return self.include_in_fit and self.mass is not None
 
 
-class MesonRecord(namedtuple("MesonRecord", "label m_q m_qbar params levels fit_levels")):
-    """One meson's data: masses, per-variant parameters (a dict keyed by
-    Variant), the raw level objects of the file and per-variant fit_levels
-    label tuples."""
+class MesonRecord(namedtuple("MesonRecord", "label m_q m_qbar params levels fit_levels this_work references")):
+    """One meson's data, parsed once by load_dataset: masses, per-variant
+    parameters (a dict keyed by Variant), the ExperimentalLevel tuple in
+    file order, per-variant fit_levels label tuples, and two dicts with an
+    entry for every level label: this_work ({Variant: mass or None}, the
+    paper's masses) and references ({model name: mass or None})."""
 
     __slots__ = ()
 
@@ -80,33 +86,15 @@ class MesonRecord(namedtuple("MesonRecord", "label m_q m_qbar params levels fit_
         variant = Variant.parse(variant)
         chosen = self.fit_levels.get(variant)
         out = []
-        for raw in self.levels:
-            label = raw["label"]
-            mass = raw.get("exp_mass")
-            if "include_in_fit" in raw:
-                include = raw["include_in_fit"]
-            elif chosen is not None:
-                include = label in chosen
-            else:
-                include = mass is not None
-            if include and mass is None:
-                source = "include_in_fit" if "include_in_fit" in raw else f"fit_levels {variant.value}"
-                raise InputError(f"meson {self.label!r}: {source} selects {label}, which has no exp_mass")
-            out.append(ExperimentalLevel(label=label, state=QuantumState.from_label(label), mass=mass, include_in_fit=include))
+        for lv in self.levels:
+            include = lv.include_in_fit
+            if include is None:
+                include = lv.label in chosen if chosen is not None else lv.mass is not None
+            if include and lv.mass is None:
+                source = "include_in_fit" if lv.include_in_fit else f"fit_levels {variant.value}"
+                raise InputError(f"meson {self.label!r}: {source} selects {lv.label}, which has no exp_mass")
+            out.append(lv._replace(include_in_fit=include))
         return out
-
-    def this_work(self, label: str, variant: Variant | str) -> float | None:
-        variant = Variant.parse(variant)
-        for raw in self.levels:
-            if raw["label"] == label:
-                return (raw.get("this_work") or {}).get(variant.value)
-        return None
-
-    def reference_masses(self, label: str) -> dict[str, float]:
-        for raw in self.levels:
-            if raw["label"] == label:
-                return dict(raw.get("reference_masses") or {})
-        return {}
 
 
 def builtin_dataset_text() -> str:
@@ -173,42 +161,43 @@ def load_dataset(source: str | None = None) -> list[MesonRecord]:
         m_q, m_qbar = _number(raw.get("m_q"), f"{where}: m_q"), _number(raw.get("m_qbar"), f"{where}: m_qbar")
         if not (m_q > 0 and m_qbar > 0):
             raise InputError(f"{where}: quark masses must be positive")
-        levels = raw.get("levels") or []
-        if not isinstance(levels, list):
+        raw_levels = raw.get("levels") or []
+        if not isinstance(raw_levels, list):
             raise InputError(f"{where}: 'levels' must be a list")
-        seen = set()
-        for lv in levels:
+        levels, this_work, references = [], {}, {}
+        for lv in raw_levels:
             if not isinstance(lv, dict) or not isinstance(lv.get("label"), str):
                 raise InputError(f"{where}: each level must be an object with a text label")
+            name = lv["label"]
             try:
-                QuantumState.from_label(lv["label"])
+                state = QuantumState.from_label(name)
             except DomainError as exc:
                 raise InputError(f"{where}: {exc}") from None
-            if lv["label"] in seen:
-                raise InputError(f"{where}: level {lv['label']} appears more than once")
-            seen.add(lv["label"])
+            if name in this_work:
+                raise InputError(f"{where}: level {name} appears more than once")
+            at = f"{where} level {name}"
             for key in ("this_work", "reference_masses"):
                 values = lv.get(key) or {}
                 if not isinstance(values, dict):
-                    raise InputError(f"{where} level {lv['label']}: {key!r} must be an object")
-                for name, value in values.items():
+                    raise InputError(f"{at}: {key!r} must be an object")
+                for model, value in values.items():
                     if not _number_or_null(value):
-                        raise InputError(f"{where} level {lv['label']}: {key} {name!r} is {value!r}, not a number or null")
+                        raise InputError(f"{at}: {key} {model!r} is {value!r}, not a number or null")
+            this_work[name] = {_variant(token, f"{at}: this_work"): value for token, value in (lv.get("this_work") or {}).items()}
+            references[name] = lv.get("reference_masses") or {}
             if not isinstance(lv.get("include_in_fit", False), bool):
-                raise InputError(f"{where} level {lv['label']}: include_in_fit is {lv['include_in_fit']!r}, not true or false")
+                raise InputError(f"{at}: include_in_fit is {lv['include_in_fit']!r}, not true or false")
             mass = lv.get("exp_mass")
             if not _number_or_null(mass):
-                raise InputError(f"{where} level {lv['label']}: bad mass {mass!r}")
+                raise InputError(f"{at}: bad mass {mass!r}")
             if mass is not None and mass <= m_q + m_qbar - 1.0:
-                raise InputError(
-                    f"{where} level {lv['label']}: mass {mass} below the "
-                    f"constituent-sum sanity bound"
-                )
+                raise InputError(f"{at}: mass {mass} below the constituent-sum sanity bound")
+            levels.append(ExperimentalLevel(name, state, mass, lv.get("include_in_fit")))
         fit_levels = raw.get("fit_levels") or {}
         if not isinstance(fit_levels, dict) or not all(isinstance(v, list) for v in fit_levels.values()):
             raise InputError(f"{where}: 'fit_levels' must map each variant to a list of labels")
         for token, names in fit_levels.items():
-            stray = [name for name in names if not isinstance(name, str) or name not in seen]
+            stray = [name for name in names if not isinstance(name, str) or name not in this_work]
             if stray:
                 raise InputError(f"{where}: fit_levels {token} names {stray}, not level labels of this meson")
         records.append(
@@ -219,6 +208,8 @@ def load_dataset(source: str | None = None) -> list[MesonRecord]:
                 params=_parse_params(raw.get("params"), where),
                 levels=tuple(levels),
                 fit_levels={_variant(token, where): tuple(labels) for token, labels in fit_levels.items()},
+                this_work=this_work,
+                references=references,
             )
         )
     return records

@@ -370,10 +370,11 @@ class PhaseSpaceGrid:
 def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
     """Evaluate psi_n on the tensor grid r_axis x p_axis.
 
-    Axes are (lo, hi, count) tuples or explicit sequences; both forms must
-    give at least one value, strictly ascending, or raise DomainError.  An n
-    that no cell can take (out of range, or n > 0 on the momentum-coupled
-    variant) raises DomainError before any cell is evaluated.
+    Axes are explicit sequences of values, never (lo, hi, count): each
+    must hold at least one value, strictly ascending and finite, or raise
+    DomainError.  An n that no cell can take (out of range, or n > 0 on the
+    momentum-coupled variant) raises DomainError before any cell is
+    evaluated.
     Past that, a cell fails by its value, never by raising: the rows with
     r <= 0, a prefix of the ascending axis, fail with psi_n's DomainError
     text; the other rows take one psi_n call per block of rows, and each of

@@ -210,7 +210,7 @@ class TestAcceptance:
     def test_11_density_peak_trend(self, ccbar_real):
         st = QuantumState.from_label("1S")
         params = waves.wave_params(ccbar_real, st, core.energy_real(ccbar_real, st))
-        grid = waves.density_grid(params, 0, (0.02, 6.0, 500), (0.0, 1.0, 5))
+        grid = waves.density_grid(params, 0, core._axis_interval(0.02, 6.0, 500, "r"), [0.0, 0.25, 0.5, 0.75, 1.0])
         peaks = [waves.peak_radius(grid, j) for j in range(5)]
         monotone = all(b >= a for a, b in zip(peaks, peaks[1:])) and peaks[-1] > peaks[0]
         direction = "increasing" if peaks[-1] > peaks[0] else "decreasing"

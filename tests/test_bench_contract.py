@@ -1,17 +1,21 @@
 """The benchmark's contract with the program: every name that
-perfbench/tracer.py wraps or reads, and that perfbench/checks.py calls,
-exists.  A deletion then fails here, and not only in a traced harness run
-(which reports it as ``absent``).  tracer.py is read by path and parsed,
-not run: nothing is wrapped and no command runs.
+perfbench/tracer.py wraps or reads, and every htaspec name that
+perfbench/checks.py, workloads.py and kernel_bench.py use, exists.  A
+deletion then fails here, and not only in a harness run (a traced one
+reports it as ``absent``).  The perfbench files are read by path and
+parsed, not run: nothing is wrapped and no command runs.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-from htaspec import cli, core, waves
+import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from htaspec import cli, waves
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = BENCH / "tracer.py"
 
 
 def traced():
@@ -31,8 +35,44 @@ def test_rodrigues_cache_reports_its_hits():
     assert callable(waves._rodrigues_coeffs_cached.cache_info)
 
 
-def test_mass_check_routes_exist():
-    assert callable(core.energy_real_via_nu) and callable(core.rest_energy_bracket)
+def htaspec_names(tree):
+    """(module, name, attributes) of each `from htaspec... import name` in
+    tree, and of each attribute chain rooted at such a name: ("htaspec.core",
+    "Variant", ("parse",)) for Variant.parse."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "htaspec":
+            bound.update({alias.asname or alias.name: (node.module, alias.name) for alias in node.names})
+    found = {(*target, ()) for target in bound.values()}
+    for node in ast.walk(tree):
+        attrs = ()
+        while isinstance(node, ast.Attribute):
+            node, attrs = node.value, (node.attr, *attrs)
+        if attrs and isinstance(node, ast.Name) and node.id in bound:
+            found.add((*bound[node.id], attrs))
+    return found
+
+
+def resolves(module, name, attrs):
+    mod = importlib.import_module(module)
+    # `from M import name` binds M's attribute or, failing that, its submodule
+    obj = getattr(mod, name) if hasattr(mod, name) else importlib.import_module(f"{module}.{name}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+@pytest.mark.parametrize("script", ["checks.py", "workloads.py", "kernel_bench.py"])
+def test_every_benchmark_name_resolves(script):
+    # Variant.parse, QuantumState.from_label, core.energy_real_via_nu,
+    # waves.wave_params, special.airy_ai and the rest: a name deleted with
+    # its own tests would otherwise break only the benchmark
+    names = htaspec_names(ast.parse((BENCH / script).read_text(encoding="utf-8")))
+    assert names
+    missing = [".".join([module, name, *attrs]) for module, name, attrs in sorted(names) if not resolves(module, name, attrs)]
+    assert missing == []
 
 
 def test_check_takes_out():

@@ -567,7 +567,7 @@ class TestComparisonReport:
         rows = read_csv(tmp_path / "ccbar_comparison.csv")
         assert len(rows) == 7
         for row in rows:
-            assert float(row["model"]) == pytest.approx(dataset["ccbar"].this_work(row["label"], Variant.REAL), abs=15e-3)
+            assert float(row["model"]) == pytest.approx(dataset["ccbar"].this_work[row["label"]][Variant.REAL], abs=15e-3)
 
     def test_bbbar_1p_value(self, tmp_path):
         run(["spectrum", "--meson", "bbbar", "--out", str(tmp_path)])

@@ -31,9 +31,9 @@ class TestBuiltinDataset:
 
     def test_this_work_and_references(self, dataset):
         cc = dataset["ccbar"]
-        assert cc.this_work("1S", Variant.REAL) == pytest.approx(3.097)
-        assert cc.this_work("2S", Variant.COMPLEX) == pytest.approx(3.657)
-        refs = cc.reference_masses("1S")
+        assert cc.this_work["1S"][Variant.REAL] == pytest.approx(3.097)
+        assert cc.this_work["2S"][Variant.COMPLEX] == pytest.approx(3.657)
+        refs = cc.references["1S"]
         assert refs["dirac_gcp"] == pytest.approx(3.097)
 
     def test_state_labels_valid(self, dataset):
@@ -113,6 +113,7 @@ class TestValidation:
             {"levels": [{"label": "1S", "exp_mass": 3.0, "reference_masses": {"m": [3.1]}}]},
             {"levels": [{"label": "1S", "exp_mass": 3.0, "this_work": {"real7": "3.1"}}]},
             {"levels": [{"label": "1S", "exp_mass": 3.0, "this_work": {"real7": float("inf")}}]},
+            {"levels": [{"label": "1S", "exp_mass": 3.0, "this_work": {"real8": 3.1}}]},
             {"levels": [{"label": "1S", "exp_mass": True}]},
             {"levels": [{"label": "1S", "exp_mass": 3.0, "include_in_fit": "false"}]},
             {"levels": [{"label": "1S", "exp_mass": 3.0, "include_in_fit": 0}]},
@@ -132,7 +133,7 @@ class TestValidation:
         ids=["params-variant", "fit-levels-variant", "level-not-object", "params-not-object",
              "fit-levels-not-list", "reference-masses-not-object", "duplicate-level-label",
              "reference-mass-text", "reference-mass-bool", "reference-mass-list", "this-work-text",
-             "this-work-infinite", "exp-mass-bool", "include-in-fit-text", "include-in-fit-number",
+             "this-work-infinite", "this-work-variant", "exp-mass-bool", "include-in-fit-text", "include-in-fit-number",
              "fit-levels-unknown-label", "fit-levels-not-label", "m-q-bool", "m-qbar-text",
              "m-q-past-double-range", "a-text", "b-bool", "delta-nan", "label-path", "label-empty",
              "label-number", "label-nul"],
@@ -162,5 +163,7 @@ class TestValidation:
         p = tmp_path / "override.json"
         p.write_text(json.dumps(doc))
         rec = dataio.load_dataset(str(p))[0]
+        # the record keeps the file's flag; None leaves the choice to fit_levels
+        assert [lv.include_in_fit for lv in rec.levels] == [False, None]
         levels = rec.experimental_levels(Variant.REAL)
         assert [lv.include_in_fit for lv in levels] == [False, True]

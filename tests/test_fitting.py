@@ -69,7 +69,7 @@ class TestResidual:
         rec = dataset["ccbar"]
         sys_v = rec.system(Variant.REAL)
         levels = [
-            fitting.ExperimentalLevel(lv.label, lv.state, rec.this_work(lv.label, Variant.REAL), True)
+            fitting.ExperimentalLevel(lv.label, lv.state, rec.this_work[lv.label][Variant.REAL], True)
             for lv in rec.experimental_levels(Variant.REAL)
         ]
         assert fitting.residual(sys_v, levels) < 1e-3

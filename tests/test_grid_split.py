@@ -93,8 +93,8 @@ def expected(argv):
     grid = waves.density_grid(
         params,
         state.n,
-        (axis(argv, "--rmin", 0.05), axis(argv, "--rmax", 6.0), axis(argv, "--rsteps", 120)),
-        (axis(argv, "--pmin", -1.0), axis(argv, "--pmax", 1.0), axis(argv, "--psteps", 41)),
+        core._axis_interval(axis(argv, "--rmin", 0.05), axis(argv, "--rmax", 6.0), axis(argv, "--rsteps", 120), "r"),
+        core._axis_interval(axis(argv, "--pmin", -1.0), axis(argv, "--pmax", 1.0), axis(argv, "--psteps", 41), "p"),
     )
     text = "r,p_r,re,im,density\n" + "".join(f"{row}\n" for row in gridsplit._grid_rows(grid, axis(argv, "--precision", 17)))
     err = ""
@@ -304,7 +304,7 @@ def test_any_row_cut_gives_the_one_call_grid(name):
     variant, state = Variant.parse(variant), QuantumState.from_label(label)
     sys_v = rec.system(variant)
     params = waves.wave_params(sys_v, state, core.level(sys_v, state, variant)[0], variant=variant)
-    rs, ps = core._axis_values(r_axis, "r"), core._axis_values(p_axis, "p")
+    rs, ps = core._axis_interval(*r_axis, "r"), core._axis_interval(*p_axis, "p")
     whole = waves.density_grid(params, state.n, rs, ps)
     block = waves._BLOCK_CELLS // len(ps)
     first = sum(r <= 0 for r in rs)

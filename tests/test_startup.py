@@ -73,13 +73,6 @@ def test_fit_compiles_no_nu(tmp_path):
     assert "htaspec.nu" not in mods
 
 
-def test_unnormalized_grid_skips_scipy_integrate(tmp_path):
-    argv = ["grid", "--meson", "ccbar", "--rsteps", "4", "--psteps", "3", "--no-normalize", "--out", "out"]
-    mods = loaded_after(run_main(argv, 0), tmp_path)
-    assert "numpy" in mods
-    assert "scipy.integrate" not in mods
-
-
 _GRID = ["grid", "--meson", "ccbar", "--rsteps", "4", "--psteps", "3", "--out", "out"]
 
 
@@ -133,25 +126,15 @@ def test_only_grid_compiles_gridsplit(tmp_path, argv, rc):
 
 
 @pytest.mark.parametrize("suite", ["nu", "quadrature", "moment", "all"])
-def test_check_loads_only_scipy_special(tmp_path, suite):
-    # the root-solve (Brent) and the Airy quadratures (Gauss-Legendre) are
-    # in-house: scipy.optimize and scipy.integrate, which pulls in
-    # scipy.linalg, would add about 0.3 s of cold import to `check`
-    mods = loaded_after(run_main(["check", "--suite", suite], 0), tmp_path)
-    assert not [m for m in mods if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"], ["scipy", "linalg"])]
-
-
-@pytest.mark.parametrize("suite", ["nu", "quadrature", "moment", "all"])
 def test_check_loads_no_scipy(tmp_path, suite):
     # the root-solve (Brent), the Airy functions and zeros and the Airy
     # quadratures (Gauss-Legendre) are in-house: scipy.special alone would
-    # add about 0.4 s of cold import to `check`
+    # add about 0.4 s of cold import to `check`, and scipy.optimize or
+    # scipy.integrate (which pulls in scipy.linalg) about 0.3 s.  The
+    # quadrature and moment suites import confine1d: it loads no scipy either
     mods = loaded_after(run_main(["check", "--suite", suite], 0), tmp_path)
     assert not any(m.split(".")[0] == "scipy" for m in mods)
     if suite == "nu":
         # the NU root-solve is pure Python
         assert mods == set()
 
-
-def test_confine1d_import_skips_scipy_integrate(tmp_path):
-    assert "scipy.integrate" not in loaded_after("import htaspec.confine1d", tmp_path)

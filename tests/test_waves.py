@@ -133,7 +133,7 @@ class TestIntegerOrders:
         # (measured <= 1.7e-15; over |psi_n| it reaches 4.8e-10 near a node)
         mp = pytest.importorskip("mpmath")
         sys_v = dataset[label].system(Variant.REAL)
-        rs, ps = core._axis_values((0.05, 6.0, 120), "r"), core._axis_values((-1.0, 1.0, 41), "p")
+        rs, ps = core._axis_interval(0.05, 6.0, 120, "r"), core._axis_interval(-1.0, 1.0, 41, "p")
         for k in range(4, 8):
             st = QuantumState.from_label(f"{k}S")
             params = waves.wave_params(sys_v, st, core.energy_real(sys_v, st))
@@ -314,7 +314,7 @@ class TestProbabilityRule:
 
 class TestDensityGrid:
     def test_grid_matches_pointwise(self, params_1s):
-        grid = waves.density_grid(params_1s, 0, (0.5, 2.0, 4), (-0.5, 0.5, 3))
+        grid = waves.density_grid(params_1s, 0, [0.5, 1.0, 1.5, 2.0], [-0.5, 0.0, 0.5])
         for i, r in enumerate(grid.r_values):
             for j, p in enumerate(grid.p_values):
                 want = waves.psi_n(params_1s, 0, r, p)
@@ -322,11 +322,11 @@ class TestDensityGrid:
                 assert grid.densities[i, j] == pytest.approx(abs(want) ** 2, rel=1e-12)
 
     def test_densities_nonnegative(self, params_1s):
-        grid = waves.density_grid(params_1s, 0, (0.2, 3.0, 12), (-1.0, 1.0, 7))
+        grid = waves.density_grid(params_1s, 0, core._axis_interval(0.2, 3.0, 12, "r"), core._axis_interval(-1.0, 1.0, 7, "p"))
         assert (grid.densities >= 0).all()
 
     def test_single_cell_axes(self, params_1s):
-        grid = waves.density_grid(params_1s, 0, (1.0, 2.0, 1), (0.3, 0.4, 1))
+        grid = waves.density_grid(params_1s, 0, [1.0], [0.3])
         assert grid.amplitudes.shape == (1, 1)
         assert grid.r_values == (1.0,)
 
@@ -334,10 +334,12 @@ class TestDensityGrid:
         grid = waves.density_grid(params_1s, 0, [0.5, 1.0, 2.5], [0.0, 0.4])
         assert grid.r_values == (0.5, 1.0, 2.5)
         assert grid.p_values == (0.0, 0.4)
+        # three radii, though the last is an int: no tuple reads as (lo, hi, count)
+        assert waves.density_grid(params_1s, 0, (0.5, 1.0, 2), [0.0]).r_values == (0.5, 1.0, 2.0)
 
     def test_bad_axes_rejected(self, params_1s):
         with pytest.raises(DomainError):
-            waves.density_grid(params_1s, 0, (2.0, 1.0, 5), (0.0, 1.0, 3))
+            waves.density_grid(params_1s, 0, [2.0, 1.75, 1.5, 1.25, 1.0], [0.0, 0.5, 1.0])
         with pytest.raises(DomainError):
             waves.density_grid(params_1s, 0, [1.0, 0.5], [0.0, 1.0])
 
@@ -348,9 +350,9 @@ class TestDensityGrid:
         values = [1.0 + (hi - 1.0) * i / 4 for i in range(5)]
         assert len(set(values)) < 5
         messages = []
-        for r_axis in ((1.0, hi, 5), values):
+        for build in (lambda: core._axis_interval(1.0, hi, 5, "r"), lambda: waves.density_grid(params_1s, 0, values, [0.0, 1.0])):
             with pytest.raises(DomainError) as exc:
-                waves.density_grid(params_1s, 0, r_axis, (0.0, 1.0, 2))
+                build()
             messages.append(str(exc.value))
         assert messages == ["r axis must be strictly ascending"] * 2
 
@@ -406,14 +408,14 @@ class TestDensityGrid:
         calls, psi_n = [], waves.psi_n
         monkeypatch.setattr(waves, "psi_n", lambda *args: calls.append(args[2].shape) or psi_n(*args))
         r_axis = [0.0] + [1e-6 + (3.0 - 1e-6) * i / 59 for i in range(1, 60)]
-        grid = waves.density_grid(params, 0, r_axis, (-5000.0, 5000.0, 81))
+        grid = waves.density_grid(params, 0, r_axis, core._axis_interval(-5000.0, 5000.0, 81, "p"))
         assert calls == [(50, 1), (9, 1)]
         messages = [msg for _, _, msg in grid.cell_errors]
         assert messages[:81] == ["DomainError: psi_n: r must be > 0, got 0.0"] * 81
         assert set(messages[81:]) == {"NumericError: |psi_n|^2 is not finite"} and len(messages) > 3000
 
     def test_peak_radius_trend(self, params_1s):
-        grid = waves.density_grid(params_1s, 0, (0.02, 6.0, 500), (0.0, 1.0, 5))
+        grid = waves.density_grid(params_1s, 0, core._axis_interval(0.02, 6.0, 500, "r"), [0.0, 0.25, 0.5, 0.75, 1.0])
         peaks = [waves.peak_radius(grid, j) for j in range(5)]
         assert all(b >= a for a, b in zip(peaks, peaks[1:]))
         assert peaks[-1] > peaks[0]
@@ -421,7 +423,7 @@ class TestDensityGrid:
     def test_peak_radius_of_a_column_with_a_failed_cell_raises(self, params_1s):
         # np.argmax takes NaN for the maximum: one failed cell at r = 4.90
         # would be returned as the peak in place of 0.874
-        grid = waves.density_grid(params_1s, 0, (0.02, 6.0, 50), (0.0, 1.0, 3))
+        grid = waves.density_grid(params_1s, 0, core._axis_interval(0.02, 6.0, 50, "r"), [0.0, 0.5, 1.0])
         assert waves.peak_radius(grid, 0) == pytest.approx(0.874, abs=1e-3)
         grid.densities[40, 0] = math.nan
         with pytest.raises(NumericError, match=r"cell \(40,0\) at r=4.90"):
@@ -433,7 +435,7 @@ class TestDensityGrid:
         # across the whole axis, so no peak is resolved
         st = QuantumState.from_label("1S")
         params = waves.wave_params(bcbar_real, st, core.energy_real(bcbar_real, st))
-        grid = waves.density_grid(params, 0, (0.02, 6.0, 500), (0.0, 1.0, 5))
+        grid = waves.density_grid(params, 0, core._axis_interval(0.02, 6.0, 500, "r"), [0.0, 0.25, 0.5, 0.75, 1.0])
         for j in range(5):
             with pytest.raises(DomainError, match="r-axis edge"):
                 waves.peak_radius(grid, j)
