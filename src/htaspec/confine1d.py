@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
 from . import special
+from .core import Checked
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -63,7 +65,7 @@ def _gauss_legendre(a: float, b: float):
     return t, np.tile(_GL_W * (h / 2.0), _GL_PANELS)
 
 
-class Confinement1DSystem(namedtuple("Confinement1DSystem", "m b")):
+class Confinement1DSystem(Checked, namedtuple("Confinement1DSystem", "m b")):
     """Reduced mass m (GeV) and linear coefficient b (GeV^2)."""
 
     __slots__ = ()
@@ -73,17 +75,14 @@ class Confinement1DSystem(namedtuple("Confinement1DSystem", "m b")):
             raise DomainError(f"Confinement1DSystem needs m, b > 0, got m={m}, b={b}")
         return super().__new__(cls, m, b)
 
-    # namedtuple's _make, behind _replace, skips __new__
-    _make = classmethod(lambda cls, values: cls(*values))
-
     @property
     def omega(self) -> float:
         return self.b ** 2 / (8.0 * self.m)
 
 
 def energy_1d(sys: Confinement1DSystem, n: int, p_r: float = 0.0) -> float:
-    """E_n = p_r^2/(2m) - z_{n+1} omega^(1/3); n = 0 is the ground state."""
-    n = int(n)
+    """E_n = p_r^2/(2m) - z_{n+1} omega^(1/3); n = 0 is the ground state, and n
+    is an integer >= 0: 1.5 raises TypeError, -1 DomainError."""
     if n < 0:
         raise DomainError(f"energy_1d: n must be >= 0, got {n}")
     z = special.airy_ai_zero(n + 1)
@@ -169,9 +168,10 @@ def moment_identity_check(x: float, n: int) -> float:
         J_n(x) = n/(2n+1) * [ (1/2) d^2/dx^2 - 2x ] J_{n-1}(x)
 
     (_airy_moment); the exact J'' keeps it at quadrature accuracy, and the
-    tests cross-check it against finite differences in x.
+    tests cross-check it against finite differences in x.  n is an integer
+    >= 1: 1.5 raises TypeError, 0 DomainError.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise DomainError(f"moment_identity_check: n must be >= 1, got {n}")
     lhs, j_prev, d2 = _airy_moment(n, x)

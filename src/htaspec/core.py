@@ -1,5 +1,6 @@
 """Half-transform-ansatz core: Cornell-potential phase-space constants,
-closed-form energy levels, mass spectra, and parameter scans.
+closed-form energy levels, mass spectra, parameter scans, and Checked, the
+base that makes _replace and _make check a value type as its __new__ does.
 
 Conventions (natural units, hbar = 1, energies in GeV):
 
@@ -69,6 +70,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from collections import namedtuple
 
 from .errors import DegenerateStateError, DomainError, NonPhysicalParameters, NumericError
@@ -109,7 +111,15 @@ class Variant(enum.Enum):
         raise DomainError(f"unknown variant {token!r}; expected 'real7' or 'complex5'")
 
 
-class CornellParams(namedtuple("CornellParams", "a b delta")):
+class Checked:
+    """First base of each value type whose __new__ checks its fields:
+    namedtuple's _make, which _replace calls, skips __new__; this one does not."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+
+class CornellParams(Checked, namedtuple("CornellParams", "a b delta")):
     """Cornell potential strengths and the expansion point delta = 1/A0."""
 
     __slots__ = ()
@@ -122,11 +132,8 @@ class CornellParams(namedtuple("CornellParams", "a b delta")):
             raise DomainError("CornellParams.delta must be nonzero")
         return tuple.__new__(cls, (a, b, delta))
 
-    # namedtuple's _make, behind _replace, skips __new__
-    _make = classmethod(lambda cls, values: cls(*values))
 
-
-class MesonSystem(namedtuple("MesonSystem", "m_q m_qbar params label")):
+class MesonSystem(Checked, namedtuple("MesonSystem", "m_q m_qbar params label")):
     """Constituent quark masses plus potential parameters.
 
     The reduced mass is always derived from the constituents, never stored,
@@ -139,9 +146,6 @@ class MesonSystem(namedtuple("MesonSystem", "m_q m_qbar params label")):
         if not (m_q > 0 and m_qbar > 0):
             raise DomainError(f"quark masses must be positive, got {m_q}, {m_qbar}")
         return tuple.__new__(cls, (m_q, m_qbar, params, label))
-
-    # namedtuple's _make, behind _replace, skips __new__
-    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def reduced_mass(self) -> float:
@@ -156,20 +160,18 @@ _L_OF_LETTER = {"S": 0, "P": 1, "D": 2}
 _LETTER_OF_L = {v: k for k, v in _L_OF_LETTER.items()}
 
 
-class QuantumState(namedtuple("QuantumState", "n l")):
-    """Polynomial index n (n = 0 is the ground state) and orbital number l."""
+class QuantumState(Checked, namedtuple("QuantumState", "n l")):
+    """Integer polynomial index n (n = 0 is the ground state) and orbital number l."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, l: int = 0):
+        n, l = operator.index(n), operator.index(l)
         if not (0 <= n <= 10):
             raise DomainError(f"QuantumState.n out of supported range [0, 10]: {n}")
         if not (0 <= l <= 5):
             raise DomainError(f"QuantumState.l out of supported range [0, 5]: {l}")
         return super().__new__(cls, n, l)
-
-    # namedtuple's _make, behind _replace, skips __new__
-    _make = classmethod(lambda cls, values: cls(*values))
 
     @classmethod
     def from_label(cls, label: str) -> "QuantumState":
@@ -520,7 +522,7 @@ def parameter_scan(
     """
     if param not in ("a", "b", "delta"):
         raise DomainError(f"scan parameter must be one of a/b/delta, got {param!r}")
-    steps = int(steps)
+    steps = operator.index(steps)
     if steps < 2:
         raise DomainError(f"scan needs at least 2 steps, got {steps}")
     out = []

@@ -33,13 +33,13 @@ import sys
 from collections import namedtuple
 from importlib import resources
 
-from .core import CornellParams, MesonSystem, QuantumState, Variant
+from .core import Checked, CornellParams, MesonSystem, QuantumState, Variant
 from .errors import DomainError, InputError
 
 __all__ = ["ExperimentalLevel", "MesonRecord", "load_dataset", "builtin_dataset_text"]
 
 
-class ExperimentalLevel(namedtuple("ExperimentalLevel", "label state mass include_in_fit")):
+class ExperimentalLevel(Checked, namedtuple("ExperimentalLevel", "label state mass include_in_fit")):
     """One spectroscopic level: label, quantum numbers, measured mass (None
     when unmeasured) and whether a fit uses it.  A level of a MesonRecord
     carries the file's include_in_fit, or None where the file leaves the
@@ -51,9 +51,6 @@ class ExperimentalLevel(namedtuple("ExperimentalLevel", "label state mass includ
         if mass is not None and not math.isfinite(mass):
             raise DomainError(f"level {label}: mass must be finite or None")
         return super().__new__(cls, label, state, mass, include_in_fit)
-
-    # namedtuple's _make, behind _replace, skips __new__
-    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def usable(self) -> bool:

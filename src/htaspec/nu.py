@@ -40,8 +40,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 
+from .core import Checked
 from .errors import ConsistencyError, DomainError
 
 __all__ = [
@@ -69,16 +71,13 @@ def polyval(coeffs, s: complex) -> complex:
     return acc
 
 
-class NUProblem(namedtuple("NUProblem", "sigma_tilde tau_tilde")):
+class NUProblem(Checked, namedtuple("NUProblem", "sigma_tilde tau_tilde")):
     """Coefficient data of one hypergeometric-type equation (sigma = s^2)."""
 
     __slots__ = ()
 
     def __new__(cls, sigma_tilde, tau_tilde):
         return super().__new__(cls, _coeffs(sigma_tilde, 2), _coeffs(tau_tilde, 1))
-
-    # namedtuple's _make, behind _replace, skips __new__
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 class ExpPowerForm(namedtuple("ExpPowerForm", "rate power")):
@@ -105,8 +104,9 @@ NUSolution = namedtuple("NUSolution", "k pi tau lam")
 
 
 def lambda_n(tau: tuple[complex, complex], n: int) -> complex:
-    """Polynomial eigenvalue lambda_n = -n tau' - n(n-1)/2 sigma'', sigma'' = 2."""
-    n = int(n)
+    """Polynomial eigenvalue lambda_n = -n tau' - n(n-1)/2 sigma'', sigma'' = 2,
+    at an integer n >= 0: 1.5 raises TypeError, -1 DomainError."""
+    n = operator.index(n)
     if n < 0:
         raise DomainError(f"lambda_n: n must be >= 0, got {n}")
     return -n * tau[1] - n * (n - 1)
@@ -121,9 +121,8 @@ def rodrigues_y(rho: ExpPowerForm, n: int) -> RodriguesPolynomial:
         y_n(s) = sum_k C(n, k) (n + p + 1)_k (-q)^(n-k) s^k,
 
     (x)_k the rising factorial: each coefficient is a product, with no sum
-    to cancel.
+    to cancel.  n is an integer >= 0: 1.5 raises TypeError, -1 DomainError.
     """
-    n = int(n)
     if n < 0:
         raise DomainError(f"rodrigues_y: n must be >= 0, got {n}")
     q, p = rho.rate, rho.power

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from functools import cache
 
 import numpy as np
@@ -125,12 +126,13 @@ def airy_ai_pair(x):
 
 @cache
 def airy_ai_zero(k: int) -> float:
-    """k-th negative zero z_k of Ai, k = 1, 2, ... (z_1 = -2.33810741...).
+    """k-th negative zero z_k of Ai, k = 1, 2, ... (z_1 = -2.33810741...);
+    k is an integer: 1.5 raises TypeError, 0 DomainError.
 
     Zeros are strictly decreasing in k.  The asymptotic expansion (DLMF
     9.9.6) through t^-8, polished by four Newton steps on Ai/Ai'.
     """
-    k = int(k)
+    k = operator.index(k)
     if k < 1:
         raise DomainError(f"airy_ai_zero: index must be >= 1, got {k}")
     t = 3.0 * math.pi * (4 * k - 1) / 8.0

@@ -44,13 +44,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
 from . import nu
-from .core import MesonSystem, QuantumState, Variant, _axis_values, real_constants
+from .core import Checked, MesonSystem, QuantumState, Variant, _axis_values, real_constants
 from .errors import DomainError, NonPhysicalParameters, NumericError
 from .special import gauss_laguerre, upper_incomplete_gamma
 
@@ -75,7 +76,7 @@ _PROB_R_NODES, _PROB_P_NODES = 50, 40
 _R_DOMAIN = "psi_n: r must be > 0, got {}"
 
 
-class WaveParams(namedtuple("WaveParams", "alpha beta B variant")):
+class WaveParams(Checked, namedtuple("WaveParams", "alpha beta B variant")):
     """alpha and beta at a fixed level energy, plus the normalization B.
 
     alpha must be negative (bound state, E < C0 of core.cornell_quadratic);
@@ -94,9 +95,6 @@ class WaveParams(namedtuple("WaveParams", "alpha beta B variant")):
             raise DomainError(f"WaveParams.B must be positive and finite, got {B}")
         return super().__new__(cls, alpha, beta, B, variant)
 
-    # namedtuple's _make, behind _replace, skips __new__
-    _make = classmethod(lambda cls, values: cls(*values))
-
     @property
     def u(self) -> float:
         return math.sqrt(-self.alpha)
@@ -113,12 +111,15 @@ def wave_params(sys: MesonSystem, state: QuantumState, level_energy: float, vari
     return WaveParams(alpha, beta, variant=Variant.parse(variant))
 
 
-def _check_index(params: WaveParams, n: int):
-    # the checks of psi_n that hold for every cell alike
+def _check_index(params: WaveParams, n: int) -> int:
+    """The checks of psi_n that hold for every cell alike; returns n, an
+    integer: 1.5 raises TypeError, an n no cell can take DomainError."""
+    n = operator.index(n)
     if not 0 <= n <= _MAX_N:
         raise DomainError(f"psi_n: n must be in [0, {_MAX_N}], got {n}")
     if params.variant is not Variant.REAL and n != 0:
         raise DomainError("momentum-coupled variant is implemented for n = 0 only")
+    return n
 
 
 @lru_cache(maxsize=512)
@@ -143,8 +144,7 @@ def psi_n(params: WaveParams, n: int, r, p_r):
     For n >= 4 the terms cancel: the error, ~1e-15 of their summed magnitudes,
     reaches ~1e-10 of |psi_n|, and 2.4e-9 near a node of bbbar 6S (vs mpmath).
     """
-    n = int(n)
-    _check_index(params, n)
+    n = _check_index(params, n)
     r, p_r = np.asarray(r, float), np.asarray(p_r, float)
     if (r <= 0).any():
         raise DomainError(_R_DOMAIN.format(r[r <= 0][0]))
@@ -188,7 +188,7 @@ def half_transformed_kernel(params: WaveParams, n: int):
     if params.variant is not Variant.REAL:
         raise DomainError("half_transformed_kernel covers the real variant only")
     u, c = params.u, params.c_order
-    coeffs = _rodrigues_coeffs_cached(params.alpha, params.beta, int(n))
+    coeffs = _rodrigues_coeffs_cached(params.alpha, params.beta, n)
 
     def kernel(a: complex) -> complex:
         a = complex(a)
@@ -210,8 +210,7 @@ def psi_n_numeric(params: WaveParams, n: int, r: float, p_r: float) -> complex:
     the exp(u w / 2) decay guarantees convergence.  Cross-checks psi_n to
     ~1e-9.
     """
-    n = int(n)
-    _check_index(params, n)
+    n = _check_index(params, n)
     if r <= 0:
         raise DomainError(f"psi_n_numeric: r must be > 0, got {r}")
     if params.variant is Variant.REAL:
@@ -288,8 +287,7 @@ def normalize_B(params: WaveParams, n: int) -> float:
     momentum-coupled variant raises DomainError."""
     if params.variant is not Variant.REAL:
         raise DomainError("normalization integrals cover the real variant only")
-    n = int(n)
-    _check_index(params, n)
+    n = _check_index(params, n)
     u, c = params.u, params.c_order
     s = 2.0 * c - 2.0 - 2 * n  # a + 1
     if s <= 0:
@@ -383,7 +381,7 @@ def density_grid(params: WaveParams, n: int, r_axis, p_axis) -> PhaseSpaceGrid:
     and density are NaN, and cell_errors lists its (i, j, message) in
     row-major order.
     """
-    _check_index(params, int(n))
+    n = _check_index(params, n)
     rs = _axis_values(r_axis, "r")
     ps = _axis_values(p_axis, "p")
     r_col, p_row = np.array(rs)[:, None], np.array(ps)

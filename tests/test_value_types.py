@@ -1,12 +1,17 @@
 """Contract of the value types: immutable namedtuples that validate when
-built, by keyword or position, and again on _replace and _make."""
+built, by keyword or position, and again on _replace and _make; and of the
+indices that the library takes, which are integers."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
-from htaspec import confine1d, core, dataio, nu, waves
+import htaspec
+from htaspec import confine1d, core, dataio, nu, special, waves
 from htaspec.core import CornellParams, MesonSystem, QuantumState, Variant
 from htaspec.errors import DomainError
 
@@ -92,3 +97,48 @@ def test_phase_space_grid_checks_shapes():
         waves.PhaseSpaceGrid((0.1, 0.2, 0.3), (-1.0, 0.0, 1.0), amp, abs(amp) ** 2)
     with pytest.raises(DomainError):
         waves.PhaseSpaceGrid((0.1, 0.2), (-1.0, 0.0, 1.0), amp, np.zeros(3))
+
+
+def test_every_checked_value_type_takes_the_base():
+    # a namedtuple subclass whose __new__ checks its fields must take Checked
+    # as its first base, or _replace and _make would skip the checks
+    modules = [importlib.import_module(f"htaspec.{m.name}") for m in pkgutil.iter_modules(htaspec.__path__)]
+    checked = {
+        obj
+        for mod in modules
+        for obj in vars(mod).values()
+        if inspect.isclass(obj) and "__new__" in vars(obj) and any(hasattr(base, "_fields") for base in obj.__bases__)
+    }
+    assert {CornellParams, MesonSystem, QuantumState, waves.WaveParams, dataio.ExperimentalLevel,
+            nu.NUProblem, confine1d.Confinement1DSystem} <= checked
+    for cls in checked:
+        assert inspect.getattr_static(cls, "_make") is vars(core.Checked)["_make"], cls.__name__
+
+
+_WAVE = waves.WaveParams(alpha=-1.0, beta=10.0)  # c = 5: normalizable up to n = 3
+_SYS = MesonSystem(1.4495, 1.4495, CornellParams(-1.6808, 0.4069, 0.5074), "ccbar")
+
+# each entry point at an index k: (name, call, a valid k)
+_INDEXED = [
+    ("psi_n", lambda k: waves.psi_n(_WAVE, k, 0.5, 0.3), 1),
+    ("psi_n_numeric", lambda k: waves.psi_n_numeric(_WAVE, k, 0.5, 0.3), 1),
+    ("half_transformed_kernel", lambda k: waves.half_transformed_kernel(_WAVE, k)(0.7 + 0.1j), 2),
+    ("normalize_B", lambda k: waves.normalize_B(_WAVE, k), 1),
+    ("density_grid", lambda k: waves.density_grid(_WAVE, k, [0.5, 1.0], [0.0, 0.3]).amplitudes.tolist(), 1),
+    ("rodrigues_y", lambda k: nu.rodrigues_y(nu.ExpPowerForm(rate=-2.0, power=-3.0), k).coeffs, 2),
+    ("lambda_n", lambda k: nu.lambda_n((1.0, -4.0), k), 2),
+    ("energy_1d", lambda k: confine1d.energy_1d(confine1d.Confinement1DSystem(0.615, 0.4069), k), 1),
+    ("moment_identity_check", lambda k: confine1d.moment_identity_check(0.5, k), 2),
+    ("airy_ai_zero", lambda k: special.airy_ai_zero(k), 2),
+    ("parameter_scan", lambda k: core.parameter_scan(_SYS, QuantumState(0), "a", -1.7, -1.6, k), 3),
+    ("QuantumState.n", lambda k: QuantumState(k, 0), 1),
+    ("QuantumState.l", lambda k: QuantumState(0, k), 1),
+]
+
+
+@pytest.mark.parametrize("call, k", [entry[1:] for entry in _INDEXED], ids=[entry[0] for entry in _INDEXED])
+def test_indices_are_integers(call, k):
+    # a non-integer index raises, never truncates; a numpy integer is the integer
+    with pytest.raises(TypeError):
+        call(1.5)
+    assert call(np.int64(k)) == call(k)
