@@ -6,8 +6,8 @@ Conventions (natural units, hbar = 1, energies in GeV):
 
 * The Cornell potential V(r) = a/r + b r reads a x + b/x in x = 1/r.  Its
   reciprocal term is expanded to second order about the characteristic
-  point x = delta = 1/A0, which must be positive (x = 1/r is), giving the
-  quadratic of cornell_quadratic:
+  point x = delta = 1/A0, positive as x = 1/r is (CornellParams' rule),
+  giving the quadratic of cornell_quadratic:
 
       V ~ C0 + C1 x + C2 x^2,  (C0, C1, C2) = (3b/delta, a - 3b/delta^2, b/delta^3).
 
@@ -46,7 +46,10 @@ Conventions (natural units, hbar = 1, energies in GeV):
   energy_real_via_nu reproduces it through the NU machinery, root-solving
   nu.solve's lambda in u at alpha = -u^2, down to the vertex.  The
   wave functions (waves module) use the minus branch instead, whose phi
-  decays at large separation; only that branch is normalizable.
+  decays at large separation; only that branch is normalizable.  For
+  beta >= 0 the condition is the textbook NU one at gamma_n = gamma - 2 nu,
+  so a level and its wave function solve the kernel equation at gamma_n
+  (waves.half_transformed_kernel), which moves with n.
 
 * Complex-variant constants are the real ones mirrored, at momentum p_r:
 
@@ -120,7 +123,8 @@ class Checked:
 
 
 class CornellParams(Checked, namedtuple("CornellParams", "a b delta")):
-    """Cornell potential strengths and the expansion point delta = 1/A0."""
+    """Cornell potential strengths and the expansion point delta = 1/A0: all
+    finite, and delta > 0 as x = 1/r is, the one place that rule is checked."""
 
     __slots__ = ()
 
@@ -128,8 +132,8 @@ class CornellParams(Checked, namedtuple("CornellParams", "a b delta")):
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(delta)):
             name, v = next((k, v) for k, v in zip(cls._fields, (a, b, delta)) if not math.isfinite(v))
             raise DomainError(f"CornellParams.{name} must be finite, got {v}")
-        if delta == 0:
-            raise DomainError("CornellParams.delta must be nonzero")
+        if not delta > 0:
+            raise DomainError(f"CornellParams.delta must be positive, got {delta}")
         return tuple.__new__(cls, (a, b, delta))
 
 
@@ -199,8 +203,6 @@ def cornell_quadratic(params: CornellParams) -> tuple[float, float, float]:
     """(C0, C1, C2) of V ~ C0 + C1 x + C2 x^2: the Cornell potential a x + b/x
     in x = 1/r, with b/x expanded to second order about x = delta > 0."""
     a, b, d = params.a, params.b, params.delta
-    if d <= 0:
-        raise DomainError(f"the expansion point x = delta must be positive (x = 1/r), got {d}")
     return 3 * b / d, a - 3 * b / d ** 2, b / d ** 3
 
 

@@ -8,7 +8,8 @@ only to points where every fit level has a bound state; residual, the
 unweighted RMS, gives a level without one a flat 10 GeV instead.  Both read
 one scoring loop, which builds the system's level rule (core.level_rule)
 once per evaluation; fit builds no rule outside it, and returns the best
-seed's RMS as scored there.  The bundled complex5 fit takes 618
+seed's RMS as scored there.  delta > 0 is CornellParams' rule, so a trial
+point that breaks it is inadmissible.  The bundled complex5 fit takes 618
 evaluations, where the Nelder-Mead simplex it replaced took 12,414.
 """
 
@@ -52,17 +53,14 @@ def _usable(levels) -> list[ExperimentalLevel]:
 
 
 def _level_errors(sys: MesonSystem, used, variant: Variant) -> list[float]:
-    """(model - measured) mass per level, NaN where the model has no bound state
-    (every level when delta <= 0): the one scoring loop of residual and fit."""
-    try:
-        level = level_rule(sys, variant)
-    except DomainError:
-        return [math.nan] * len(used)
+    """(model - measured) mass per level, NaN where the model has no bound state:
+    the one scoring loop of residual and fit (CornellParams holds delta > 0)."""
+    level = level_rule(sys, variant)
     mass_sum, out = sys.mass_sum, []
     for lv in used:
         try:
             out.append(mass_sum + level(lv.state)[0] - lv.mass)
-        except (NonPhysicalParameters, DegenerateStateError, DomainError):
+        except (NonPhysicalParameters, DegenerateStateError):
             out.append(math.nan)
     return out
 
@@ -167,17 +165,16 @@ def fit(
 ) -> FitResult:
     """Best-of-multi-start Levenberg-Marquardt fit of (a, b, delta).
 
-    A trial point is admissible when b > 0, delta > 0 and every fit level
-    has a bound state.  Ties between seeds break on the lowest seed index;
-    with no seeds the defaults around the stored parameters are used.
+    A trial point is admissible when b > 0, delta > 0 (CornellParams' rule)
+    and every fit level has a bound state.  Ties between seeds break on the
+    lowest seed index; with no seeds the defaults around the stored
+    parameters are used.
     """
     variant = Variant.parse(variant)
     if seeds is None:
         seeds = default_seeds(sys_initial.params)
     if not seeds:
         raise FitFailedError("no seeds given")
-    if bad := [s.delta for s in seeds if s.delta <= 0]:
-        raise DomainError(f"seed delta must be > 0, got {bad[0]}")
     used = _usable(levels)
     m_q, m_qbar, _, label = sys_initial
 
@@ -186,7 +183,7 @@ def fit(
             return None
         try:
             errors = _level_errors(MesonSystem(m_q, m_qbar, CornellParams(*x), label), used, variant)
-        except DomainError:  # a non-finite trial point
+        except DomainError:  # a trial point CornellParams rejects: non-finite, or delta not > 0
             return None
         return None if any(map(math.isnan, errors)) else errors
 

@@ -30,7 +30,7 @@ solve, the one entry point, returns K, pi, tau and lambda.  phi (phi'/phi
 s^power in the family sigma = s^2 produces (ExpPowerForm): phi has rate
 -pi0 and power pi1, rho rate -tau0 and power tau1 - 2.  The Rodrigues
 polynomials y_n = (1/rho) d^n/ds^n (s^2n rho) of such a rho are generalized
-Bessel polynomials, which rodrigues_y writes in closed form.
+Bessel polynomials, whose coefficients rodrigues_y writes in closed form.
 
 Polynomials are ascending coefficient tuples: (c0, c1, c2) is c0 + c1 s
 + c2 s^2.
@@ -50,7 +50,6 @@ __all__ = [
     "NUProblem",
     "NUSolution",
     "ExpPowerForm",
-    "RodriguesPolynomial",
     "lambda_n",
     "rodrigues_y",
     "solve",
@@ -90,15 +89,6 @@ class ExpPowerForm(namedtuple("ExpPowerForm", "rate power")):
         return cmath.exp(self.rate / s + self.power * cmath.log(s))
 
 
-class RodriguesPolynomial(namedtuple("RodriguesPolynomial", "coeffs n")):
-    """Polynomial part y_n of the NU solution, ascending coefficients."""
-
-    __slots__ = ()
-
-    def __call__(self, s: complex) -> complex:
-        return polyval(self.coeffs, s)
-
-
 # K, pi, tau and lambda for one (problem, branch)
 NUSolution = namedtuple("NUSolution", "k pi tau lam")
 
@@ -112,8 +102,9 @@ def lambda_n(tau: tuple[complex, complex], n: int) -> complex:
     return -n * tau[1] - n * (n - 1)
 
 
-def rodrigues_y(rho: ExpPowerForm, n: int) -> RodriguesPolynomial:
-    """y_n = (1/rho) d^n/ds^n [s^2n rho], B_n = 1, for rho = exp(q/s) s^p.
+def rodrigues_y(rho: ExpPowerForm, n: int) -> tuple[complex, ...]:
+    """The n + 1 ascending coefficients of y_n = (1/rho) d^n/ds^n [s^2n rho],
+    B_n = 1, for rho = exp(q/s) s^p.
 
     These are generalized Bessel polynomials (Krall & Frink, Trans. AMS 65
     (1949) 100), with the closed-form coefficients
@@ -130,7 +121,7 @@ def rodrigues_y(rho: ExpPowerForm, n: int) -> RodriguesPolynomial:
     for k in range(n + 1):
         coeffs.append(complex(math.comb(n, k) * rising * (-q) ** (n - k)))
         rising *= p + (n + 1 + k)
-    return RodriguesPolynomial(coeffs=tuple(coeffs), n=n)
+    return tuple(coeffs)
 
 
 def solve(problem: NUProblem, branch: int = +1) -> NUSolution:

@@ -30,6 +30,11 @@ picks a phase rate, a W and its (coefficient, power, order) terms, and an
 integer order is an ordinary point (Gamma(s, z) is entire in s).
 psi_n_numeric, with its own A-kernels, is the independent cross-check.
 
+At the level rule's energy, for beta >= 0, psi_n's Omega_n solves the kernel
+equation of half_transformed_kernel at gamma_n = gamma - 2(n + 1), not gamma:
+an n-dependent C2 -> C2 + (n + 1)/(4m), so states of one l solve different
+equations.
+
 By Parseval in p_r, 4 pi int |psi_n|^2 r^2 dr dp_r = (4/3) B^2 int_0^inf
 t^3 Omega_n(t)^2 dt, which an (n + 1)-node Gauss-Laguerre rule integrates
 exactly (normalize_B); total_probability takes the left side by 2-D
@@ -127,7 +132,7 @@ def _rodrigues_coeffs_cached(alpha: float, beta: float, n: int) -> tuple[complex
     # coefficients of y_n for the minus-branch weight exp(-2u/x) x^(-2c)
     u = math.sqrt(-alpha)
     c = beta / (2.0 * u)
-    return nu.rodrigues_y(nu.ExpPowerForm(rate=-2.0 * u, power=-2.0 * c), n).coeffs
+    return nu.rodrigues_y(nu.ExpPowerForm(rate=-2.0 * u, power=-2.0 * c), n)
 
 
 def psi_n(params: WaveParams, n: int, r, p_r):
@@ -179,11 +184,14 @@ def _value(a):
 def half_transformed_kernel(params: WaveParams, n: int):
     """Omega_n as a callable of the complex collective variable A.
 
-    Omega_n(A) = exp(-uA) A^(c-3) y_n(1/A); with the level energy solving
-    the strict NU quantization condition it satisfies, gamma the third
-    constant of core.real_constants,
+    Omega_n(A) = exp(-uA) A^(c-3) y_n(1/A) = exp(-uA) sum_j y_j A^(c-3-j) solves
 
-        Omega'' + 6 Omega'/A + (alpha + beta/A + gamma/A^2) Omega = 0.
+        Omega'' + 6 Omega'/A + (alpha + beta/A + g/A^2) Omega = 0
+
+    iff 2u j y_j = -((c-2-j)(c+3-j) + g) y_(j-1), j = 1..n+1, y_(n+1) = 0.
+    At the level rule's energy (core) and beta >= 0 that holds at
+    g = gamma_n = gamma - 2(n+1), gamma of core.real_constants; the strict
+    NU condition (nu.lambda_n), which no command uses, would give g = gamma.
     """
     if params.variant is not Variant.REAL:
         raise DomainError("half_transformed_kernel covers the real variant only")
@@ -294,7 +302,7 @@ def normalize_B(params: WaveParams, n: int) -> float:
         raise NonPhysicalParameters(f"not normalizable: the integral of |psi_{n}|^2 r^2 diverges at r -> 0 (c = {c:.6g})", value=c)
     # P(x) = x^n y_n(1/x) for the weight exp(-1/x) x^(-2c): its Rodrigues
     # coefficients, ascending in 1/x, are P's in descending powers of x
-    p_coeffs = [y.real for y in nu.rodrigues_y(nu.ExpPowerForm(rate=-1.0, power=-2.0 * c), n).coeffs]
+    p_coeffs = [y.real for y in nu.rodrigues_y(nu.ExpPowerForm(rate=-1.0, power=-2.0 * c), n)]
     x, w = gauss_laguerre(s - 1.0, n + 1)
     total = 4.0 / 3.0 * math.fsum(w * np.polyval(p_coeffs, x) ** 2)
     return math.exp(-0.5 * (math.lgamma(s) - s * math.log(2.0 * u))) / math.sqrt(total)

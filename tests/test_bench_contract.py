@@ -1,13 +1,18 @@
 """The benchmark's contract with the program: every name that
 perfbench/tracer.py wraps or reads, and every htaspec name that
-perfbench/checks.py, workloads.py and kernel_bench.py use, exists.  A
-deletion then fails here, and not only in a harness run (a traced one
-reports it as ``absent``).  The perfbench files are read by path and
-parsed, not run: nothing is wrapped and no command runs.
+perfbench/checks.py, workloads.py and kernel_bench.py use, exists, and
+workloads.py can draw every workload's inputs.  A deletion, or a level-rule
+change that leaves the generator without a physical meson, then fails here,
+and not only in a harness run (a traced one reports a deletion as
+``absent``).  tracer.py, checks.py and kernel_bench.py are read by path and
+parsed, not run; of workloads.py only make_round runs, writing round 0's
+inputs into a temporary directory.  Nothing is wrapped and no command runs.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +84,20 @@ def test_check_takes_out():
     # every benchmark command, check included, is run with --out DIR
     args = cli.build_parser().parse_args(["check", "--out", "DIR"])
     assert (args.func, args.out) == (cli.cmd_check, "DIR")
+
+
+def _workloads():
+    # by path, under a name of its own: perfbench is not a package
+    if (mod := sys.modules.get("perfbench_workloads")) is None:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+        mod = sys.modules["perfbench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["spectra", "grids", "quadrature"])
+def test_every_workload_draws_its_inputs(tmp_path, workload, seed):
+    # draw_meson raises RuntimeError when 400 draws hold no physical meson
+    cmds = _workloads().make_round(workload, seed, 0, str(tmp_path))
+    assert cmds and all(cmd.argv[0] == cmd.kind for cmd in cmds)

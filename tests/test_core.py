@@ -99,11 +99,9 @@ class TestReciprocalSeries:
             assert 2 * c2 == pytest.approx(2 * b / d**3, rel=1e-14)
 
     def test_zero_rejected(self):
-        # x = delta must lie where x = 1/r lives: delta <= 0 is rejected
-        # (delta = 0 already by CornellParams)
-        with pytest.raises(DomainError):
-            CornellParams(1.0, 0.5, 0.0)
-        for d in (-0.4, -1.0):
+        # x = delta must lie where x = 1/r lives: CornellParams rejects
+        # delta <= 0 where it is built, so no quadratic is ever formed
+        for d in (0.0, -0.0, -0.4, -1.0):
             with pytest.raises(DomainError, match="must be positive"):
                 core.cornell_quadratic(CornellParams(-1.0, 0.5, d))
 
@@ -167,11 +165,9 @@ class TestEnergyReal:
                 assert abs(e - 3 * b / d) <= 1e-15 * abs(3 * b / d)
 
     def test_negative_delta_rejected(self):
-        sys_v = MesonSystem(1.0, 1.0, CornellParams(-1.0, 0.5, -0.4))
-        with pytest.raises(DomainError):
-            core.energy_real(sys_v, QuantumState(0, 0))
-        with pytest.raises(DomainError):
-            core.energy_real_via_nu(sys_v, QuantumState(0, 0))
+        # the system cannot be built, so no real7 route sees delta < 0
+        with pytest.raises(DomainError, match="CornellParams.delta must be positive, got -0.4"):
+            MesonSystem(1.0, 1.0, CornellParams(-1.0, 0.5, -0.4))
 
     def test_additive_mass_structure(self, ccbar_real):
         st = QuantumState(0, 0)
@@ -234,14 +230,12 @@ class TestEnergyComplex:
                 assert abs(e - 3 * b / d) <= 1e-15 * abs(3 * b / d)
 
     def test_negative_delta_rejected(self):
-        # x = delta must lie where x = 1/r lives, in this variant too
-        sys_v = MesonSystem(1.0, 1.0, CornellParams(-1.0, 0.5, -1.0))
-        with pytest.raises(DomainError):
-            core.energy_complex(sys_v, QuantumState(0, 0), 0.0)
-        with pytest.raises(DomainError):
-            core.rest_energy_bracket(sys_v, QuantumState(0, 0))
-        with pytest.raises(DomainError):
-            core.mass_spectrum(sys_v, QuantumState(0, 0), Variant.COMPLEX)
+        # x = delta must lie where x = 1/r lives, in this variant too: the
+        # params are rejected where they are built, and _replace checks alike
+        with pytest.raises(DomainError, match="CornellParams.delta must be positive, got -1.0"):
+            CornellParams(-1.0, 0.5, -1.0)
+        with pytest.raises(DomainError, match="CornellParams.delta must be positive"):
+            CornellParams(-1.0, 0.5, 1.0)._replace(delta=-1.0)
 
 
 class TestLevel:
@@ -538,6 +532,28 @@ class TestMonotonicity:
         for n in (0, 1, 2, 3):
             masses = [core.mass_spectrum(sys_v, QuantumState(n, l), Variant.REAL) for l in range(3)]
             assert all(b >= a for a, b in zip(masses, masses[1:]))
+
+    # complex5 bcbar's decaying root gives a ladder that falls with n
+    # (1S-4S masses 4.133, 3.256, 2.268, 1.149 GeV) and exits 0; the level
+    # rule must raise there instead (ROADMAP item 9)
+    @pytest.mark.parametrize(
+        "meson, variant, l",
+        [
+            pytest.param(meson, variant, l, id=f"{meson}-{variant.value}-l{l}",
+                         marks=[pytest.mark.xfail(raises=AssertionError, strict=True, reason="complex5 bcbar prints a falling ladder")]
+                         if (meson, variant) == ("bcbar", Variant.COMPLEX) else [])
+            for meson in ("ccbar", "bbbar", "bcbar")
+            for variant in Variant
+            for l in (0, 1, 2)
+        ],
+    )
+    def test_ladder_rises_with_n_or_raises(self, dataset, meson, variant, l):
+        sys_v = dataset[meson].system(variant)
+        try:
+            energies = [core.level(sys_v, QuantumState(n, l), variant)[0] for n in range(4)]
+        except NonPhysicalParameters:
+            return
+        assert all(a < b for a, b in zip(energies, energies[1:])), energies
 
 
 class TestParameterScan:

@@ -59,7 +59,8 @@ class TestResidual:
             fitting.ExperimentalLevel("2S", QuantumState(1, 0), 3.0, True),
             fitting.ExperimentalLevel("3S", QuantumState(2, 0), 3.4, True),
         ]
-        bad = MesonSystem(1.0, 1.0, CornellParams(-1.0, 0.5, -0.8))
+        # b = -30: a negative radicand at every level, so no level is bound
+        bad = MesonSystem(1.0, 1.0, CornellParams(-1.0, -30.0, 1.0))
         r = fitting.residual(bad, levels)
         assert math.isfinite(r)
         assert r == pytest.approx(10.0, rel=1e-6)

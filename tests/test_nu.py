@@ -243,15 +243,15 @@ class TestDescriptorsAndRodrigues:
 
     def test_rodrigues_n0(self):
         y0 = nu.rodrigues_y(self.rho, 0)
-        assert y0.coeffs == (1 + 0j,)
-        assert y0(0.7) == 1
+        assert y0 == (1 + 0j,)
+        assert nu.polyval(y0, 0.7) == 1
 
     def test_rodrigues_n1_matches_tau(self):
         # y1 = (1/rho) d/dx (sigma rho) = tau for this normalization
         y1 = nu.rodrigues_y(self.rho, 1)
-        assert len(y1.coeffs) == 2
-        assert y1.coeffs[0] == pytest.approx(self.tau[0], rel=1e-12)
-        assert y1.coeffs[1] == pytest.approx(self.tau[1], rel=1e-12)
+        assert len(y1) == 2
+        assert y1[0] == pytest.approx(self.tau[0], rel=1e-12)
+        assert y1[1] == pytest.approx(self.tau[1], rel=1e-12)
 
     def test_rodrigues_coefficients_against_mpmath(self):
         # the weights waves builds, exp(-2u/s) s^(-2c): every coefficient a
@@ -261,7 +261,7 @@ class TestDescriptorsAndRodrigues:
         with mpmath.workdps(40):
             for _ in range(2000):
                 u, c, n = rng.uniform(0.1, 10.0), rng.uniform(-30.0, 30.0), rng.randint(0, 6)
-                got = nu.rodrigues_y(nu.ExpPowerForm(rate=-2.0 * u, power=-2.0 * c), n).coeffs
+                got = nu.rodrigues_y(nu.ExpPowerForm(rate=-2.0 * u, power=-2.0 * c), n)
                 want = rodrigues_oracle(-2.0 * u, -2.0 * c, n)
                 worst = max(worst, *(float(abs(g - w) / abs(w)) for g, w in zip(got, want)))
         assert worst <= 2e-15
@@ -279,7 +279,7 @@ class TestDescriptorsAndRodrigues:
         for x in np.linspace(0.5, 2.4, 20):
             h = 2e-4 * x
             rich = (4 * second(x, h / 2) - second(x, h)) / 3
-            assert y2(x) == pytest.approx(rich / self.rho(x), rel=1e-6)
+            assert nu.polyval(y2, x) == pytest.approx(rich / self.rho(x), rel=1e-6)
 
     def test_reconstructed_ode_solution(self):
         # psi = phi y_n solves the original equation when alpha sits on the
@@ -290,7 +290,7 @@ class TestDescriptorsAndRodrigues:
         sol = nu.solve(prob, branch=-1)
         phi = nu.ExpPowerForm(rate=-sol.pi[0], power=sol.pi[1])
         y = nu.rodrigues_y(nu.ExpPowerForm(rate=-sol.tau[0], power=sol.tau[1] - 2), n)
-        psi = lambda x: phi(x) * y(x)
+        psi = lambda x: phi(x) * nu.polyval(y, x)
 
         def deriv(x, h):
             d1 = (psi(x + h) - psi(x - h)) / (2 * h)

@@ -420,3 +420,20 @@ class TestReachableDomain:
             g = (-params.beta - mp.mpc(0, 4 * p)) / (2 * params.u)
             ref = complex(mp.exp(mp.mpc(0, -2 * p * r)) * big_w ** (g - 2) * mp.gammainc(2 - g, r * big_w, mp.inf) / mp.pi)
         assert waves.psi_n(params, 0, r, p) == pytest.approx(ref, rel=1e-12)
+
+    # grid --meson bbbar --variant complex5 --rmin 1e-6 --no-normalize writes
+    # 0 at r = 1e-6, p_r = 1500, where psi_0 is about 1e-69: a silently
+    # wrong finite number.  A non-finite value would be a reported failed cell
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason="needs Gamma(s, z) in log space")
+    def test_momentum_coupled_silent_zero(self, dataset):
+        mp = pytest.importorskip("mpmath")
+        sys_v = dataset["bbbar"].system(Variant.COMPLEX)
+        state = QuantumState.from_label("1S")
+        params = waves.wave_params(sys_v, state, core.energy_complex(sys_v, state, 0.0).real, variant=Variant.COMPLEX)
+        r, p = 1e-6, 1500.0
+        with mp.workdps(50):
+            big_w = mp.mpc(params.u, -4 * p)
+            g = (-params.beta - mp.mpc(0, 4 * p)) / (2 * params.u)
+            ref = complex(mp.exp(mp.mpc(0, -2 * p * r)) * big_w ** (g - 2) * mp.gammainc(2 - g, r * big_w, mp.inf) / mp.pi)
+        got = waves.psi_n(params, 0, r, p)
+        assert not cmath.isfinite(got) or abs(got - ref) <= 1e-10 * abs(ref)

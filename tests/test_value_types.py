@@ -125,7 +125,7 @@ _INDEXED = [
     ("half_transformed_kernel", lambda k: waves.half_transformed_kernel(_WAVE, k)(0.7 + 0.1j), 2),
     ("normalize_B", lambda k: waves.normalize_B(_WAVE, k), 1),
     ("density_grid", lambda k: waves.density_grid(_WAVE, k, [0.5, 1.0], [0.0, 0.3]).amplitudes.tolist(), 1),
-    ("rodrigues_y", lambda k: nu.rodrigues_y(nu.ExpPowerForm(rate=-2.0, power=-3.0), k).coeffs, 2),
+    ("rodrigues_y", lambda k: nu.rodrigues_y(nu.ExpPowerForm(rate=-2.0, power=-3.0), k), 2),
     ("lambda_n", lambda k: nu.lambda_n((1.0, -4.0), k), 2),
     ("energy_1d", lambda k: confine1d.energy_1d(confine1d.Confinement1DSystem(0.615, 0.4069), k), 1),
     ("moment_identity_check", lambda k: confine1d.moment_identity_check(0.5, k), 2),

@@ -461,6 +461,40 @@ class TestAnsatzConsistency:
                 scale = max(abs(d2), abs((params.alpha + beta / a0 + gamma / a0**2) * om(r)))
                 assert abs(resid) / scale < 1e-4
 
+    # Omega_n = e^(-ut) sum_j y_j t^(c-3-j) solves the kernel equation exactly
+    # when 2u j y_j = -((c-2-j)(c+3-j) + gamma) y_(j-1) for j = 1..n+1, with
+    # y_(n+1) = 0.  At the level rule's energies the written coefficients
+    # satisfy it with gamma_n = gamma - 2(n+1), not with gamma itself.
+    # bcbar's level rule reads |beta| but its wave function the signed beta,
+    # so it misses with either (ROADMAP item 23; with |beta| it holds).
+    @pytest.mark.parametrize(
+        "meson, label",
+        [
+            pytest.param(meson, label, marks=[pytest.mark.xfail(raises=AssertionError, strict=True, reason="the wave function reads the signed beta")]
+                         if meson == "bcbar" else [])
+            for meson in ("ccbar", "bbbar", "bcbar")
+            for label in ("1S", "2S", "3S", "4S", "1P", "2P", "1D")
+        ],
+    )
+    def test_coefficients_solve_the_kernel_equation_with_gamma_n(self, dataset, meson, label):
+        sys_v, st = dataset[meson].system(Variant.REAL), QuantumState.from_label(label)
+        e = core.level(sys_v, st)[0]
+        params = waves.wave_params(sys_v, st, e)
+        gamma = core.real_constants(sys_v, st, e)[2]
+        u, c, n = params.u, params.c_order, st.n
+        y = [*waves._rodrigues_coeffs_cached(params.alpha, params.beta, n), 0j]
+
+        def miss(g):
+            worst = 0.0
+            for j in range(1, n + 2):
+                k = (c - 2 - j) * (c + 3 - j) + g
+                scale = max(abs(2 * u * j * y[j]), abs(k * y[j - 1]), abs(2 * u * j * y[j - 1]))
+                worst = max(worst, abs(2 * u * j * y[j] + k * y[j - 1]) / scale)
+            return worst
+
+        assert miss(gamma - 2 * (n + 1)) <= 1e-13
+        assert miss(gamma) >= 1e-2
+
     def test_density_invariant_under_ansatz_phase(self, params_1s):
         for r, p in SAMPLE_POINTS[:4]:
             psi = waves.psi_n(params_1s, 0, r, p)
