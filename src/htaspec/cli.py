@@ -28,8 +28,8 @@ Each command compiles only the modules it runs: spectrum and scan load core
 and dataio, fit adds fitting, check --suite nu adds nu, grid adds waves, nu,
 special, gridsplit and numpy, and check's quadrature (moment) suite adds
 waves, nu, special, confine1d and numpy (confine1d, special and numpy).  No
-command imports scipy or dataclasses: with no bytecode cache, `import
-htaspec.cli` takes 34 ms over a bare interpreter (median of 15, 2-vCPU host).
+command imports scipy or dataclasses: with no bytecode cache, every module a
+command imports is compiled on each run.
 
 grid splits its rows into contiguous slices, one per usable CPU (gridsplit):
 it computes the first slice, and a forked worker computes and formats each
@@ -40,8 +40,7 @@ every exit path, and a grid that fails while writing leaves no CSV; only a
 one-thread process is forked (gridsplit).  _write_csv makes the --out
 directory when it writes the first CSV, so a command that fails first
 creates nothing.  main registers gc.freeze with atexit, so the
-interpreter's shutdown collections skip the heap: a script's exit after
-importing grid's modules fell from 26 to 8 ms (median of 21, 2-vCPU host).
+interpreter's shutdown collections skip the heap that the imports built.
 """
 
 from __future__ import annotations

@@ -38,7 +38,13 @@ equations.
 By Parseval in p_r, 4 pi int |psi_n|^2 r^2 dr dp_r = (4/3) B^2 int_0^inf
 t^3 Omega_n(t)^2 dt, which an (n + 1)-node Gauss-Laguerre rule integrates
 exactly (normalize_B); total_probability takes the left side by 2-D
-quadrature as its check.
+quadrature as its check.  So grid's B normalizes the phase-space L^2 norm,
+measure r^2 dr dp_r, under which states of one l are not orthogonal: the
+cross integral (4/3) B_n B_m int t^3 Omega_n Omega_m dt reads -0.7996 for
+ccbar <1S|2S> (-0.92 to +0.81 over bundled ccbar and bbbar 1S-3S, 1P-2P).
+The half-line ends at w = 0, where Omega_n(r) != 0, so |psi_n(r, p_r)|^2 ->
+B^2 Omega_n(r)^2 / (4 pi^2 p_r^2) as |p_r| grows: <p_r^2> diverges, <|p_r|>
+like a logarithm, and a momentum extent must be a quantile, not a moment.
 
 All branch powers are exp(power * principal log); correctness of the branch
 bookkeeping is adjudicated by the quadrature equivalence, not by matching
@@ -74,7 +80,7 @@ __all__ = [
 ]
 
 _MAX_N = 6
-_BLOCK_CELLS = 1 << 12  # cells per psi_n call in grids and quadratures; bounds temporaries
+_BLOCK_CELLS = 1 << 12  # cells per psi_n call in density_grid; bounds temporaries
 # total_probability's rule: the smallest that tests/test_waves.py's
 # convergence table shows converged to 1e-12
 _PROB_R_NODES, _PROB_P_NODES = 50, 40
@@ -200,11 +206,7 @@ def half_transformed_kernel(params: WaveParams, n: int):
 
     def kernel(a: complex) -> complex:
         a = complex(a)
-        y = 0j
-        for j in range(len(coeffs) - 1, -1, -1):
-            y = y / a + coeffs[j]
-        # y = y_n(1/A) via Horner in 1/A
-        return cmath.exp(-u * a + (c - 3.0) * cmath.log(a)) * y
+        return cmath.exp(-u * a + (c - 3.0) * cmath.log(a)) * nu.polyval(coeffs, 1.0 / a)
 
     return kernel
 
@@ -314,10 +316,10 @@ def total_probability(params: WaveParams, n: int) -> float:
     _PROB_R_NODES nodes out to 1.5x the radius where the envelope falls to
     1e-12 of its peak, and _PROB_P_NODES nodes in p_r = (u/2) tan(theta) over
     the whole of (-pi/2, pi/2), which truncates no momentum.  u/2 is the
-    momentum scale of psi_n, whose p_r enters through r (u - 2 i p_r).  Real
-    variant only; a density that does not integrate at r -> 0 raises
-    NonPhysicalParameters, and a psi_n that is not finite at a rule node
-    NumericError."""
+    momentum scale of psi_n, whose p_r enters through r (u - 2 i p_r).  The
+    rule is evaluated as one density_grid.  Real variant only; a density that
+    does not integrate at r -> 0 raises NonPhysicalParameters, and a failed
+    cell of that grid (|psi_n|^2 not finite at a rule node) NumericError."""
     # the momentum-coupled density needs W^(g-2) Gamma(2-g, rW) at the large
     # |p_r| of the tangent map, where Gamma overflows though the product is small
     if params.variant is not Variant.REAL:
@@ -342,15 +344,12 @@ def total_probability(params: WaveParams, n: int) -> float:
         edge = (val.real ** 2 + val.imag ** 2) * probe * probe @ wp
     if not (edge[0] < edge[1] or edge[1] == 0):  # a non-finite probe fails too
         raise NonPhysicalParameters(f"not normalizable: r^2 int |psi_{n}|^2 dp_r grows like 1/r or faster at r -> 0", value=params.c_order)
-    rows = max(1, _BLOCK_CELLS // len(p))
-    inner = []  # the p_r integral of |psi_n|^2 r^2 at each radius, a block of radii per psi_n call
-    for i in range(0, len(r), rows):
-        rb = r[i : i + rows, None]
-        val = psi_n(params, n, rb, p)
-        if not np.isfinite(val).all():
-            raise NumericError(f"total_probability: psi_{n} is not finite at a rule node")
-        inner.append((val.real ** 2 + val.imag ** 2) * rb * rb @ wp)
-    return 4.0 * math.pi * float(wr @ (np.concatenate(inner) * half))
+    grid = density_grid(params, n, r, p)
+    if grid.cell_errors:
+        raise NumericError(f"total_probability: psi_{n} is not finite at a rule node")
+    amp, rc = grid.amplitudes, r[:, None]
+    inner = (amp.real ** 2 + amp.imag ** 2) * rc * rc @ wp  # the p_r integral of |psi_n|^2 r^2 at each radius
+    return 4.0 * math.pi * float(wr @ (inner * half))
 
 
 class PhaseSpaceGrid:

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import parseval_b_oracle
-from htaspec import cli, core, waves
+from htaspec import cli, core, special, waves
 from htaspec.core import CornellParams, MesonSystem, QuantumState, Variant
 from htaspec.errors import DomainError, HtaspecError, NonPhysicalParameters, NumericError
 
@@ -188,6 +189,24 @@ class TestNormalization:
         with pytest.raises(NumericError, match="psi_0 is not finite at a rule node"):
             waves.total_probability(params_1s, 0)
 
+    def test_overflowing_square_at_a_rule_node_raises(self, params_1s, monkeypatch):
+        # a finite psi_n of 1e200 at one rule node squares past double range:
+        # the rule's one density_grid reports the cell, and total_probability
+        # raises before it squares anything, with no RuntimeWarning
+        psi_n = waves.psi_n
+
+        def huge(params, n, r, p_r):
+            val = psi_n(params, n, r, p_r)
+            if len(r) > 2:
+                val[7, 11] = 1e200
+            return val
+
+        monkeypatch.setattr(waves, "psi_n", huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match="psi_0 is not finite at a rule node"):
+                waves.total_probability(params_1s, 0)
+
     def test_integrable_density_near_the_edge(self):
         # c = n + 1.05 integrates, however slowly
         assert math.isfinite(waves.total_probability(waves.WaveParams(alpha=-1.0, beta=2.1), 0))
@@ -310,6 +329,70 @@ class TestProbabilityRule:
         states, probs, _ = table
         for (label, _, _), prob in zip(states, probs):
             assert abs(prob - 1.0) <= 1e-11, label
+
+
+def _normalized(dataset, label, state):
+    sys_v, st = dataset[label].system(Variant.REAL), QuantumState.from_label(state)
+    params = waves.wave_params(sys_v, st, core.energy_real(sys_v, st))
+    return params._replace(B=waves.normalize_B(params, st.n)), st.n
+
+
+class TestPhaseSpaceMeasure:
+    """grid's B normalizes 4 pi int |psi_n|^2 r^2 dr dp_r, and states of one l
+    are not orthogonal under that measure; at large |p_r| the density falls
+    only like 1/p_r^2."""
+
+    @staticmethod
+    def laguerre_overlap(pn, n, pm, m):
+        # (4/3) B_n B_m int t^3 Omega_n Omega_m dt: t^a e^(-(u_n + u_m) t) times
+        # the degree-(n + m) polynomial t^(n+m) y_n(1/t) y_m(1/t), exact with
+        # ceil((n + m + 1)/2) nodes
+        a, rate = pn.c_order + pm.c_order - 3 - n - m, pn.u + pm.u
+        y = np.convolve(waves._rodrigues_coeffs_cached(pn.alpha, pn.beta, n), waves._rodrigues_coeffs_cached(pm.alpha, pm.beta, m)).real
+        x, w = special.gauss_laguerre(a, (n + m + 2) // 2)
+        return 4.0 / 3.0 * pn.B * pm.B * math.gamma(a + 1) * rate ** -(a + 1) * float(w @ np.polyval(y, x / rate))
+
+    @staticmethod
+    def quadrature_overlap(pn, n, pm, m):
+        # 4 pi int psi_n psi_m^* r^2 dr dp_r on total_probability's rule,
+        # sized for the wider state (the smaller u)
+        wide = min(pn, pm, key=lambda params: params.u)
+        r_max = waves._default_r_max(wide) * 1.5
+        split = min(4.0 / wide.u, 0.5 * r_max)
+        panels = [((lo + hi) / 2, (hi - lo) / 2) for lo, hi in ((1e-9, split), (split, r_max))]
+        nodes, weights = np.polynomial.legendre.leggauss(waves._PROB_R_NODES)
+        r = np.concatenate([mid + half * nodes for mid, half in panels])
+        wr = np.concatenate([half * weights for _, half in panels])
+        nodes, weights = np.polynomial.legendre.leggauss(waves._PROB_P_NODES)
+        th = math.pi / 2 * nodes
+        p, wp = wide.u / 2 * np.tan(th), wide.u / 2 * math.pi / 2 * weights / np.cos(th) ** 2
+        a, b = (waves.density_grid(params, k, r, p).amplitudes for params, k in ((pn, n), (pm, m)))
+        return 4.0 * math.pi * (wr * r * r) @ (a * b.conj()) @ wp
+
+    @pytest.mark.parametrize("meson", ["ccbar", "bbbar"])
+    @pytest.mark.parametrize("labels", [("1S", "2S", "3S"), ("1P", "2P")])
+    def test_overlaps_of_one_l(self, dataset, meson, labels):
+        states = [_normalized(dataset, meson, label) for label in labels]
+        for i, j in itertools.combinations_with_replacement(range(len(states)), 2):
+            exact = self.laguerre_overlap(*states[i], *states[j])
+            assert abs(self.quadrature_overlap(*states[i], *states[j]) - exact) <= 1e-10, (labels[i], labels[j])
+            if i == j:
+                assert exact == pytest.approx(1.0, abs=1e-12)
+            else:
+                assert 0.7 < abs(exact) < 0.95, (labels[i], labels[j], exact)  # far from orthogonal
+        if (meson, labels[0]) == ("ccbar", "1S"):
+            assert self.laguerre_overlap(*states[0], *states[1]) == pytest.approx(-0.79964, abs=1e-5)
+
+    @pytest.mark.parametrize("meson, label", [("ccbar", "1S"), ("bbbar", "2S"), ("ccbar", "3S")])
+    def test_large_momentum_tail(self, dataset, meson, label):
+        # |psi_n|^2 -> B^2 Omega_n(r)^2 / (4 pi^2 p_r^2): the half-line
+        # transform ends at w = 0, where Omega_n(r) != 0
+        params, n = _normalized(dataset, meson, label)
+        kernel = waves.half_transformed_kernel(params, n)
+        for r in (0.5, 1.5):
+            limit = params.B ** 2 * abs(kernel(r)) ** 2 / (4.0 * math.pi ** 2)
+            for p in (-1e4, 1e4):
+                assert p * p * abs(waves.psi_n(params, n, r, p)) ** 2 == pytest.approx(limit, rel=1e-6), (r, p)
 
 
 class TestDensityGrid:
