@@ -54,16 +54,7 @@ import sys
 
 from . import core, dataio
 from .core import QuantumState, Variant
-from .errors import (
-    DegenerateStateError,
-    DomainError,
-    FitFailedError,
-    HtaspecError,
-    InputError,
-    NonPhysicalParameters,
-    NumericError,
-    UnderdeterminedFitError,
-)
+from .errors import DomainError, FitFailedError, HtaspecError, InputError, NonPhysicalParameters, NumericError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -220,7 +211,7 @@ def cmd_fit(args) -> int:
                     str(result.converged).lower(),
                 ]
             )
-        except (UnderdeterminedFitError, FitFailedError) as exc:
+        except FitFailedError as exc:
             failures.append(f"{rec.label}: {exc}")
     _write_csv(
         os.path.join(args.out, "fitted_params.csv"),
@@ -423,10 +414,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NonPhysicalParameters, DegenerateStateError, DomainError) as exc:
+    except (NonPhysicalParameters, DomainError) as exc:
         print(f"non-physical parameters: {exc}", file=sys.stderr)
         return EXIT_NONPHYSICAL
-    except (UnderdeterminedFitError, FitFailedError) as exc:
+    except FitFailedError as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_FIT
     except (NumericError, ArithmeticError) as exc:

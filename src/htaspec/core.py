@@ -76,7 +76,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .errors import DegenerateStateError, DomainError, NonPhysicalParameters, NumericError
+from .errors import DomainError, NonPhysicalParameters, NumericError
 
 __all__ = [
     "Variant",
@@ -237,7 +237,7 @@ def level_rule(sys: MesonSystem, variant: Variant | str = Variant.REAL):
         def complex_rule(state):
             e, branch = root(state)
             if not abs(e.imag) <= 1e-12 * max(abs(e), 1.0):
-                raise NonPhysicalParameters(f"no real-valued branch at {state.label}", value=e)
+                raise NonPhysicalParameters(f"no real-valued branch at {state.label}")
             return e.real, branch
         return complex_rule
     e_flat, c1, c2 = cornell_quadratic(sys.params)
@@ -250,14 +250,11 @@ def level_rule(sys: MesonSystem, variant: Variant | str = Variant.REAL):
         k_l, k_nu, t, tt = _REAL_TERMS[state]
         cden = k_l - m8c2 - 6.0 + k_nu
         if cden == 0:
-            raise DegenerateStateError(f"level condition degenerates at state {state.label}")
+            raise NonPhysicalParameters(f"level condition degenerates at state {state.label}")
         q = 4.0 * cden
         disc = tt - q
         if disc < 0:
-            raise NonPhysicalParameters(
-                f"negative radicand {disc:.6g} in the level condition for {state.label}",
-                value=disc,
-            )
+            raise NonPhysicalParameters(f"negative radicand {disc:.6g} in the level condition for {state.label}")
         # the roots in |beta| (see the module docstring) are u = |beta|
         # ((2 nu - 1) -+ sqrt(disc)) / (4 cden); '-' gives the smaller |u|
         sq = math.sqrt(disc)
@@ -268,8 +265,7 @@ def level_rule(sys: MesonSystem, variant: Variant | str = Variant.REAL):
         if u > 0:
             return e_flat - u * u / m8, "-"
         raise NonPhysicalParameters(
-            f"no bound-state root (u > 0) for {state.label} with a={sys.params.a}, b={sys.params.b}, delta={sys.params.delta}",
-            value=None,
+            f"no bound-state root (u > 0) for {state.label} with a={sys.params.a}, b={sys.params.b}, delta={sys.params.delta}"
         )
     return rule
 
@@ -297,7 +293,7 @@ def _complex_rule(sys: MesonSystem, p_r: float):
         gam = -(-4 * l * (l + 1) - m8c2)
         cden = (n + 1) * (n + 2) - 2 - gam
         if cden == 0:
-            raise DegenerateStateError(f"level condition degenerates at state {state.label}")
+            raise NonPhysicalParameters(f"level condition degenerates at state {state.label}")
         if c1 == 0 and p_r == 0:  # g = 0
             return complex(e_flat), "+"
         sq = cmath.sqrt(9 + 4 * gam)
@@ -331,12 +327,12 @@ def rest_energy_bracket(sys: MesonSystem, state: QuantumState) -> float:
     beta, gam = -beta_r, -gamma_r  # beta_c and gamma_c at p_r = 0
     cden = nu_idx * nu_idx + nu_idx - 2 - gam
     if cden == 0:
-        raise DegenerateStateError(f"level condition degenerates at state {state.label}")
+        raise NonPhysicalParameters(f"level condition degenerates at state {state.label}")
     if c1 == 0:
         return e_flat
     radic = 9 + 4 * gam
     if radic < 0:
-        raise NonPhysicalParameters(f"negative radicand {radic:.6g} at {state.label}", value=radic)
+        raise NonPhysicalParameters(f"negative radicand {radic:.6g} at {state.label}")
     root = math.sqrt(radic)
     cands = []
     for sgn in (+1.0, -1.0):
@@ -468,7 +464,7 @@ def energy_real_via_nu(sys: MesonSystem, state: QuantumState) -> float:
     if bracket is None and scale > 0:
         bracket = _first_sign_change(residual, point, -int(400.0 * math.log(u_hi / scale) / math.log(1e6)), 0)
     if bracket is None:
-        raise NonPhysicalParameters(f"no root of the NU quantization condition for {state.label}", value=None)
+        raise NonPhysicalParameters(f"no root of the NU quantization condition for {state.label}")
     u = _brentq(residual, *bracket, xtol=1e-18 * bracket[0], rtol=1e-15)
     return e_flat - u * u / (8 * m)
 
@@ -535,6 +531,6 @@ def parameter_scan(
             sys_i = MesonSystem(sys.m_q, sys.m_qbar, CornellParams(**kw), sys.label)
             mass, br = mass_spectrum_detailed(sys_i, state, variant)
             out.append(ScanPoint(value=v, mass=mass, physical=True, branch=br))
-        except (NonPhysicalParameters, DegenerateStateError, DomainError):
+        except (NonPhysicalParameters, DomainError):
             out.append(ScanPoint(value=v, mass=math.nan, physical=False))
     return out

@@ -1,4 +1,11 @@
-"""Exception hierarchy for htaspec."""
+"""Exception hierarchy for htaspec: one class per failure the CLI reports.
+
+    exit 2  InputError             malformed input file or output path
+    exit 3  NonPhysicalParameters  no bound state (DomainError, an argument
+                                   outside its domain, exits 3 too)
+    exit 4  FitFailedError         no fit result
+    exit 5  NumericError           a numeric scheme with no finite answer
+"""
 
 
 class HtaspecError(Exception):
@@ -10,34 +17,19 @@ class DomainError(HtaspecError, ValueError):
 
 
 class NonPhysicalParameters(HtaspecError, ValueError):
-    """Parameter combination has no bound-state solution.
-
-    Carries the offending value so callers can report it.
-    """
-
-    def __init__(self, message: str, value=None):
-        super().__init__(message)
-        self.value = value
-
-
-class DegenerateStateError(HtaspecError, ValueError):
-    """Eigencondition denominator vanished for this (n, l)."""
-
-
-class ConsistencyError(HtaspecError, ArithmeticError):
-    """An internal cross-check failed (e.g. no K makes the NU radicand a perfect square)."""
+    """Parameter combination has no bound-state solution: no bound root, a
+    negative radicand, or a level condition that degenerates (its
+    denominator vanishes for this (n, l))."""
 
 
 class NumericError(HtaspecError, ArithmeticError):
-    """A numeric scheme failed to converge; message carries diagnostics."""
-
-
-class UnderdeterminedFitError(HtaspecError, ValueError):
-    """Fewer usable levels than free parameters."""
+    """A numeric scheme failed to converge or has no finite answer (e.g. no
+    finite NU K); message carries diagnostics."""
 
 
 class FitFailedError(HtaspecError, RuntimeError):
-    """No seed produced a physical optimum."""
+    """No fit result: fewer usable levels than free parameters, no seeds, or
+    no seed reaching a physical optimum."""
 
 
 class InputError(HtaspecError, ValueError):

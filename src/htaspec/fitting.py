@@ -22,7 +22,7 @@ from operator import add, mul
 
 from .core import CornellParams, MesonSystem, Variant, cornell_quadratic, level_rule
 from .dataio import ExperimentalLevel
-from .errors import DegenerateStateError, DomainError, FitFailedError, NonPhysicalParameters, UnderdeterminedFitError
+from .errors import DomainError, FitFailedError, NonPhysicalParameters
 
 __all__ = [
     "ExperimentalLevel",
@@ -48,7 +48,7 @@ class FitResult(namedtuple("FitResult", "params residual_rms converged n_eval"))
 def _usable(levels) -> list[ExperimentalLevel]:
     used = list(filter(ExperimentalLevel.usable.fget, levels))
     if len(used) < 3:
-        raise UnderdeterminedFitError(f"{len(used)} usable levels for 3 free parameters; need at least 3")
+        raise FitFailedError(f"{len(used)} usable levels for 3 free parameters; need at least 3")
     return used
 
 
@@ -60,7 +60,7 @@ def _level_errors(sys: MesonSystem, used, variant: Variant) -> list[float]:
     for lv in used:
         try:
             out.append(mass_sum + level(lv.state)[0] - lv.mass)
-        except (NonPhysicalParameters, DegenerateStateError):
+        except NonPhysicalParameters:
             out.append(math.nan)
     return out
 

@@ -44,7 +44,7 @@ import operator
 from collections import namedtuple
 
 from .core import Checked
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError, NumericError
 
 __all__ = [
     "NUProblem",
@@ -128,7 +128,7 @@ def solve(problem: NUProblem, branch: int = +1) -> NUSolution:
     """K, pi = h +- (l0 + l1 s), tau = tau_t + 2 pi and lambda = K + pi' on
     one branch: +1/-1 signs the radical, whose l1 is the principal root.
 
-    Raises ConsistencyError where no K exists (R0 = 0 != R1), and where K or
+    Raises NumericError where no K exists (R0 = 0 != R1), and where K or
     lambda is not finite (|R0| near the underflow threshold).
     """
     if branch not in (+1, -1):
@@ -146,9 +146,9 @@ def solve(problem: NUProblem, branch: int = +1) -> NUSolution:
     elif r1 == 0:  # R = r2 s^2 is a square at every K; the canonical one is 0
         k, l0, l1 = 0j, 0j, cmath.sqrt(r2)
     else:
-        raise ConsistencyError("no K makes the radicand a perfect square (R0 = 0 != R1)")
+        raise NumericError("no K makes the radicand a perfect square (R0 = 0 != R1)")
     pi = (h0 + branch * l0, h1 + branch * l1)
     lam = k + pi[1]
     if not (cmath.isfinite(k) and cmath.isfinite(lam)):
-        raise ConsistencyError(f"K = {k} and lambda = {lam} are not finite: R0 = {r0} is too small")
+        raise NumericError(f"K = {k} and lambda = {lam} are not finite: R0 = {r0} is too small")
     return NUSolution(k=k, pi=pi, tau=(t0 + 2 * pi[0], t1 + 2 * pi[1]), lam=lam)

@@ -262,7 +262,7 @@ def _iterate(step, state, limit):
 
 def _continued_fraction(s, z):
     def step(i, st):
-        s, z, b, c, d, h = st
+        s, b, c, d, h = st
         an = -i * (i - s)
         b = b + 2.0
         d = an * d + b
@@ -272,11 +272,11 @@ def _continued_fraction(s, z):
         d = 1.0 / d
         delta = d * c
         h = h * delta
-        return abs(delta - 1.0) < 1e-16, h, (s, z, b, c, d, h)
+        return abs(delta - 1.0) < 1e-16, h, (s, b, c, d, h)
 
     b = z + 1.0 - s
     d = np.where(b != 0, 1.0 / b, 1.0 / _TINY)
-    h = _iterate(step, (s, z, b, np.full_like(b, 1.0 / _TINY), d, d), 700)
+    h = _iterate(step, (s, b, np.full_like(b, 1.0 / _TINY), d, d), 700)
     return np.exp(-z + s * np.log(z)) * h
 
 

@@ -301,7 +301,7 @@ def normalize_B(params: WaveParams, n: int) -> float:
     u, c = params.u, params.c_order
     s = 2.0 * c - 2.0 - 2 * n  # a + 1
     if s <= 0:
-        raise NonPhysicalParameters(f"not normalizable: the integral of |psi_{n}|^2 r^2 diverges at r -> 0 (c = {c:.6g})", value=c)
+        raise NonPhysicalParameters(f"not normalizable: the integral of |psi_{n}|^2 r^2 diverges at r -> 0 (c = {c:.6g})")
     # P(x) = x^n y_n(1/x) for the weight exp(-1/x) x^(-2c): its Rodrigues
     # coefficients, ascending in 1/x, are P's in descending powers of x
     p_coeffs = [y.real for y in nu.rodrigues_y(nu.ExpPowerForm(rate=-1.0, power=-2.0 * c), n)]
@@ -343,7 +343,7 @@ def total_probability(params: WaveParams, n: int) -> float:
         val = psi_n(params, n, probe, p / probe)
         edge = (val.real ** 2 + val.imag ** 2) * probe * probe @ wp
     if not (edge[0] < edge[1] or edge[1] == 0):  # a non-finite probe fails too
-        raise NonPhysicalParameters(f"not normalizable: r^2 int |psi_{n}|^2 dp_r grows like 1/r or faster at r -> 0", value=params.c_order)
+        raise NonPhysicalParameters(f"not normalizable: r^2 int |psi_{n}|^2 dp_r grows like 1/r or faster at r -> 0")
     grid = density_grid(params, n, r, p)
     if grid.cell_errors:
         raise NumericError(f"total_probability: psi_{n} is not finite at a rule node")

@@ -13,7 +13,7 @@ import pytest
 from conftest import parseval_b_oracle
 from htaspec import confine1d, core, fitting, waves
 from htaspec.core import CornellParams, MesonSystem, QuantumState, Variant
-from htaspec.errors import UnderdeterminedFitError
+from htaspec.errors import FitFailedError
 
 REAL_CCBAR = {"1S": 3.097, "2S": 3.686, "1P": 3.511, "2P": 3.912, "3S": 4.022, "4S": 4.231, "1D": 3.939}
 REAL_BBBAR = {"1S": 9.460, "2S": 10.042, "1P": 9.899, "2P": 10.268, "3S": 10.355, "4S": 10.542, "1D": 10.307}
@@ -112,7 +112,7 @@ class TestAcceptance:
         # bcbar's measured column has two entries for three parameters: the
         # fit is underdetermined by construction and must refuse
         rec = dataset["bcbar"]
-        with pytest.raises(UnderdeterminedFitError):
+        with pytest.raises(FitFailedError, match="usable levels for 3 free parameters"):
             fitting.fit(rec.system(Variant.REAL), rec.experimental_levels(Variant.REAL))
         report(
             "criterion-05 fit bcbar",

@@ -388,7 +388,7 @@ def fine_scan_root(sys_v, st):
                 root = brentq(lambda x: nu_residual(sys_v, st, x), prev_u, u, xtol=1e-18 * prev_u, rtol=1e-15)
                 return e_flat - root * root / (8 * sys_v.reduced_mass)
             prev_u, prev_r = u, r
-    raise NonPhysicalParameters(f"no root of the NU quantization condition for {st.label}", value=None)
+    raise NonPhysicalParameters(f"no root of the NU quantization condition for {st.label}")
 
 
 def fine_sign_changes(sys_v, st):

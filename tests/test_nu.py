@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import rodrigues_oracle
 from htaspec import nu
-from htaspec.errors import ConsistencyError, DomainError
+from htaspec.errors import DomainError, NumericError
 
 # The two problem families the package actually solves (hbar = 1):
 # rotated-real:    sigma = x^2, tau_t = -4x,          sigma_t = alpha + beta x + gamma x^2
@@ -54,7 +54,7 @@ class TestSolveK:
     def test_zero_r0_with_linear_term_has_no_k(self):
         prob = nu.NUProblem((0, 1, 0), (0, 0))
         for branch in (+1, -1):
-            with pytest.raises(ConsistencyError):
+            with pytest.raises(NumericError, match="no K makes"):
                 nu.solve(prob, branch=branch)
 
     # R0 = R1 = 0: R = (h1^2 - st2 + K) s^2 is a square for every K; the
@@ -70,7 +70,7 @@ class TestSolveK:
     def test_underflowing_r0_raises(self):
         prob = nu.NUProblem((-5e-324, 1, 0), (0, -4))
         for branch in (+1, -1):
-            with pytest.raises(ConsistencyError, match="R0 = "):
+            with pytest.raises(NumericError, match="R0 = "):
                 nu.solve(prob, branch=branch)
 
 
@@ -348,10 +348,10 @@ class TestPipelineProperties:
                 # K = l1^2 - r2 with l1 = R1/(2 sqrt(R0)) overflows only
                 # for |R0| near the underflow threshold: solve raises there
                 assert abs(r0) < 1e-290
-                with pytest.raises(ConsistencyError, match="R0"):
+                with pytest.raises(NumericError, match="R0"):
                     nu.solve(prob, branch=branch)
                 continue
-            # R0 != 0 with a finite K: no ConsistencyError on either branch
+            # R0 != 0 with a finite K: no NumericError on either branch
             sol = nu.solve(prob, branch=branch)
             # coefficient-exact identities of the pipeline
             assert sol.k == k

@@ -111,13 +111,14 @@ def mpmath_psi_sum(mp, params, n, r, p):
 
 class TestIntegerOrders:
     def test_integer_orders_against_mpmath(self):
-        # c = k, k = 0..n + 2, puts an integer order c - 2 - j <= 0 in the sum;
-        # Gamma(s, z) is entire in s, so psi_n is an ordinary value there.
+        # n = 0..6 and c = k, k = 0..n + 2, put an integer order c - 2 - j <= 0
+        # in the sum (n >= 4 reaches orders down to -8); Gamma(s, z) is entire
+        # in s, so psi_n is an ordinary value there.
         # The scale is the sum of the terms' magnitudes: at a node of psi_n
         # (psi_1 near r = 2 for large p_r) the terms cancel and |psi_n| is
         # none.  Rounding in the phases at r |p_r| = 5400 sets the floor (8.2e-13)
         mp = pytest.importorskip("mpmath")
-        for n in range(4):
+        for n in range(7):
             for k in range(n + 3):
                 params = waves.WaveParams(alpha=-1.0, beta=2.0 * k)
                 assert params.c_order == k
