@@ -31,13 +31,9 @@ waves, nu, special, confine1d and numpy (confine1d, special and numpy).  No
 command imports scipy or dataclasses: with no bytecode cache, every module a
 command imports is compiled on each run.
 
-grid splits its rows into contiguous slices, one per usable CPU (gridsplit):
-it computes the first slice, and a forked worker computes and formats each
-other one and sends its cell errors and then its CSV text, one item per r
-row, through a pipe; _write_csv writes each item as it comes.  The CSV, the
-report and the exit code are those of one slice, every worker is reaped on
-every exit path, and a grid that fails while writing leaves no CSV; only a
-one-thread process is forked (gridsplit).  _write_csv makes the --out
+grid splits its rows across the usable CPUs (gridsplit documents the worker
+protocol); _write_csv writes each row's CSV text as it comes, and a grid
+that fails while writing leaves no CSV.  _write_csv makes the --out
 directory when it writes the first CSV, so a command that fails first
 creates nothing.  main registers gc.freeze with atexit, so the
 interpreter's shutdown collections skip the heap that the imports built.
@@ -54,7 +50,7 @@ import sys
 
 from . import core, dataio
 from .core import QuantumState, Variant
-from .errors import DomainError, FitFailedError, HtaspecError, InputError, NonPhysicalParameters, NumericError
+from .errors import DomainError, FitFailedError, InputError, NonPhysicalParameters, NumericError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -281,7 +277,7 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _check_nu() -> list[tuple[str, bool, float, float]]:
+def _check_nu() -> list[tuple[str, float, float]]:
     import random
 
     rng = random.Random(20240817)
@@ -296,10 +292,10 @@ def _check_nu() -> list[tuple[str, bool, float, float]]:
         e_closed = core.energy_real(sys_v, st)
         e_nu = core.energy_real_via_nu(sys_v, st)
         worst = max(worst, abs(e_closed - e_nu) / max(abs(e_closed), 1e-12))
-    return [("nu-vs-closed-form", worst < 1e-9, worst, 1e-9)]
+    return [("nu-vs-closed-form", worst, 1e-9)]
 
 
-def _check_quadrature(records) -> list[tuple[str, bool, float, float]]:
+def _check_quadrature(records) -> list[tuple[str, float, float]]:
     from . import confine1d, waves
 
     # the first real7 meson whose 1S state is normalizable; with none, the first one's error
@@ -319,27 +315,22 @@ def _check_quadrature(records) -> list[tuple[str, bool, float, float]]:
     e0 = confine1d.energy_1d(one, 0, 0.0)
     c1 = confine1d.normalize_1d(one, e0)
     c1_quad = 1.0 / math.sqrt(4.0 * math.pi * confine1d._norm_integral(one, e0, 15.0))
-    shift = abs(c1 / c1_quad - 1.0)
     return [
-        ("wave-normalization-probability", abs(prob - 1.0) < 1e-10, abs(prob - 1.0), 1e-10),
-        ("1d-closed-form-vs-quadrature", shift < 1e-12, shift, 1e-12),
+        ("wave-normalization-probability", abs(prob - 1.0), 1e-10),
+        ("1d-closed-form-vs-quadrature", abs(c1 / c1_quad - 1.0), 1e-12),
     ]
 
 
-def _check_moment() -> list[tuple[str, bool, float, float]]:
+def _check_moment() -> list[tuple[str, float, float]]:
     from . import confine1d
 
-    lines = []
-    for n in (1, 2):
-        for x in (0.0, 1.0, 2.0):
-            resid = confine1d.moment_identity_check(x, n)
-            lines.append((f"moment-identity n={n} x={x}", resid < 1e-12, resid, 1e-12))
-    return lines
+    return [(f"moment-identity n={n} x={x}", confine1d.moment_identity_check(x, n), 1e-12) for n in (1, 2) for x in (0.0, 1.0, 2.0)]
 
 
 def cmd_check(args) -> int:
     records = dataio.load_dataset(args.input)
-    # each suite returns its (name, ok, measured, tol) lines
+    # each suite returns its (name, measured, tol) lines; a line passes when
+    # measured < tol, which a NaN measurement fails
     suites = {
         "nu": _check_nu,
         "quadrature": lambda: _check_quadrature(records),
@@ -349,7 +340,8 @@ def cmd_check(args) -> int:
     passed = True
     for suite in chosen:
         # printed as each suite returns: a later suite that raises keeps them
-        for name, ok, measured, tol in suites[suite]():
+        for name, measured, tol in suites[suite]():
+            ok = measured < tol
             print(f"{'PASS' if ok else 'FAIL'} {name}: residual={measured:.3e} (tol {tol:.0e})")
             passed = passed and ok
     return EXIT_OK if passed else EXIT_NUMERIC
@@ -422,9 +414,6 @@ def main(argv=None) -> int:
         return EXIT_FIT
     except (NumericError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except HtaspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -31,7 +31,6 @@ import cmath
 import math
 import operator
 from collections import namedtuple
-from functools import lru_cache
 
 import numpy as np
 
@@ -93,19 +92,14 @@ def psi_1d(sys: Confinement1DSystem, r: float, p_r: float, energy: float, c1: fl
     """c1 * Ai((p_r^2/2m + b r - E) * omega^(-1/3)) for r >= 0.
 
     c1 defaults to the closed-form ground-state constant of this system
-    (normalize_1d, cached per system).
+    (normalize_1d).
     """
     if r < 0:
         raise DomainError(f"psi_1d: r must be >= 0, got {r}")
     if c1 is None:
-        c1 = _ground_c1(sys)
+        c1 = normalize_1d(sys, energy_1d(sys, 0, 0.0))
     w = sys.omega ** (-1.0 / 3.0)
     return c1 * special.airy_ai((p_r ** 2 / (2.0 * sys.m) + sys.b * r - energy) * w)
-
-
-@lru_cache(maxsize=32)
-def _ground_c1(sys: Confinement1DSystem) -> float:
-    return normalize_1d(sys, energy_1d(sys, 0, 0.0))
 
 
 def _airy_r2_moment(x):

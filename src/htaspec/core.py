@@ -64,7 +64,8 @@ Conventions (natural units, hbar = 1, energies in GeV):
 
 * level_rule is the one place that picks which root of a level condition is
   a state's level (at p_r = 0); every mass, scan, fit and grid energy reads
-  it, through level for one state.
+  it, through level for one state.  A level is finite, and a complex5 level
+  exactly real; any other root raises NonPhysicalParameters.
   rest_energy_bracket and energy_real_via_nu re-derive it, as checks.
 """
 
@@ -228,17 +229,20 @@ def level_rule(sys: MesonSystem, variant: Variant | str = Variant.REAL):
     real7: the physical (u > 0) root of smaller |u|, i.e. the higher energy,
     tagged '+'; when that root is not physical, the other one, tagged '-'.
     complex5: the preferred root of energy_complex at p_r = 0; its energy
-    must be real, else NonPhysicalParameters.  At p_r = 0 the two complex5
-    roots share Re E and |Im E|, so no other root can be real instead.
+    must be exactly real, else NonPhysicalParameters: at p_r = 0 its
+    imaginary part is exactly zero when the radicand 9 + 4 gamma_c is >= 0,
+    and non-zero when it is negative.  The two roots share Re E and |Im E|,
+    so no other root can be real instead.  A level past double range, of
+    either variant, raises NonPhysicalParameters too.
     """
     if Variant.parse(variant) is Variant.COMPLEX:
         root = _complex_rule(sys, 0.0)
 
         def complex_rule(state):
             e, branch = root(state)
-            if not abs(e.imag) <= 1e-12 * max(abs(e), 1.0):
+            if e.imag:
                 raise NonPhysicalParameters(f"no real-valued branch at {state.label}")
-            return e.real, branch
+            return _finite(e.real, state), branch
         return complex_rule
     e_flat, c1, c2 = cornell_quadratic(sys.params)
     if c1 == 0:  # the vertex: every level collapses onto C0
@@ -258,16 +262,22 @@ def level_rule(sys: MesonSystem, variant: Variant | str = Variant.REAL):
         # the roots in |beta| (see the module docstring) are u = |beta|
         # ((2 nu - 1) -+ sqrt(disc)) / (4 cden); '-' gives the smaller |u|
         sq = math.sqrt(disc)
-        u = w * (t - sq) / q
-        if u > 0:
-            return e_flat - u * u / m8, "+"
-        u = w * (t + sq) / q
-        if u > 0:
-            return e_flat - u * u / m8, "-"
-        raise NonPhysicalParameters(
-            f"no bound-state root (u > 0) for {state.label} with a={sys.params.a}, b={sys.params.b}, delta={sys.params.delta}"
-        )
+        u, branch = w * (t - sq) / q, "+"
+        if not u > 0:
+            u, branch = w * (t + sq) / q, "-"
+        if not u > 0:
+            raise NonPhysicalParameters(
+                f"no bound-state root (u > 0) for {state.label} with a={sys.params.a}, b={sys.params.b}, delta={sys.params.delta}"
+            )
+        return _finite(e_flat - u * u / m8, state), branch
     return rule
+
+
+def _finite(energy: float, state: QuantumState) -> float:
+    """energy, if it is finite; a level past double range is no level."""
+    if not math.isfinite(energy):
+        raise NonPhysicalParameters(f"the level of {state.label} is past double range ({energy})")
+    return energy
 
 
 def level(sys: MesonSystem, state: QuantumState, variant: Variant | str = Variant.REAL) -> tuple[float, str]:
@@ -294,8 +304,6 @@ def _complex_rule(sys: MesonSystem, p_r: float):
         cden = (n + 1) * (n + 2) - 2 - gam
         if cden == 0:
             raise NonPhysicalParameters(f"level condition degenerates at state {state.label}")
-        if c1 == 0 and p_r == 0:  # g = 0
-            return complex(e_flat), "+"
         sq = cmath.sqrt(9 + 4 * gam)
         cands = []
         for sgn, tag in ((+1.0, "+"), (-1.0, "-")):

@@ -88,23 +88,26 @@ _R_DOMAIN = "psi_n: r must be > 0, got {}"
 
 
 class WaveParams(Checked, namedtuple("WaveParams", "alpha beta B variant")):
-    """alpha and beta at a fixed level energy, plus the normalization B.
+    """alpha and beta at a fixed level energy, plus the normalization B and
+    the variant (a Variant or its token, parsed by Variant.parse).
 
-    alpha must be negative (bound state, E < C0 of core.cornell_quadratic);
-    alpha and beta are the real-variant constants of core.real_constants,
-    whose gamma the wave function sees only through the level energy (the
-    momentum-coupled variant derives its momentum-dependent constants from
-    them at each p_r).
+    alpha must be negative (bound state, E < C0 of core.cornell_quadratic),
+    and alpha and beta finite; they are the real-variant constants of
+    core.real_constants, whose gamma the wave function sees only through the
+    level energy (the momentum-coupled variant derives its momentum-dependent
+    constants from them at each p_r).
     """
 
     __slots__ = ()
 
-    def __new__(cls, alpha: float, beta: float, B: float = 1.0, variant: Variant = Variant.REAL):
+    def __new__(cls, alpha: float, beta: float, B: float = 1.0, variant: Variant | str = Variant.REAL):
         if not (alpha < 0):
             raise DomainError(f"WaveParams.alpha must be negative (bound state), got {alpha}")
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise DomainError(f"WaveParams.alpha and beta must be finite, got {alpha}, {beta}")
         if not (math.isfinite(B) and B > 0):
             raise DomainError(f"WaveParams.B must be positive and finite, got {B}")
-        return super().__new__(cls, alpha, beta, B, variant)
+        return super().__new__(cls, alpha, beta, B, Variant.parse(variant))
 
     @property
     def u(self) -> float:
@@ -119,7 +122,7 @@ class WaveParams(Checked, namedtuple("WaveParams", "alpha beta B variant")):
 def wave_params(sys: MesonSystem, state: QuantumState, level_energy: float, variant: Variant | str = Variant.REAL) -> WaveParams:
     """Build WaveParams (B = 1) from a system and a level energy."""
     alpha, beta, _ = real_constants(sys, state, level_energy)
-    return WaveParams(alpha, beta, variant=Variant.parse(variant))
+    return WaveParams(alpha, beta, variant=variant)
 
 
 def _check_index(params: WaveParams, n: int) -> int:
@@ -172,7 +175,8 @@ def psi_n(params: WaveParams, n: int, r, p_r):
         acc = 0j
         for coeff, power, order in terms:
             acc = acc + coeff * w ** power * _gamma_or_nan(order, r * w)
-        return _value(params.B / math.pi * np.exp(-rate * p_r * r) * acc)
+        value = params.B / math.pi * np.exp(-rate * p_r * r) * acc
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def _gamma_or_nan(s, z):
@@ -180,11 +184,6 @@ def _gamma_or_nan(s, z):
     # p_r, or r |p_r| past double range
     ok = np.isfinite(s) & np.isfinite(z) & (z.real > 0)
     return np.where(ok, upper_incomplete_gamma(np.where(ok, s, 1.0), np.where(ok, z, 1.0)), math.nan)
-
-
-def _value(a):
-    # a scalar result as a Python complex, an array one as it is
-    return complex(a) if np.ndim(a) == 0 else a
 
 
 def half_transformed_kernel(params: WaveParams, n: int):

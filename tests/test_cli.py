@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import warnings
 from importlib.resources import files
@@ -449,6 +450,22 @@ class TestGridScan:
         assert not out.exists()
 
 
+    def test_level_past_double_range_is_non_physical(self, tmp_path, capsys):
+        # real7 a = -1e160: u * u overflows, so the level is no number;
+        # spectrum exits 3 with one line and no file, and scan flags the points
+        data = tmp_path / "x.json"
+        params = {"real7": {"a": -1e160, "b": 0.2, "delta": 0.5}}
+        data.write_text(json.dumps({"mesons": [{"label": "x", "m_q": 1.5, "m_qbar": 1.5, "params": params}]}))
+        out = tmp_path / "out"
+        assert run(["spectrum", "--input", str(data), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "non-physical parameters: the level of 1S is past double range (-inf)\n"
+        assert not out.exists()
+        argv = ["scan", "--input", str(data), "--param", "a", "--lo=-1e200", "--hi=-1e100", "--steps", "3"]
+        assert run([*argv, "--out", str(out)]) == 0
+        flagged = [(r["mass"], r["physical"], r["branch"]) for r in read_csv(out / "x_scan_a.csv") if float(r["value"]) <= -1e100]
+        assert flagged == [("nan", "false", "")] * len(flagged) and len(flagged) >= 2
+
+
 class TestCheck:
     def test_nu_suite_passes(self, capsys):
         assert run(["check", "--suite", "nu"]) == 0
@@ -493,6 +510,16 @@ class TestCheck:
         out, err = capsys.readouterr()
         assert out.startswith("PASS nu-vs-closed-form: residual=") and out.count("\n") == 1
         assert err == "numeric failure: quadrature suite failed\n"
+
+    def test_nan_measurement_fails(self, monkeypatch, capsys):
+        # a line passes only when measured < tol, which NaN is not
+        from htaspec import confine1d
+
+        monkeypatch.setattr(confine1d, "moment_identity_check", lambda x, n: math.nan)
+        assert run(["check", "--suite", "moment"]) == 5
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith("FAIL moment-identity") and "residual=nan" in line for line in lines)
 
     def test_coarser_moment_quadrature_fails(self, monkeypatch, capsys):
         # half the panels and nodes leave residuals near 5e-10, far above

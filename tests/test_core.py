@@ -253,23 +253,57 @@ class TestLevel:
         # b < 0 reaches a negative radicand, where both complex5 roots at
         # rest are complex: the level raises exactly where the independent
         # rest-energy route does
-        rng = np.random.RandomState(2468)
-        raised = 0
-        for _ in range(200):
-            a, b, delta, m = rng.uniform(-3, 3), rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.5), rng.uniform(0.5, 2.5)
-            sys_v = MesonSystem(2 * m, 2 * m, CornellParams(a, b, delta))
-            st = QuantumState(rng.randint(0, 4), rng.randint(0, 3))
+        def raises(sys_v, st):
             try:
                 e_br = core.rest_energy_bracket(sys_v, st)
             except NonPhysicalParameters:
                 assert core.energy_complex(sys_v, st, 0.0).imag != 0.0
                 with pytest.raises(NonPhysicalParameters, match="no real-valued branch"):
                     core.level(sys_v, st, Variant.COMPLEX)
-                raised += 1
-                continue
+                return True
             e, _ = core.level(sys_v, st, Variant.COMPLEX)
             assert abs(e - e_br) <= 1e-9 * max(abs(e_br), 1e-12)
+            return False
+
+        rng = np.random.RandomState(2468)
+        raised = 0
+        for _ in range(200):
+            a, b, delta, m = rng.uniform(-3, 3), rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.5), rng.uniform(0.5, 2.5)
+            raised += raises(MesonSystem(2 * m, 2 * m, CornellParams(a, b, delta)), QuantumState(rng.randint(0, 4), rng.randint(0, 3)))
         assert 20 <= raised <= 180
+        # next to the vertex a = 3b/delta^2, Im E of a negative radicand is
+        # within roundoff of zero, so only an exact test tells it from real
+        raised = 0
+        for k in range(3, 17):
+            for side in (1, -1):
+                b, delta, m = -rng.uniform(0.05, 1.5), rng.uniform(0.2, 1.5), rng.uniform(0.5, 2.5)
+                a = 3 * b / delta**2 * (1 + side * 10.0**-k)
+                raised += raises(MesonSystem(2 * m, 2 * m, CornellParams(a, b, delta)), QuantumState(rng.randint(0, 4), rng.randint(0, 3)))
+        assert 5 <= raised <= 23
+
+    def test_complex_vertex_is_flat(self):
+        # at a = 3b/delta^2, g = 0 makes both roots v = 0: every level is C0,
+        # on the '+' branch, whatever b's sign or the radicand's
+        rng = np.random.RandomState(97)
+        for sign in (1.0, -1.0):
+            for _ in range(10):
+                b, delta, m = sign * rng.uniform(0.05, 1.5), rng.uniform(0.2, 1.5), rng.uniform(0.5, 2.5)
+                sys_v = MesonSystem(2 * m, 2 * m, CornellParams(3 * b / delta**2, b, delta))
+                c0 = core.cornell_quadratic(sys_v.params)[0]
+                for n, l in itertools.product(range(7), range(5)):
+                    assert core.level(sys_v, QuantumState(n, l), Variant.COMPLEX) == (c0, "+")
+
+    @pytest.mark.parametrize(
+        "sys_v, variant",
+        [
+            (MesonSystem(1.5, 1.5, CornellParams(-1e160, 0.2, 0.5)), Variant.REAL),  # u * u overflows
+            (MesonSystem(1e-10, 1e-10, CornellParams(1.0, 1e-150, 1.0)), Variant.COMPLEX),  # v * v / (8m) overflows
+        ],
+        ids=["real7", "complex5"],
+    )
+    def test_level_past_double_range_raises(self, sys_v, variant):
+        with pytest.raises(NonPhysicalParameters, match=r"the level of 1S is past double range \(-inf\)"):
+            core.level(sys_v, QuantumState(0), variant)
 
 
 class TestRestBracketConsistency:

@@ -55,6 +55,7 @@ def test_repr_keeps_the_keyword_form():
     [
         lambda: waves.WaveParams(alpha=-1.0, beta=2.2)._replace(B=-1.0),
         lambda: waves.WaveParams(alpha=-1.0, beta=2.2)._replace(alpha=0.5),
+        lambda: waves.WaveParams(alpha=-1.0, beta=2.2)._replace(variant="bogus"),
         lambda: _PARAMS._replace(delta=0),
         lambda: _PARAMS._replace(a=math.nan),
         lambda: CornellParams._make([1.0, 0.4, 0.0]),
@@ -64,7 +65,7 @@ def test_repr_keeps_the_keyword_form():
         lambda: dataio.ExperimentalLevel("1S", QuantumState(0), 3.097)._replace(mass=math.inf),
         lambda: nu.NUProblem((1, 2, 3), (0, -4))._replace(tau_tilde=(0, 1, 2)),
     ],
-    ids=["WaveParams-B", "WaveParams-alpha", "CornellParams-delta", "CornellParams-a", "CornellParams-make",
+    ids=["WaveParams-B", "WaveParams-alpha", "WaveParams-variant", "CornellParams-delta", "CornellParams-a", "CornellParams-make",
          "MesonSystem", "QuantumState", "Confinement1DSystem", "ExperimentalLevel", "NUProblem"],
 )
 def test_replace_validates(build):

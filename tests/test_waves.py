@@ -38,6 +38,19 @@ class TestWaveParams:
         with pytest.raises(DomainError):
             waves.WaveParams(alpha=-1.0, beta=10.0, B=0.0)
 
+    def test_variant_token_is_parsed(self):
+        # a token takes its variant's lane, and one that names none is refused
+        by_token = waves.WaveParams(-4.0, 12.0, variant="real7")
+        assert by_token.variant is Variant.REAL
+        assert waves.psi_n(by_token, 0, 0.5, 0.3) == waves.psi_n(waves.WaveParams(-4.0, 12.0), 0, 0.5, 0.3)
+        with pytest.raises(DomainError, match="unknown variant 'bogus'"):
+            waves.WaveParams(-4.0, 12.0, variant="bogus")
+
+    @pytest.mark.parametrize("alpha, beta", [(-math.inf, 2.0), (-1.0, math.nan), (-1.0, -math.inf)])
+    def test_finite_constants_required(self, alpha, beta):
+        with pytest.raises(DomainError, match="must be finite"):
+            waves.WaveParams(alpha, beta)
+
     def test_derived_quantities(self, params_1s):
         assert params_1s.u == math.sqrt(-params_1s.alpha)
         assert params_1s.c_order == params_1s.beta / (2 * params_1s.u)
