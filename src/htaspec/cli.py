@@ -32,8 +32,12 @@ command imports scipy or dataclasses: with no bytecode cache, every module a
 command imports is compiled on each run.
 
 grid splits its rows across the usable CPUs (gridsplit documents the worker
-protocol); _write_csv writes each row's CSV text as it comes, and a grid
-that fails while writing leaves no CSV.  _write_csv makes the --out
+protocol); _write_csv writes each block's CSV text as it comes, and a grid
+that fails while writing leaves no CSV.  Every command writes a float as
+"%.{D}g" % value does: grid's cells through gridsplit's numpy formatter,
+whose long-double fast path gives the same bytes and leaves to "%" what it
+cannot decide (every value where the long double is the double), the other
+commands' values through _fmt.  _write_csv makes the --out
 directory when it writes the first CSV, so a command that fails first
 creates nothing.  main registers gc.freeze with atexit, so the
 interpreter's shutdown collections skip the heap that the imports built.
@@ -239,11 +243,11 @@ def cmd_grid(args) -> int:
     params = waves.wave_params(sys_v, args.state, energy, variant=variant)
     if args.normalize:
         params = params._replace(B=waves.normalize_B(params, n))
-    with gridsplit.evaluate(params, n, rs, ps, d) as (rows, errors):
+    with gridsplit.evaluate(params, n, rs, ps, d) as (blocks, errors):
         _write_csv(
             os.path.join(args.out, f"{rec.label}_{args.state.label}_grid.csv"),
             ["r", "p_r", "re", "im", "density"],
-            rows,
+            blocks,
         )
     if errors:
         shown = errors[:5]  # bounded: a grid can fail in thousands of cells

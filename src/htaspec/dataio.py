@@ -3,7 +3,8 @@
 Input schema (JSON):
 
     {"mesons": [
-        {"label": str,                                                # non-empty, no path separator or NUL
+        {"label": str,                                                # non-empty, no path separator or NUL,
+                                                                      # unique within the file
          "m_q": GeV, "m_qbar": GeV,                                   # finite numbers, as a, b, delta
          "params": {"real7": {"a","b","delta"}, "complex5": {...}},   # optional per variant
          "fit_levels": {"real7": ["1S", ...], ...},                   # optional; level labels,
@@ -147,7 +148,7 @@ def load_dataset(source: str | None = None) -> list[MesonRecord]:
         raise InputError(f"{origin}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("mesons"), list) or not doc["mesons"]:
         raise InputError(f"{origin}: expected a top-level object with a non-empty 'mesons' list")
-    records = []
+    records, labels = [], set()
     for raw in doc["mesons"]:
         if not isinstance(raw, dict):
             raise InputError(f"{origin}: each meson must be an object")
@@ -155,6 +156,9 @@ def load_dataset(source: str | None = None) -> list[MesonRecord]:
         if not isinstance(label, str) or not label or os.path.basename(label) != label or "\0" in label:
             raise InputError(f"{origin}: meson label {label!r} must be non-empty text with no path separator or NUL")
         where = f"{origin}: meson {label!r}"
+        if label in labels:  # its output files would overwrite the first one's
+            raise InputError(f"{where} appears more than once")
+        labels.add(label)
         m_q, m_qbar = _number(raw.get("m_q"), f"{where}: m_q"), _number(raw.get("m_qbar"), f"{where}: m_qbar")
         if not (m_q > 0 and m_qbar > 0):
             raise InputError(f"{where}: quark masses must be positive")

@@ -152,6 +152,23 @@ class TestSpectrum:
         assert captured.out == ""
         assert "'noparams' has no stored parameters for real7" in captured.err
 
+    @pytest.mark.parametrize("command", ["spectrum", "fit"])
+    def test_repeated_meson_label_exits_2(self, tmp_path, capsys, command):
+        # spectrum wrote the second ccbar's CSVs over the first's, fit two ccbar rows
+        from htaspec import dataio
+
+        doc = json.loads(dataio.builtin_dataset_text())
+        ccbar = next(m for m in doc["mesons"] if m["label"] == "ccbar")
+        doc["mesons"].append({**ccbar, "m_q": 1.3, "m_qbar": 1.3})
+        p = tmp_path / "twice.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run([command, "--input", str(p), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {p}: meson 'ccbar' appears more than once\n"
+        assert not out.exists()
+
     def test_each_mass_computed_once(self, tmp_path, monkeypatch):
         from htaspec import core
 

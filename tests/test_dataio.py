@@ -145,6 +145,14 @@ class TestValidation:
         with pytest.raises(InputError):
             dataio.load_dataset(str(p))
 
+    def test_repeated_meson_label(self, tmp_path):
+        # the second record's output files would overwrite the first one's
+        meson = {"label": "x", "m_q": 1.0, "m_qbar": 1.0, "levels": [{"label": "1S", "exp_mass": 3.0}]}
+        p = tmp_path / "twice.json"
+        p.write_text(json.dumps({"mesons": [meson, {**meson, "m_q": 2.0}]}))
+        with pytest.raises(InputError, match="meson 'x' appears more than once"):
+            dataio.load_dataset(str(p))
+
     def test_include_override(self, tmp_path):
         doc = {
             "mesons": [

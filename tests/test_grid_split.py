@@ -5,7 +5,7 @@ grid, and no worker outlives the command on any exit path.
 Each command runs in a fresh interpreter under ``-W error`` with
 OPENBLAS_NUM_THREADS unset (the default a user has), so that it can fork;
 the expected CSV and report are built here from waves.density_grid over the
-whole axes.  os.fork is wrapped by the test script, not by the program, to
+whole axes, each value written by "%".  os.fork is wrapped by the test script, not by the program, to
 count the workers.  The last test cuts grids at random rows in process: any
 cut gives the one-call grid bit for bit.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from htaspec import core, dataio, gridsplit, waves
+from htaspec import core, dataio, waves
 from htaspec.core import QuantumState, Variant
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -96,7 +96,13 @@ def expected(argv):
         core._axis_interval(axis(argv, "--rmin", 0.05), axis(argv, "--rmax", 6.0), axis(argv, "--rsteps", 120), "r"),
         core._axis_interval(axis(argv, "--pmin", -1.0), axis(argv, "--pmax", 1.0), axis(argv, "--psteps", 41), "p"),
     )
-    text = "r,p_r,re,im,density\n" + "".join(f"{row}\n" for row in gridsplit._grid_rows(grid, axis(argv, "--precision", 17)))
+    # each value written by "%" itself, independent of the formatter under test
+    f = f"%.{axis(argv, '--precision', 17)}g"
+    text = "r,p_r,re,im,density\n" + "".join(
+        f"{f % r},{f % p},{f % a.real},{f % a.imag},{f % d}\n"
+        for r, amp, dens in zip(grid.r_values, grid.amplitudes.tolist(), grid.densities.tolist())
+        for p, a, d in zip(grid.p_values, amp, dens)
+    )
     err = ""
     if grid.cell_errors:
         shown = grid.cell_errors[:5]
@@ -112,8 +118,11 @@ GRIDS = {
     "bcbar-3S-200x101": ["--meson", "bcbar", "--state", "3S", "--rsteps", "200", "--psteps", "101", "--no-normalize"],
     "bbbar-complex5-120x41": ["--meson", "bbbar", "--variant", "complex5", "--rsteps", "120", "--psteps", "41", "--no-normalize"],
     "ccbar-1S-320x301": ["--meson", "ccbar", "--rsteps", "320", "--psteps", "301", "--no-normalize"],
-    # a worker's formatting at other digits
-    "ccbar-1S-320x301-precision-6": ["--meson", "ccbar", "--rsteps", "320", "--psteps", "301", "--no-normalize", "--precision", "6"],
+    # a worker's formatting at other digits; at 18 every value takes "%"
+    **{
+        f"ccbar-1S-320x301-precision-{d}": ["--meson", "ccbar", "--rsteps", "320", "--psteps", "301", "--no-normalize", "--precision", d]
+        for d in ("1", "6", "16", "18")
+    },
     "normalized": ["--meson", "ccbar", "--state", "2S", "--rsteps", "160", "--psteps", "81"],
     # the first 34 rows have r <= 0 and fail with psi_n's DomainError text
     "r-through-zero": ["--meson", "ccbar", "--rmin", "-1", "--rmax", "5", "--rsteps", "200", "--psteps", "101", "--no-normalize"],
